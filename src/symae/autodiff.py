@@ -9,8 +9,11 @@ topological order and accumulates adjoints into ``Var.grad``.
 The module-level helpers (:func:`sqrt`, :func:`sum_sq`,
 :func:`concat_rows`, ...) dispatch on ndarray vs. ``Var``, which lets a
 single implementation of a numerical routine serve both as the plain
-evaluator and as the differentiable program.  Gradients therefore match
-the untaped arithmetic bit for bit.
+evaluator and as the differentiable program, so taped forward values match
+the untaped arithmetic bit for bit.  Linear-algebra operations with a
+closed-form adjoint are primitives instead: :func:`symae.linalg.pi_orth`
+on a ``Var`` is one node built with :meth:`Var._node`, whose forward value
+is the untaped result and whose vjp is the analytic thin-QR adjoint.
 """
 
 from __future__ import annotations

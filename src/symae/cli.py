@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -59,9 +60,24 @@ def _parse_skeleton(text: str) -> Skeleton:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _positive(kind):
+    """Argparse type: a finite ``kind`` value above zero."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "patience", None) is not None and args.patience > args.epochs:
+        parser.error(f"--patience {args.patience} exceeds --epochs {args.epochs}")
     try:
         return args.handler(args)
     except DataFormatError as exc:
@@ -95,10 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated dims, e.g. 514,64,15,3")
     tr.add_argument("--act", default="identity", help="identity | leakyrelu:a,b | hypact:t")
     tr.add_argument("--init", choices=("eys", "he", "orth"), default="eys")
-    tr.add_argument("--epochs", type=int, default=1500)
-    tr.add_argument("--patience", type=int, default=500)
-    tr.add_argument("--lr", type=float, default=1e-3)
-    tr.add_argument("--batch", type=int, default=8)
+    tr.add_argument("--epochs", type=_positive(int), default=1500)
+    tr.add_argument("--patience", type=_positive(int),
+                    help="early-stopping patience, at most --epochs (default: min(500, epochs))")
+    tr.add_argument("--lr", type=_positive(float), default=1e-3)
+    tr.add_argument("--batch", type=_positive(int), default=8)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out-model")
     tr.add_argument("--out-history")
@@ -182,7 +199,7 @@ def _cmd_train(args) -> int:
     theta0 = lift(psi0, class_tag)
     config = TrainConfig(
         epochs=args.epochs,
-        patience=min(args.patience, args.epochs),
+        patience=args.patience or min(500, args.epochs),
         learning_rate=args.lr,
         batch_size=args.batch,
         seed=args.seed,

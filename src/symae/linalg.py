@@ -1,14 +1,15 @@
-"""Dense linear algebra built from scratch: thin QR, thin SVD, covariance spectra.
+"""Dense linear algebra: thin QR, thin SVD, covariance spectra.
 
 Matrices are plain float64 numpy arrays in row-major order; "vectors" that
 pair with snapshot columns (means, biases) are stored as ``(n, 1)`` columns.
 
-The QR factorization is Householder-based and written against the
-dual-dispatch helpers in :mod:`symae.autodiff`, so the same code yields an
-orthonormalization that reverse-mode differentiation can see through.  The
-SVD is a one-sided Jacobi iteration (cyclic sweeps over column pairs),
-chosen for its high relative accuracy on strongly graded spectra; tall
-inputs are first reduced by QR, wide inputs are handled by transposition.
+The thin QR is LAPACK's Householder factorization (``np.linalg.qr``) with
+a sign fix that makes it unique.  Its orthonormal factor, :func:`pi_orth`,
+is a primitive of the reverse-mode tape: one node whose adjoint is the
+closed-form thin-QR vector-Jacobian product.  The SVD is a one-sided Jacobi
+iteration (cyclic sweeps over column pairs), chosen for its high relative
+accuracy on strongly graded spectra; tall inputs are first reduced by QR,
+wide inputs are handled by transposition.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import concat_rows, sqrt, sum_sq, value_of
+from .autodiff import Var
 
 __all__ = [
     "NumericalError",
@@ -65,58 +66,54 @@ def require_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def householder_qr(A):
-    """Thin QR of an m-by-n input with m >= n, R diagonal forced nonnegative.
+def householder_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR of an m-by-n array with m >= n, R diagonal forced nonnegative.
 
-    Accepts a plain array or an autodiff ``Var``; the reflection vectors are
-    assembled from taped primitives, so the factorization is differentiable
-    away from the (measure-zero) rank-deficient set.  The sign convention
-    makes the factorization unique for full-rank input.
-
-    Returns ``(Q, R)`` where ``Q`` is m-by-n with orthonormal columns and
-    ``R`` is m-by-n with its strictly lower part numerically zero.
+    LAPACK's Householder factorization plus a sign fix that makes it unique
+    for full-rank input.  Returns ``(Q, R)`` where ``Q`` is m-by-n with
+    orthonormal columns and ``R`` is m-by-n, upper triangular in its first
+    n rows and zero below.
     """
-    m, n = value_of(A).shape
+    A = np.asarray(A, dtype=np.float64)
+    m, n = A.shape
     if m < n:
         raise ValueError(f"householder_qr needs m >= n, got {m}x{n}")
-    R = A
-    reflectors = []
-    for k in range(n):
-        x = R[k:, k : k + 1]
-        xv = value_of(x)
-        if not xv.any():
-            reflectors.append(None)
-            continue
-        sign = 1.0 if xv[0, 0] >= 0.0 else -1.0
-        e1 = np.zeros((m - k, 1))
-        e1[0, 0] = sign
-        v = x + sqrt(sum_sq(x)) * e1
-        u = v / sqrt(sum_sq(v))
-        if k:
-            u = concat_rows([np.zeros((k, 1)), u])
-        R = R - (2.0 * u) @ (u.T @ R)
-        reflectors.append(u)
-    Q = np.eye(m, n)
-    for u in reversed(reflectors):
-        if u is not None:
-            Q = Q - (2.0 * u) @ (u.T @ Q)
-    Rv = value_of(R)
-    flips = np.array([[1.0 if Rv[k, k] >= 0.0 else -1.0 for k in range(n)]])
-    row_flips = np.ones((m, 1))
-    row_flips[:n, 0] = flips[0]
-    return Q * flips, R * row_flips
+    Q, R = np.linalg.qr(A)
+    flips = np.where(np.diagonal(R) >= 0.0, 1.0, -1.0)
+    return Q * flips, np.concatenate([R * flips[:, None], np.zeros((m - n, n))])
 
 
 def pi_orth(A):
     """Orthonormalize the columns of a tall matrix.
 
-    Returns the Q factor of the sign-fixed Householder QR: an ``m x n``
-    matrix with orthonormal columns whose span contains the span of ``A``
-    (with equality when ``A`` has full column rank).  Deterministic, a fixed
-    point on inputs that already have orthonormal columns, and
-    differentiable almost everywhere when fed an autodiff ``Var``.
+    Returns the Q factor of the sign-fixed thin QR: an ``m x n`` matrix with
+    orthonormal columns whose span contains the span of ``A`` (with equality
+    when ``A`` has full column rank).  Deterministic and a fixed point on
+    inputs that already have orthonormal columns.
+
+    On an autodiff ``Var`` the result is one tape node with the same forward
+    value and the closed-form thin-QR adjoint (with ``R_bar = 0``):
+    ``A_bar = (Q_bar + Q copyltu(M)) R^-T`` where ``M = -Q_bar^T Q`` and
+    ``copyltu(M) = tril(M) + tril(M, -1)^T``.  The adjoint needs ``R``
+    invertible; an exactly singular ``R`` raises :class:`NumericalError`.
     """
-    return householder_qr(A)[0]
+    if not isinstance(A, Var):
+        return householder_qr(A)[0]
+    Q, R = householder_qr(A.value)
+    m, n = Q.shape
+
+    def vjp(g):
+        M = -(g.T @ Q)
+        B = g + Q @ (np.tril(M) + np.tril(M, -1).T)
+        try:
+            return (np.linalg.solve(R[:n], B.T).T,)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"pi_orth adjoint: R factor of the {m}x{n} input is singular "
+                "(the input is rank-deficient)"
+            ) from exc
+
+    return Var._node(Q, (A,), vjp)
 
 
 def orthonormal_completion(B: np.ndarray, total: int) -> np.ndarray:
@@ -214,7 +211,7 @@ def thin_svd(A: np.ndarray) -> ThinSVD:
 
     if m > n:
         Q0, R0 = householder_qr(A)
-        core = np.triu(R0[:n, :])
+        core = R0[:n]
     else:
         Q0 = None
         core = A.copy()

@@ -21,6 +21,7 @@ import numpy as np
 
 from .architecture import ParamVector, SymmetricAutoencoder, assemble, loss_on_batch
 from .autodiff import gradient
+from .data_io import DataFormatError
 from .linalg import NumericalError, require_matrix
 
 __all__ = [
@@ -123,11 +124,14 @@ def undo_minmax(U: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def split(U: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seeded disjoint column split: 50% train, 25% validation, rest test."""
+    """Seeded disjoint column split: 50% train, 25% validation, rest test.
+
+    Raises :class:`DataFormatError` (a ``ValueError``) for fewer than 4 columns.
+    """
     U = require_matrix(U, "snapshot matrix")
     S = U.shape[1]
     if S < 4:
-        raise ValueError(f"need at least 4 snapshots to split, got {S}")
+        raise DataFormatError(f"need at least 4 snapshots to split, got {S}")
     perm = np.random.default_rng(seed).permutation(S)
     n_train = S // 2
     n_val = S // 4

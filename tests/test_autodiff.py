@@ -19,7 +19,7 @@ from symae.autodiff import (
     sum_sq,
     value_of,
 )
-from symae.linalg import pi_orth
+from symae.linalg import NumericalError, pi_orth
 
 
 def loss_program(class_tag, act, theta):
@@ -151,6 +151,48 @@ class TestTapedLossMatchesPlainEvaluation:
         taped, _ = gradient(program, theta.leaves(), batch)
         plain = float(value_of(program(theta.leaves(), batch)))
         np.testing.assert_allclose(taped, plain, rtol=1e-12)
+
+
+class TestPiOrthPrimitive:
+    def test_taped_call_is_one_node_on_its_input(self, monkeypatch):
+        built = []
+        var_init = Var.__init__
+
+        def counting_init(node, *args, **kwargs):
+            built.append(node)
+            var_init(node, *args, **kwargs)
+
+        A = Var(np.random.default_rng(16).standard_normal((7, 4)))
+        monkeypatch.setattr(Var, "__init__", counting_init)
+        Q = pi_orth(A)
+        assert built == [Q]
+        assert len(Q.parents) == 1 and Q.parents[0] is A
+        np.testing.assert_array_equal(Q.value, pi_orth(A.value))
+
+    @pytest.mark.parametrize("shape", [(514, 128), (64, 64)], ids=["tall", "square"])
+    def test_directional_derivative_at_network_shapes(self, shape):
+        # grad_check is entrywise and too slow at these sizes; compare the
+        # adjoint with a central difference along one random unit direction,
+        # scaled by |A_bar| (the largest value <A_bar, dA> can take).
+        rng = np.random.default_rng(17)
+        A = rng.standard_normal(shape)
+        T = rng.standard_normal(shape)
+        dA = rng.standard_normal(shape)
+        dA /= np.linalg.norm(dA)
+        v = Var(A)
+        backward(sum_sq(pi_orth(v) - T))
+        step = 1e-3
+        up = sum_sq(pi_orth(A + step * dA) - T)
+        down = sum_sq(pi_orth(A - step * dA) - T)
+        fd = (up - down) / (2.0 * step)
+        assert abs(np.sum(v.grad * dA) - fd) <= 1e-7 * np.linalg.norm(v.grad)
+
+    def test_singular_r_raises_numerical_error(self):
+        A = np.random.default_rng(18).standard_normal((6, 3))
+        A[:, 1] = 0.0
+        loss = sum_sq(pi_orth(Var(A)) - 1.0)
+        with pytest.raises(NumericalError, match="6x3"):
+            backward(loss)
 
 
 class TestGradCheck:

@@ -234,6 +234,40 @@ class TestBounds:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--lr", "-1"),
+            ("--lr", "nan"),
+            ("--batch", "0"),
+            ("--epochs", "0"),
+            ("--patience", "-3"),
+            ("--epochs", "5", "--patience", "6"),
+        ],
+        ids=["negative-lr", "nan-lr", "zero-batch", "zero-epochs", "negative-patience",
+             "patience-over-epochs"],
+    )
+    def test_bad_training_flags_are_usage_errors(self, capsys, small_data, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "train", "--data", str(small_data), "--class", "sae",
+                "--skeleton", "20,6,3", *flags,
+            ])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "init-study"])
+    def test_too_few_snapshots_is_data_error(self, capsys, tmp_path, command):
+        data = tmp_path / "three.csv"
+        save_snapshots(SnapshotSet(U=np.random.default_rng(0).uniform(0, 1, (20, 3))), data)
+        extra = (
+            ["--class", "sae", "--skeleton", "20,6,3", "--epochs", "2"]
+            if command == "train"
+            else ["--widths", "2", "--n1", "6", "--trials", "1", "--out", str(tmp_path / "s.csv")]
+        )
+        assert main([command, "--data", str(data), *extra]) == 3
+        assert "at least 4 snapshots" in capsys.readouterr().err
+
     def test_numerical_failure_maps_to_exit_4(self, small_data, monkeypatch):
         import symae.cli as cli
         from symae.linalg import NumericalError

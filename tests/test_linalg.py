@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from symae.linalg import (
     NumericalError,
@@ -144,6 +147,34 @@ class TestPiOrth:
         assert np.max(np.abs(Q.T @ Q - np.eye(2))) <= 1e-10
         # span(A) is still inside span(Q) even though rank(A) < 2.
         assert np.linalg.norm(A - Q @ (Q.T @ A)) <= 1e-9 * np.linalg.norm(A)
+
+
+@st.composite
+def tall_matrices(draw):
+    """m x n with m >= n; bounded entries, so zero and repeated columns occur."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(n, 10))
+    elements = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+    return draw(arrays(np.float64, (m, n), elements=elements))
+
+
+class TestPiOrthProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(tall_matrices())
+    def test_orthonormal_sign_fixed_and_span_containing(self, A):
+        Q = pi_orth(A)
+        n = A.shape[1]
+        scale = 1.0 + np.linalg.norm(A)
+        assert Q.shape == A.shape
+        assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-12
+        assert np.min(np.diagonal(Q.T @ A)) >= -1e-12 * scale
+        assert np.linalg.norm(A - Q @ (Q.T @ A)) <= 1e-12 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(tall_matrices())
+    def test_fixed_point_on_orthonormal_input(self, A):
+        Q = pi_orth(A)
+        assert np.max(np.abs(pi_orth(Q) - Q)) <= 1e-12
 
 
 class TestCovarianceSpectrum:
