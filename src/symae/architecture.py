@@ -48,6 +48,7 @@ __all__ = [
     "spare_dim",
     "assemble",
     "assemble_layers",
+    "check_class_invariants",
     "encode_columns",
     "decode_columns",
     "reconstruct_columns",
@@ -124,12 +125,15 @@ class SymmetricAutoencoder:
     # Orthonormal directions spanning part of the complement of each D_j,
     # kept by the iterated-SVD initializer to seed biorthogonal lifting.
     complements: tuple[np.ndarray, ...] | None = field(default=None, compare=False)
+    _residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.class_tag not in CLASS_TAGS:
             raise ValueError(f"unknown class tag {self.class_tag!r}")
         _check_shapes(self)
-        _check_class_invariants(self)
+        object.__setattr__(
+            self, "_residual", check_class_invariants(self.class_tag, self.layers)
+        )
 
     # -- execution --------------------------------------------------------
 
@@ -159,12 +163,11 @@ class SymmetricAutoencoder:
         return levels
 
     def constraint_residual(self) -> float:
-        """``max_j ||E_j D_j - I||_max`` for constrained classes, else 0."""
-        if self.class_tag not in ("SBAE", "SOAE"):
-            return 0.0
-        return max(
-            float(np.max(np.abs(l.E @ l.D - np.eye(l.E.shape[0])))) for l in self.layers
-        )
+        """``max_j ||E_j D_j - I||_max`` for constrained classes, else 0.
+
+        Computed once, by the invariant check at construction.
+        """
+        return self._residual
 
 
 def _as_columns(u, expected_rows: int) -> tuple[np.ndarray, bool]:
@@ -203,27 +206,37 @@ def _check_shapes(psi: SymmetricAutoencoder):
                 raise ValueError(f"layer {j} weight {name} has non-finite entries")
 
 
-def _check_class_invariants(psi: SymmetricAutoencoder):
-    if psi.class_tag not in ("SBAE", "SOAE"):
-        return
-    for j, layer in enumerate(psi.layers, start=1):
+def check_class_invariants(class_tag: str, layers) -> float:
+    """Enforce the invariants of ``class_tag`` on ``layers``; return the residual.
+
+    SBAE and SOAE need ``E_j D_j = I`` and ``E_j d_j = -e_j`` at every level,
+    and SOAE also ``E_j = D_j^T``, each to ``BIORTH_TOL`` in the max norm.
+    Raises ``ValueError`` naming the first violated invariant.  Returns
+    ``max_j ||E_j D_j - I||_max``, or 0 for the unconstrained classes.
+    """
+    if class_tag not in ("SBAE", "SOAE"):
+        return 0.0
+    worst = 0.0
+    for j, layer in enumerate(layers, start=1):
         r = layer.E.shape[0]
-        gap = np.max(np.abs(layer.E @ layer.D - np.eye(r)))
+        gap = float(np.max(np.abs(layer.E @ layer.D - np.eye(r))))
         if gap > BIORTH_TOL:
             raise ValueError(
-                f"{psi.class_tag} layer {j} violates E D = I (max gap {gap:.3e})"
+                f"{class_tag} layer {j} violates E D = I (max gap {gap:.3e})"
             )
         bias_gap = np.max(np.abs(layer.E @ layer.d + layer.e))
         if bias_gap > BIORTH_TOL:
             raise ValueError(
-                f"{psi.class_tag} layer {j} violates E d = -e (max gap {bias_gap:.3e})"
+                f"{class_tag} layer {j} violates E d = -e (max gap {bias_gap:.3e})"
             )
-        if psi.class_tag == "SOAE":
+        if class_tag == "SOAE":
             sym_gap = np.max(np.abs(layer.E - layer.D.T))
             if sym_gap > BIORTH_TOL:
                 raise ValueError(
                     f"SOAE layer {j} violates E = D^T (max gap {sym_gap:.3e})"
                 )
+        worst = max(worst, gap)
+    return worst
 
 
 # -- unconstrained parametrizations --------------------------------------

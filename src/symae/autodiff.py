@@ -6,7 +6,7 @@ so control flow in client code may inspect intermediate values.  Calling
 :func:`backward` on a scalar root walks the graph once in reverse
 topological order and accumulates adjoints into ``Var.grad``.
 
-The module-level helpers (:func:`sqrt`, :func:`sum_sq`,
+The module-level helpers (:func:`sum_sq`, :func:`square`,
 :func:`concat_rows`, ...) dispatch on ndarray vs. ``Var``, which lets a
 single implementation of a numerical routine serve both as the plain
 evaluator and as the differentiable program, so taped forward values match
@@ -26,12 +26,10 @@ __all__ = [
     "gradient",
     "grad_check",
     "value_of",
-    "sqrt",
     "square",
     "reciprocal",
     "sum_sq",
     "concat_rows",
-    "concat_cols",
     "diag",
     "apply_activation",
 ]
@@ -67,9 +65,6 @@ class Var:
     @property
     def shape(self):
         return self.value.shape
-
-    def item(self) -> float:
-        return float(self.value)
 
     def __repr__(self):
         return f"Var(shape={self.value.shape}, needs_grad={self.needs_grad})"
@@ -126,20 +121,6 @@ class Var:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        a, b = self, Var._lift(other)
-        return Var._node(
-            a.value / b.value,
-            (a, b),
-            lambda g: (
-                _unbroadcast(g / b.value, a.value.shape),
-                _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
-            ),
-        )
-
-    def __rtruediv__(self, other):
-        return Var._lift(other).__truediv__(self)
-
     def __matmul__(self, other):
         a, b = self, Var._lift(other)
         if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
@@ -159,21 +140,7 @@ class Var:
     def T(self):
         return Var._node(self.value.T, (self,), lambda g: (g.T,))
 
-    def __getitem__(self, key):
-        parent = self
-
-        def vjp(g):
-            out = np.zeros_like(parent.value)
-            out[key] = g
-            return (out,)
-
-        return Var._node(self.value[key], (parent,), vjp)
-
     # -- elementwise and reductions -------------------------------------------
-
-    def sqrt(self):
-        root = np.sqrt(self.value)
-        return Var._node(root, (self,), lambda g: (g * (0.5 / root),))
 
     def square(self):
         return Var._node(self.value * self.value, (self,), lambda g: (g * (2.0 * self.value),))
@@ -265,10 +232,6 @@ def value_of(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def sqrt(x):
-    return x.sqrt() if isinstance(x, Var) else np.sqrt(x)
-
-
 def square(x):
     return x.square() if isinstance(x, Var) else x * x
 
@@ -281,28 +244,18 @@ def sum_sq(x):
     return x.sum_sq() if isinstance(x, Var) else float(np.sum(x * x))
 
 
-def _concat(parts, axis):
+def concat_rows(parts):
+    """Stack arrays or ``Var`` blocks vertically."""
+    parts = list(parts)
     if not any(isinstance(p, Var) for p in parts):
-        return np.concatenate(parts, axis=axis)
+        return np.concatenate(parts, axis=0)
     lifted = [Var._lift(p) for p in parts]
-    sizes = [p.value.shape[axis] for p in lifted]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [p.value.shape[0] for p in lifted])
 
     def vjp(g):
-        return tuple(
-            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(lifted))
-        )
+        return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(lifted)))
 
-    return Var._node(np.concatenate([p.value for p in lifted], axis=axis), tuple(lifted), vjp)
-
-
-def concat_rows(parts):
-    return _concat(list(parts), axis=0)
-
-
-def concat_cols(parts):
-    return _concat(list(parts), axis=1)
+    return Var._node(np.concatenate([p.value for p in lifted], axis=0), tuple(lifted), vjp)
 
 
 def diag(v):

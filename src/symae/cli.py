@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(required=True, metavar="command")
 
     gen = sub.add_parser("gen-pga", help="generate the gaussian-bump snapshot dataset")
-    gen.add_argument("--samples", type=int, default=400)
+    gen.add_argument("--samples", type=_positive(int), default=400)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(handler=_cmd_gen_pga)
@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--depth-pattern", action="store_true",
                        help="fixed-width depth ladder ending at latent 3")
     study.add_argument("--n1", type=int, default=20, help="first width for --widths sweeps")
-    study.add_argument("--trials", type=int, default=100)
+    study.add_argument("--trials", type=_positive(int), default=100)
     study.add_argument("--seed", type=int, default=0)
     study.add_argument("--out", required=True)
     study.set_defaults(handler=_cmd_init_study)
@@ -143,9 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_pga(args) -> int:
-    if args.samples < 1:
-        print("error: --samples must be positive", file=sys.stderr)
-        return EXIT_USAGE
     snapshots = generate_pga(args.samples, args.seed)
     try:
         save_snapshots(snapshots, args.out)
@@ -278,9 +275,6 @@ def _cmd_init_study(args) -> int:
         act = parse_activation(args.act)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.trials < 1:
-        print("error: --trials must be positive", file=sys.stderr)
         return EXIT_USAGE
     data = load_snapshots(args.data)
     try:

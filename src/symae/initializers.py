@@ -28,6 +28,7 @@ from .architecture import (
     Skeleton,
     SymmetricAutoencoder,
     Layer,
+    check_class_invariants,
     spare_dim,
 )
 from .linalg import covariance_spectrum, orthonormal_completion, pi_orth, require_matrix
@@ -206,7 +207,8 @@ def lift(psi: SymmetricAutoencoder, class_tag: str) -> ParamVector:
     """Express a network as unconstrained parameters of ``class_tag``.
 
     SAE/PlainAE take the weights verbatim.  SOAE requires an
-    orthogonal-form network and keeps ``(D_j, d_j)`` as coordinates.  SBAE
+    orthogonal-form network, one that passes the SOAE invariant check
+    whatever its class tag, and keeps ``(D_j, d_j)`` as coordinates.  SBAE
     additionally needs orthonormal directions outside ``span(D_j)``; these
     come from the network's stored complements (iterated-SVD spares) or,
     failing that, a deterministic completion.  In every case assembling the
@@ -227,7 +229,12 @@ def lift(psi: SymmetricAutoencoder, class_tag: str) -> ParamVector:
             )
         return ParamVector(class_tag, psi.skeleton, psi.act, layers)
 
-    _require_orthogonal_form(psi)
+    try:
+        check_class_invariants("SOAE", psi.layers)
+    except ValueError as exc:
+        raise ValueError(
+            f"network is not in orthogonal form, cannot lift into {class_tag}: {exc}"
+        ) from None
     if class_tag == "SOAE":
         for layer in psi.layers:
             layers.append({"A": layer.D.copy(), "b": layer.d.copy()})
@@ -250,14 +257,3 @@ def lift(psi: SymmetricAutoencoder, class_tag: str) -> ParamVector:
             }
         )
     return ParamVector("SBAE", psi.skeleton, psi.act, layers)
-
-
-def _require_orthogonal_form(psi: SymmetricAutoencoder):
-    for j, layer in enumerate(psi.layers, start=1):
-        if np.max(np.abs(layer.E - layer.D.T)) > 1e-9:
-            raise ValueError(
-                f"layer {j} is not in orthogonal form (E != D^T); cannot lift "
-                "into a constrained class"
-            )
-        if np.max(np.abs(layer.E @ layer.d + layer.e)) > 1e-9:
-            raise ValueError(f"layer {j} biases are not in shared form (e != -E d)")

@@ -71,8 +71,7 @@ def householder_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     LAPACK's Householder factorization plus a sign fix that makes it unique
     for full-rank input.  Returns ``(Q, R)`` where ``Q`` is m-by-n with
-    orthonormal columns and ``R`` is m-by-n, upper triangular in its first
-    n rows and zero below.
+    orthonormal columns and ``R`` is n-by-n upper triangular.
     """
     A = np.asarray(A, dtype=np.float64)
     m, n = A.shape
@@ -80,7 +79,7 @@ def householder_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"householder_qr needs m >= n, got {m}x{n}")
     Q, R = np.linalg.qr(A)
     flips = np.where(np.diagonal(R) >= 0.0, 1.0, -1.0)
-    return Q * flips, np.concatenate([R * flips[:, None], np.zeros((m - n, n))])
+    return Q * flips, R * flips[:, None]
 
 
 def pi_orth(A):
@@ -106,7 +105,7 @@ def pi_orth(A):
         M = -(g.T @ Q)
         B = g + Q @ (np.tril(M) + np.tril(M, -1).T)
         try:
-            return (np.linalg.solve(R[:n], B.T).T,)
+            return (np.linalg.solve(R, B.T).T,)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"pi_orth adjoint: R factor of the {m}x{n} input is singular "
@@ -210,8 +209,7 @@ def thin_svd(A: np.ndarray) -> ThinSVD:
         return ThinSVD(U=flipped.V, s=flipped.s, V=flipped.U)
 
     if m > n:
-        Q0, R0 = householder_qr(A)
-        core = R0[:n]
+        Q0, core = householder_qr(A)
     else:
         Q0 = None
         core = A.copy()

@@ -1,9 +1,10 @@
 """Standardized training pipeline: normalization, splitting, minibatch loop.
 
 The routine is deliberately plain: global min-max normalization fit on the
-training split, a seeded 50/25/25 column split, Adam (or SGD) on the mean
-squared reconstruction loss, full-batch validation each epoch, and early
-stopping that restores the best-validation parameters.  Constrained
+training split, a seeded 50/25/25 column split, Adam on the mean squared
+reconstruction loss, full-batch validation each epoch (every epoch is
+recorded in the history), and early stopping that restores the
+best-validation parameters.  Constrained
 classes train through their unconstrained parametrizations, so the
 constraint residual recorded in the history stays at roundoff level.
 
@@ -36,7 +37,6 @@ __all__ = [
     "train",
     "evaluate",
     "adam_step",
-    "sgd_step",
     "AdamState",
 ]
 
@@ -50,18 +50,14 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 8
     seed: int = 0
-    optimizer: str = "adam"
-    log_every: int = 1
 
     def __post_init__(self):
-        if min(self.epochs, self.patience, self.batch_size, self.log_every) <= 0:
-            raise ValueError("epochs, patience, batch_size and log_every must be positive")
+        if min(self.epochs, self.patience, self.batch_size) <= 0:
+            raise ValueError("epochs, patience and batch_size must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.patience > self.epochs:
             raise ValueError("patience cannot exceed the epoch budget")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +138,7 @@ def split(U: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     )
 
 
-# -- optimizers --------------------------------------------------------------
+# -- Adam --------------------------------------------------------------------
 
 
 @dataclass
@@ -184,10 +180,6 @@ def adam_step(
     return out
 
 
-def sgd_step(params, grads, lr: float) -> list[np.ndarray]:
-    return [p - lr * g for p, g in zip(params, grads)]
-
-
 # -- training loop ------------------------------------------------------------
 
 
@@ -200,7 +192,7 @@ def train(
     """Minibatch optimization with early stopping on the validation loss.
 
     Shuffles the training columns each epoch with the config seed, takes one
-    optimizer step per minibatch (the last short batch is kept), evaluates
+    Adam step per minibatch (the last short batch is kept), evaluates
     the validation loss full-batch at each epoch end, and stops after
     ``patience`` epochs without improvement.  Returns the parameters of the
     best validation epoch together with the logged history.
@@ -213,7 +205,7 @@ def train(
 
     theta = theta0.copy()
     leaves = theta.leaves()
-    adam = AdamState.like(leaves) if config.optimizer == "adam" else None
+    adam = AdamState.like(leaves)
 
     def program(leaf_vars, batch):
         return loss_on_batch(theta.class_tag, theta.act, theta.with_leaves(leaf_vars), batch)
@@ -236,10 +228,7 @@ def train(
                     f"non-finite training loss at epoch {epoch}, "
                     f"batch {start // B + 1}"
                 )
-            if config.optimizer == "adam":
-                leaves = adam_step(leaves, grads, adam, config.learning_rate)
-            else:
-                leaves = sgd_step(leaves, grads, config.learning_rate)
+            leaves = adam_step(leaves, grads, adam, config.learning_rate)
             sq_sum += loss * batch.shape[1]
         train_loss = sq_sum / S
 
@@ -250,16 +239,15 @@ def train(
         if not np.isfinite(val_loss):
             raise NumericalError(f"non-finite validation loss at epoch {epoch}")
 
-        if epoch % config.log_every == 0 or epoch == config.epochs:
-            history.records.append(
-                EpochRecord(
-                    epoch=epoch,
-                    train_loss=train_loss,
-                    val_loss=val_loss,
-                    wall_time_s=time.perf_counter() - t_start,
-                    constraint_residual=psi.constraint_residual(),
-                )
+        history.records.append(
+            EpochRecord(
+                epoch=epoch,
+                train_loss=train_loss,
+                val_loss=val_loss,
+                wall_time_s=time.perf_counter() - t_start,
+                constraint_residual=psi.constraint_residual(),
             )
+        )
 
         if val_loss < best_val:
             best_val = val_loss

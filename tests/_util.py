@@ -1,8 +1,19 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
-from symae.architecture import ParamVector, spare_dim
+from symae.architecture import ParamVector, Skeleton, spare_dim
+
+
+@st.composite
+def small_skeletons(draw):
+    """Skeletons of depth 1-3 with an input width of at most 8."""
+    n0 = draw(st.integers(2, 8))
+    dims = [n0, draw(st.integers(1, n0 - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        dims.append(draw(st.integers(1, dims[-1])))
+    return Skeleton(tuple(dims))
 
 
 def random_theta(class_tag, skeleton, act, rng, well_conditioned=False):

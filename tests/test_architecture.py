@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _util import random_theta
+from _util import random_theta, small_skeletons
 from symae.activations import HypAct, Identity, LeakyReLU
 from symae.architecture import (
     Layer,
@@ -109,6 +111,15 @@ class TestAssemble:
         )
         with pytest.raises(ValueError, match="E D = I"):
             SymmetricAutoencoder(Skeleton((4, 2)), Identity(), (bad,), "SBAE")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["SBAE", "SOAE"]), small_skeletons(), st.integers(0, 2**32 - 1))
+    def test_constraint_residual_is_the_max_gap(self, class_tag, skeleton, seed):
+        psi = random_network(class_tag, skeleton, LeakyReLU(5 / 6, 5 / 4), seed)
+        direct = max(
+            float(np.max(np.abs(l.E @ l.D - np.eye(l.E.shape[0])))) for l in psi.layers
+        )
+        assert psi.constraint_residual() == direct
 
 
 class TestExecution:

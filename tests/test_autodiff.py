@@ -8,13 +8,11 @@ from symae.autodiff import (
     Var,
     apply_activation,
     backward,
-    concat_cols,
     concat_rows,
     diag,
     grad_check,
     gradient,
     reciprocal,
-    sqrt,
     square,
     sum_sq,
     value_of,
@@ -52,24 +50,22 @@ class TestPrimitives:
     @pytest.mark.parametrize(
         "op",
         [
-            lambda v: sum_sq(sqrt(v)),
-            lambda v: sum_sq(square(v)),
-            lambda v: sum_sq(reciprocal(v)),
-            lambda v: sum_sq(diag(v[:, 0:1]) @ v),
-            lambda v: sum_sq(concat_rows([v, 2.0 * v])),
-            lambda v: sum_sq(concat_cols([v.T, v.T @ v])),
-            lambda v: sum_sq(v[1:, 0:2]),
-            lambda v: sum_sq(v / sqrt(sum_sq(v)) - np.linspace(0, 1, 9).reshape(3, 3)),
+            lambda v, c: sum_sq(square(v)),
+            lambda v, c: sum_sq(reciprocal(v)),
+            lambda v, c: sum_sq(diag(c) @ v),
+            lambda v, c: sum_sq(concat_rows([v, 2.0 * v])),
         ],
-        ids=["sqrt", "square", "reciprocal", "diag", "rows", "cols", "slice", "normalize"],
+        ids=["square", "reciprocal", "diag", "rows"],
     )
     def test_primitive_vjps_match_finite_differences(self, op):
-        x = np.abs(np.random.default_rng(3).standard_normal((3, 3))) + 0.5
+        rng = np.random.default_rng(3)
+        x = np.abs(rng.standard_normal((3, 3))) + 0.5
+        c = rng.standard_normal((3, 1))
 
         def program(leaves):
-            return op(leaves[0])
+            return op(*leaves)
 
-        assert grad_check(program, [x]) <= 1e-7
+        assert grad_check(program, [x, c]) <= 1e-7
 
     def test_activation_ops_match_finite_differences(self):
         for act in (LeakyReLU(5 / 6, 5 / 4), HypAct.from_sharpness(0.5)):

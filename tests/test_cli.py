@@ -43,8 +43,11 @@ class TestGenPga:
         rc = main(["gen-pga", "--samples", "2", "--out", str(tmp_path / "no" / "x.csv")])
         assert rc == 3
 
-    def test_bad_sample_count(self, tmp_path):
-        assert main(["gen-pga", "--samples", "0", "--out", str(tmp_path / "x.csv")]) == 2
+    def test_bad_sample_count(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-pga", "--samples", "0", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestTrain:
@@ -252,6 +255,15 @@ class TestExitCodes:
             main([
                 "train", "--data", str(small_data), "--class", "sae",
                 "--skeleton", "20,6,3", *flags,
+            ])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_zero_trials_is_usage_error(self, capsys, small_data, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "init-study", "--data", str(small_data), "--widths", "2", "--n1", "6",
+                "--trials", "0", "--out", str(tmp_path / "s.csv"),
             ])
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _util import small_skeletons
 from symae.activations import HypAct, Identity, LeakyReLU
-from symae.architecture import Skeleton, assemble
+from symae.architecture import Layer, Skeleton, SymmetricAutoencoder, assemble
 from symae.bounds import empirical_mse, greedy_upper_bound, pod
 from symae.initializers import (
     EysCache,
@@ -13,6 +16,7 @@ from symae.initializers import (
     lift,
     orthogonal_random_init,
 )
+from symae.linalg import pi_orth
 
 
 class TestEysInit:
@@ -183,6 +187,44 @@ class TestLift:
         psi = he_init(Skeleton((8, 3)), Identity(), rng)
         with pytest.raises(ValueError, match="orthogonal form"):
             lift(psi, "SOAE")
+
+    @pytest.mark.parametrize("class_tag", ["SOAE", "SBAE"])
+    def test_transposed_pair_without_orthonormal_columns_cannot_lift(self, class_tag):
+        # E = D^T and e = -E d hold, but E D != I: lifting would change the map.
+        rng = np.random.default_rng(14)
+        D = rng.standard_normal((6, 2))
+        d = rng.standard_normal((6, 1))
+        layer = Layer(E=D.T, D=D, e=-(D.T @ d), d=d)
+        psi = SymmetricAutoencoder(Skeleton((6, 2)), Identity(), (layer,), "SAE")
+        with pytest.raises(ValueError, match="orthogonal form"):
+            lift(psi, class_tag)
+
+
+def orthogonal_form_network(skeleton, act, seed):
+    """Random orthonormal bases with random shared biases, tagged SAE."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for j in range(1, skeleton.depth + 1):
+        q, r = skeleton.layer_shape(j)
+        V = pi_orth(rng.standard_normal((q, r)))
+        d = rng.standard_normal((q, 1))
+        layers.append(Layer(E=V.T, D=V, e=-(V.T @ d), d=d))
+    return SymmetricAutoencoder(skeleton, act, tuple(layers), "SAE")
+
+
+class TestLiftProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["SAE", "SOAE", "SBAE"]),
+        small_skeletons(),
+        st.sampled_from([Identity(), LeakyReLU(5 / 6, 5 / 4), HypAct.from_sharpness(0.5)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_lift_then_assemble_keeps_the_reconstruction(self, class_tag, skeleton, act, seed):
+        psi = orthogonal_form_network(skeleton, act, seed)
+        built = assemble(lift(psi, class_tag))
+        u = np.random.default_rng(seed).standard_normal((skeleton.dims[0], 5))
+        np.testing.assert_allclose(built.reconstruct(u), psi.reconstruct(u), atol=1e-10)
 
 
 def test_derive_seed_is_deterministic_and_spreads():
