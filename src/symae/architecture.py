@@ -36,6 +36,7 @@ from .autodiff import (
     sum_sq,
     value_of,
 )
+from .data_io import DataFormatError
 from .linalg import pi_orth
 
 __all__ = [
@@ -434,9 +435,25 @@ def save_model(psi: SymmetricAutoencoder, path, theta: ParamVector | None = None
 
 
 def load_model(path) -> tuple[SymmetricAutoencoder, ParamVector | None]:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('format_version')!r}")
+    """Read a checkpoint written by :func:`save_model`.
+
+    Raises :class:`DataFormatError` when the file is not JSON, carries
+    another format version or lacks a key.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise DataFormatError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise DataFormatError(f"unsupported checkpoint version {version!r} in {path}")
+    try:
+        return _model_from_doc(doc)
+    except KeyError as exc:
+        raise DataFormatError(f"checkpoint {path} lacks the key {exc}") from exc
+
+
+def _model_from_doc(doc: dict) -> tuple[SymmetricAutoencoder, ParamVector | None]:
     skeleton = Skeleton(tuple(doc["skeleton"]))
     act = parse_activation(doc["activation_spec"])
     layers = tuple(

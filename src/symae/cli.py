@@ -60,13 +60,14 @@ def _parse_skeleton(text: str) -> Skeleton:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _positive(kind):
-    """Argparse type: a finite ``kind`` value above zero."""
+def _positive(kind, zero_ok=False):
+    """Argparse type: a finite ``kind`` value above zero (or zero, if ``zero_ok``)."""
 
     def parse(text: str):
         value = kind(text)
-        if not (value > 0 and math.isfinite(value)):
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not ((value >= 0 if zero_ok else value > 0) and math.isfinite(value)):
+            wording = "non-negative" if zero_ok else "positive"
+            raise argparse.ArgumentTypeError(f"must be {wording}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -100,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-pga", help="generate the gaussian-bump snapshot dataset")
     gen.add_argument("--samples", type=_positive(int), default=400)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(handler=_cmd_gen_pga)
 
@@ -116,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="early-stopping patience, at most --epochs (default: min(500, epochs))")
     tr.add_argument("--lr", type=_positive(float), default=1e-3)
     tr.add_argument("--batch", type=_positive(int), default=8)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
     tr.add_argument("--out-model")
     tr.add_argument("--out-history")
     tr.set_defaults(handler=_cmd_train)
@@ -130,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fixed-width depth ladder ending at latent 3")
     study.add_argument("--n1", type=int, default=20, help="first width for --widths sweeps")
     study.add_argument("--trials", type=_positive(int), default=100)
-    study.add_argument("--seed", type=int, default=0)
+    study.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
     study.add_argument("--out", required=True)
     study.set_defaults(handler=_cmd_init_study)
 

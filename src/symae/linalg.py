@@ -7,14 +7,15 @@ The thin QR is LAPACK's Householder factorization (``np.linalg.qr``) with
 a sign fix that makes it unique.  Its orthonormal factor, :func:`pi_orth`,
 is a primitive of the reverse-mode tape: one node whose adjoint is the
 closed-form thin-QR vector-Jacobian product.  The SVD is a one-sided Jacobi
-iteration (cyclic sweeps over column pairs), chosen for its high relative
-accuracy on strongly graded spectra; tall inputs are first reduced by QR,
-wide inputs are handled by transposition.
+iteration, chosen for its high relative accuracy on strongly graded
+spectra; tall inputs are first reduced by QR, wide inputs are handled by
+transposition.  Its sweeps follow the round-robin order of Brent and Luk:
+each round rotates ``n/2`` disjoint column pairs with one batched 2x2
+matrix product, and ``n - 1`` rounds (``n`` odd: ``n``) meet every pair.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,48 +136,82 @@ def orthonormal_completion(B: np.ndarray, total: int) -> np.ndarray:
     return np.concatenate([B, Q[:, r:total]], axis=1)
 
 
+def _next_round(src: np.ndarray, dst: np.ndarray) -> None:
+    """Seat the players of a round-robin round for the next round.
+
+    ``src`` and ``dst`` are ``(k, 2, ...)`` arrays; ``src[i, 0]`` and
+    ``src[i, 1]`` meet in the current round.  Seat ``(0, 0)`` stays put and
+    the other ``2k - 1`` seats form one ring (the tops left to right, then
+    the bottoms right to left) that turns by one seat: the circle method of
+    a chess tournament.  After ``2k - 1`` rounds every two players have met
+    exactly once and each is back in its starting seat.
+    """
+    if len(src) == 1:
+        dst[...] = src
+        return
+    dst[0, 0] = src[0, 0]
+    dst[1, 0] = src[0, 1]
+    dst[2:, 0] = src[1:-1, 0]
+    dst[-1, 1] = src[-1, 0]
+    dst[:-1, 1] = src[1:, 1]
+
+
 def _jacobi_orthogonalize(B: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
     """Rotate the columns of ``B`` until they are pairwise orthogonal.
 
-    Cyclic one-sided Jacobi: for each column pair the Gram entry is zeroed
-    by a plane rotation, accumulated into ``V``.  Convergence criterion is
-    the pairwise cosine ``|b_p . b_q| <= tol * |b_p| * |b_q|``, which keeps
-    full relative accuracy even when column norms span many orders of
-    magnitude.  Returns ``(W, Vt)`` with ``W = (B @ V).T`` and ``Vt = V.T``.
+    One-sided Jacobi in the round-robin order of Brent and Luk: the rows of
+    ``[B.T | I]`` (an odd count padded with one zero row, which never
+    rotates) are seated in pairs, and each round zeroes the Gram entry of
+    all ``k`` disjoint pairs at once with one batched ``(k, 2, 2)`` plane
+    rotation; :func:`_next_round` then reseats the rows, so a sweep of
+    ``2k - 1`` rounds meets every column pair once.  A pair is left alone
+    (an exact identity rotation) when its cosine satisfies
+    ``|b_p . b_q| <= tol * |b_p| * |b_q|``, which keeps full relative
+    accuracy even when column norms span many orders of magnitude, or when
+    either column is zero; the iteration stops after a sweep with no
+    rotation.  Returns ``(W, Vt)`` with ``W = (B @ V).T`` and ``Vt = V.T``.
     """
-    _m, n = B.shape
-    W = np.ascontiguousarray(B.T)
-    Vt = np.eye(n)
+    m, n = B.shape
     if n < 2:
-        return W, Vt
+        return np.ascontiguousarray(B.T), np.eye(n)
+    k = (n + 1) // 2
+    seats = np.zeros((2 * k, m + n))
+    seats[:n, :m] = B.T
+    seats[:n, m:] = np.eye(n)
+    pairs = seats.reshape(k, 2, m + n)
+    rotated_pairs = np.empty_like(pairs)
+    norms2 = np.empty((k, 2))
+    rotation = np.empty((k, 2, 2))
+    turned = np.empty((k, 2))
     for _ in range(JACOBI_MAX_SWEEPS):
-        norms2 = np.einsum("ij,ij->i", W, W)
+        w = pairs[:, :, :m]
+        np.einsum("ijl,ijl->ij", w, w, out=norms2)
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                dp = norms2[p]
-                dq = norms2[q]
-                if dp == 0.0 or dq == 0.0:
-                    continue
-                c = float(W[p] @ W[q])
-                if abs(c) <= JACOBI_TOL * math.sqrt(dp) * math.sqrt(dq):
-                    continue
-                zeta = (dq - dp) / (2.0 * c)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                cs = 1.0 / math.sqrt(1.0 + t * t)
-                sn = cs * t
-                wp = cs * W[p] - sn * W[q]
-                W[q] = sn * W[p] + cs * W[q]
-                W[p] = wp
-                vp = cs * Vt[p] - sn * Vt[q]
-                Vt[q] = sn * Vt[p] + cs * Vt[q]
-                Vt[p] = vp
-                norms2[p] = max(dp - t * c, 0.0)
-                norms2[q] = max(dq + t * c, 0.0)
-                rotated = True
+        for _ in range(2 * k - 1):
+            dp = norms2[:, 0]
+            dq = norms2[:, 1]
+            c = np.einsum("il,il->i", w[:, 0], w[:, 1])
+            norms = np.sqrt(norms2)
+            active = np.abs(c) > JACOBI_TOL * norms[:, 0] * norms[:, 1]
+            rotated = rotated or bool(active.any())
+            # Skipped pairs get zeta = inf, hence t = 0: an exact identity.
+            zeta = np.divide(dq - dp, 2.0 * c, out=np.full(k, np.inf), where=active)
+            t = np.copysign(1.0 / (np.abs(zeta) + np.hypot(1.0, zeta)), zeta)
+            cs = 1.0 / np.sqrt(1.0 + t * t)
+            sn = cs * t
+            tc = t * c
+            np.maximum(dp - tc, 0.0, out=turned[:, 0])
+            np.maximum(dq + tc, 0.0, out=turned[:, 1])
+            _next_round(turned, norms2)
+            rotation[:, 0, 0] = cs
+            rotation[:, 1, 1] = cs
+            rotation[:, 1, 0] = sn
+            np.negative(sn, out=rotation[:, 0, 1])
+            np.matmul(rotation, pairs, out=rotated_pairs)
+            _next_round(rotated_pairs, pairs)
         if not rotated:
-            return W, Vt
-    worst = _worst_cosine(W)
+            return seats[:n, :m], seats[:n, m:]
+    worst = _worst_cosine(seats[:n, :m])
     raise NumericalError(
         f"one-sided Jacobi SVD did not converge for a {label} matrix after "
         f"{JACOBI_MAX_SWEEPS} sweeps (worst pairwise cosine {worst:.3e})"

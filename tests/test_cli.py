@@ -280,6 +280,40 @@ class TestExitCodes:
         assert main([command, "--data", str(data), *extra]) == 3
         assert "at least 4 snapshots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("gen-pga", "--samples", "5"),
+            ("train", "--class", "sae", "--skeleton", "20,6,3", "--epochs", "2"),
+            ("init-study", "--widths", "2", "--n1", "6", "--trials", "1"),
+        ],
+        ids=["gen-pga", "train", "init-study"],
+    )
+    def test_negative_seed_is_usage_error(self, capsys, small_data, tmp_path, flags):
+        command, *rest = flags
+        data = [] if command == "gen-pga" else ["--data", str(small_data)]
+        out = [] if command == "train" else ["--out", str(tmp_path / "out.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *data, *rest, *out, "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        ['{"format_version": 999}', "not json {", '{"format_version": 1}'],
+        ids=["wrong-version", "invalid-json", "missing-key"],
+    )
+    def test_malformed_checkpoint_is_data_error(self, capsys, small_data, tmp_path, content):
+        model = tmp_path / "model.json"
+        model.write_text(content)
+        rc = main([
+            "bounds", "--model", str(model), "--data", str(small_data),
+            "--out", str(tmp_path / "b.csv"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
     def test_numerical_failure_maps_to_exit_4(self, small_data, monkeypatch):
         import symae.cli as cli
         from symae.linalg import NumericalError

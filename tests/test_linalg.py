@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from symae.linalg import (
     NumericalError,
+    _next_round,
     covariance_spectrum,
     householder_qr,
     orthonormal_completion,
@@ -13,6 +14,7 @@ from symae.linalg import (
     require_matrix,
     thin_svd,
 )
+from symae.training import split
 
 
 def svd_residual(A, svd):
@@ -101,6 +103,67 @@ class TestThinSVD:
         A[1, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             thin_svd(A)
+
+
+def assert_matches_lapack(A, svd):
+    """Differential check of a thin SVD against numpy's LAPACK.
+
+    Both kernels are backward stable, each within about ``max(m, n) * eps *
+    s0`` of the exact singular values (on random 2x2 and 3x3 inputs either
+    one reaches that bound against 40-digit references), so their gap is
+    bounded by twice that.  The gap is absolute, scaled by ``s0``: tiny
+    singular values carry LAPACK's absolute error, not a relative one.
+    """
+    m, n = A.shape
+    k = min(m, n)
+    s_ref = np.linalg.svd(A, compute_uv=False)
+    s0 = s_ref[0]
+    assert np.max(np.abs(svd.s - s_ref)) <= 2 * max(m, n) * np.finfo(float).eps * s0
+    assert np.max(np.abs(svd.U.T @ svd.U - np.eye(k))) <= 1e-10
+    assert np.max(np.abs(svd.V.T @ svd.V - np.eye(k))) <= 1e-10
+    assert np.max(np.abs(A - (svd.U * svd.s) @ svd.V.T)) <= 1e-10 * max(1.0, s0)
+
+
+class TestThinSVDAgainstLapack:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(1, 40),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        duplicates=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=10),
+    )
+    @example(m=40, n=40, seed=1, duplicates=[])
+    @example(m=40, n=9, seed=2, duplicates=[])
+    @example(m=9, n=40, seed=3, duplicates=[])
+    @example(m=31, n=31, seed=4, duplicates=[(0, 1), (5, 1), (30, 2)])
+    @example(m=12, n=33, seed=5, duplicates=[(3, 4), (10, 20)])
+    def test_random_shapes_and_duplicated_columns(self, m, n, seed, duplicates):
+        # Tall, wide, square and odd n; a duplicated column drops the rank.
+        A = np.random.default_rng(seed).standard_normal((m, n))
+        for dst, src in duplicates:
+            A[:, dst % n] = A[:, src % n]
+        assert_matches_lapack(A, thin_svd(A))
+
+    def test_centered_pga400_train_split(self, pga400):
+        train = split(pga400, 0)[0]
+        A = train - train.mean(axis=1, keepdims=True)
+        assert_matches_lapack(A, thin_svd(A))
+
+
+@pytest.mark.parametrize("n", range(2, 34))
+def test_round_robin_sweep_meets_every_pair_once(n):
+    # Seat the column indices as _jacobi_orthogonalize does (odd n padded
+    # with the index n) and play one sweep of 2k - 1 rounds.
+    k = (n + 1) // 2
+    seats = np.arange(2 * k).reshape(k, 2)
+    met = []
+    for _ in range(2 * k - 1):
+        met += [(min(p, q), max(p, q)) for p, q in seats if max(p, q) < n]
+        turned = np.empty_like(seats)
+        _next_round(seats, turned)
+        seats = turned
+    assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    assert np.array_equal(seats.ravel(), np.arange(2 * k))
 
 
 class TestHouseholderQR:
