@@ -5,7 +5,9 @@ whose slope is pinched between two positive constants.  That makes the
 inverse well defined and Lipschitz as well, so the same nonlinearity can be
 used forward in an encoder and backward (inverted) in a decoder.
 
-All three maps operate elementwise and accept scalars or numpy arrays.
+All three maps operate elementwise on one path: the input goes through
+``np.asarray`` as float64, and a 0-d result comes back as a Python float,
+so a scalar in gives a scalar out and an array in gives an array out.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def _float_if_scalar(out: np.ndarray):
+    """``out`` itself, or a Python float when it is 0-d."""
+    return out if out.ndim else float(out)
 
 
 class Activation:
@@ -56,13 +63,13 @@ class Activation:
 
 class Identity(Activation):
     def apply(self, x):
-        return np.asarray(x, dtype=np.float64) if isinstance(x, np.ndarray) else float(x)
+        return _float_if_scalar(np.asarray(x, dtype=np.float64))
 
     def apply_inverse(self, y):
         return self.apply(y)
 
     def derivative(self, x):
-        return np.ones_like(x, dtype=np.float64) if isinstance(x, np.ndarray) else 1.0
+        return _float_if_scalar(np.ones_like(x, dtype=np.float64))
 
     def lipschitz_pair(self):
         return (1.0, 1.0)
@@ -101,19 +108,16 @@ class LeakyReLU(Activation):
         return cls(beta / (1.0 + sharpness), beta)
 
     def apply(self, x):
-        if isinstance(x, np.ndarray):
-            return np.where(x < 0.0, self.alpha * x, self.beta * x)
-        return self.alpha * x if x < 0.0 else self.beta * x
+        x = np.asarray(x, dtype=np.float64)
+        return _float_if_scalar(np.where(x < 0.0, self.alpha * x, self.beta * x))
 
     def apply_inverse(self, y):
-        if isinstance(y, np.ndarray):
-            return np.where(y < 0.0, y / self.alpha, y / self.beta)
-        return y / self.alpha if y < 0.0 else y / self.beta
+        y = np.asarray(y, dtype=np.float64)
+        return _float_if_scalar(np.where(y < 0.0, y / self.alpha, y / self.beta))
 
     def derivative(self, x):
-        if isinstance(x, np.ndarray):
-            return np.where(x < 0.0, self.alpha, self.beta)
-        return self.alpha if x < 0.0 else self.beta
+        x = np.asarray(x, dtype=np.float64)
+        return _float_if_scalar(np.where(x < 0.0, self.alpha, self.beta))
 
     def lipschitz_pair(self):
         return (max(self.alpha, self.beta), 1.0 / min(self.alpha, self.beta))
@@ -171,7 +175,7 @@ class HypAct(Activation):
         x = np.asarray(x, dtype=np.float64)
         _, root = self._branch(x)
         out = (self._b * x - _SQRT2 * self._csc + root) / self._a
-        return out if out.ndim else float(out)
+        return _float_if_scalar(out)
 
     def apply_inverse(self, y):
         # Solving f(x) = y reduces to a quadratic in x whose discriminant is
@@ -182,8 +186,7 @@ class HypAct(Activation):
         t = b * y + _SQRT2 * csc
         delta = t * t - (a * y + _SQRT2 * csc) ** 2 + 2.0 * csc * csc
         x = y * (a * y + 2.0 * _SQRT2 * csc) / (t + np.sqrt(delta))
-        x = self._polish_inverse(x, y)
-        return x if x.ndim else float(x)
+        return _float_if_scalar(self._polish_inverse(x, y))
 
     def _polish_inverse(self, x, y):
         # Closed form is exact in exact arithmetic; a guarded Newton step
@@ -204,8 +207,7 @@ class HypAct(Activation):
     def derivative(self, x):
         x = np.asarray(x, dtype=np.float64)
         g, root = self._branch(x)
-        out = (self._b + self._g_slope * g / root) / self._a
-        return out if out.ndim else float(out)
+        return _float_if_scalar((self._b + self._g_slope * g / root) / self._a)
 
     def lipschitz_pair(self):
         lip = math.tan(self.theta + math.pi / 4.0)

@@ -1,10 +1,10 @@
 """Symmetric autoencoder classes: data model, assembly, and execution.
 
-A symmetric autoencoder is a per-layer tuple ``(E_j, D_j, e_j, d_j)`` plus
-one shared bilipschitz activation ``rho``.  Encoding applies
-``h -> rho(E_j h + e_j)`` from the outside in; decoding applies
-``h -> D_j rho_inv(h) + d_j`` from the inside out.  Three nested classes
-are supported, plus a conventional autoencoder baseline:
+A symmetric autoencoder is a sequence of :class:`Layer` named tuples
+``(E_j, D_j, e_j, d_j)`` plus one shared bilipschitz activation ``rho``.
+Encoding applies ``h -> rho(E_j h + e_j)`` from the outside in; decoding
+applies ``h -> D_j rho_inv(h) + d_j`` from the inside out.  Three nested
+classes are supported, plus a conventional autoencoder baseline:
 
 * ``SAE``   - unconstrained weights;
 * ``SBAE``  - biorthogonal: ``E_j D_j = I`` and ``E_j d_j = -e_j``, which
@@ -15,7 +15,9 @@ are supported, plus a conventional autoencoder baseline:
 
 Constrained classes are trained through unconstrained parametrizations
 (:class:`ParamVector`) that satisfy the constraints by construction; the
-assembly runs on plain arrays or on autodiff ``Var`` leaves unchanged.
+assembly runs on plain arrays or on autodiff ``Var`` leaves unchanged and
+yields ``Layer`` tuples either way, so the same execution functions serve
+networks and taped losses.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .autodiff import (
     value_of,
 )
 from .data_io import DataFormatError
-from .linalg import pi_orth
+from .linalg import pi_orth, require_matrix
 
 __all__ = [
     "CLASS_TAGS",
@@ -48,12 +51,12 @@ __all__ = [
     "ParamVector",
     "spare_dim",
     "assemble",
-    "assemble_layers",
     "check_class_invariants",
     "encode_columns",
     "decode_columns",
     "reconstruct_columns",
     "loss_on_batch",
+    "empirical_mse",
     "save_model",
     "load_model",
 ]
@@ -109,8 +112,13 @@ def spare_dim(n_prev: int, n: int) -> int:
     return min(n, n_prev - n)
 
 
-@dataclass(frozen=True, eq=False)
-class Layer:
+class Layer(NamedTuple):
+    """One level ``(E, D, e, d)``: encoder ``rho(E h + e)``, decoder ``D rho_inv(h) + d``.
+
+    Entries are arrays in a network, or autodiff ``Var`` nodes while a loss
+    is being taped.
+    """
+
     E: np.ndarray
     D: np.ndarray
     e: np.ndarray
@@ -140,27 +148,25 @@ class SymmetricAutoencoder:
 
     def encode(self, u):
         cols, was_vec = _as_columns(u, self.skeleton.dims[0])
-        out = encode_columns(_layer_tuples(self), self.act, cols, self.class_tag)
+        out = encode_columns(self.layers, self.act, cols, self.class_tag)
         return out[:, 0] if was_vec else out
 
     def decode(self, c):
         cols, was_vec = _as_columns(c, self.skeleton.latent_dim)
-        out = decode_columns(_layer_tuples(self), self.act, cols, self.class_tag)
+        out = decode_columns(self.layers, self.act, cols, self.class_tag)
         return out[:, 0] if was_vec else out
 
     def reconstruct(self, u):
         cols, was_vec = _as_columns(u, self.skeleton.dims[0])
-        out = reconstruct_columns(_layer_tuples(self), self.act, cols, self.class_tag)
+        out = reconstruct_columns(self.layers, self.act, cols, self.class_tag)
         return out[:, 0] if was_vec else out
 
     def hidden_trajectory(self, u) -> list[np.ndarray]:
         """Partial encodings ``[u, E_1(u), ..., E_l(u)]`` (columnwise)."""
         cols, _ = _as_columns(u, self.skeleton.dims[0])
         levels = [cols]
-        h = cols
-        for E, _D, e, _d in _layer_tuples(self):
-            h = apply_activation(self.act, E @ h + e, inverse=self.class_tag == "PlainAE")
-            levels.append(h)
+        for layer in self.layers:
+            levels.append(encode_columns((layer,), self.act, levels[-1], self.class_tag))
         return levels
 
     def constraint_residual(self) -> float:
@@ -180,10 +186,6 @@ def _as_columns(u, expected_rows: int) -> tuple[np.ndarray, bool]:
     return cols, was_vec
 
 
-def _layer_tuples(psi: SymmetricAutoencoder):
-    return [(l.E, l.D, l.e, l.d) for l in psi.layers]
-
-
 def _check_shapes(psi: SymmetricAutoencoder):
     dims = psi.skeleton.dims
     if len(psi.layers) != psi.skeleton.depth:
@@ -192,13 +194,8 @@ def _check_shapes(psi: SymmetricAutoencoder):
         )
     for j, layer in enumerate(psi.layers, start=1):
         q, r = dims[j - 1], dims[j]
-        checks = {
-            "E": (layer.E, (r, q)),
-            "D": (layer.D, (q, r)),
-            "e": (layer.e, (r, 1)),
-            "d": (layer.d, (q, 1)),
-        }
-        for name, (arr, want) in checks.items():
+        wants = ((r, q), (q, r), (r, 1), (q, 1))
+        for name, arr, want in zip(Layer._fields, layer, wants):
             if arr.shape != want:
                 raise ValueError(
                     f"layer {j} weight {name} has shape {arr.shape}, expected {want}"
@@ -316,8 +313,8 @@ def _param_shapes(class_tag: str, skeleton: Skeleton, j: int) -> dict[str, tuple
     }
 
 
-def _assemble_layer(class_tag: str, params: dict):
-    """One layer's ``(E, D, e, d)`` from unconstrained parameters.
+def _assemble_layer(class_tag: str, params: dict) -> Layer:
+    """One :class:`Layer` from unconstrained parameters.
 
     Works on arrays or ``Var`` leaves.  SOAE: ``D = pi_orth(A)``,
     ``E = D^T``.  SBAE: with ``X = pi_orth(X~)`` (q x (r+d)),
@@ -328,12 +325,12 @@ def _assemble_layer(class_tag: str, params: dict):
     which gives ``E D = I`` identically.  Biases: ``d = b``, ``e = -E b``.
     """
     if class_tag in ("SAE", "PlainAE"):
-        return params["E"], params["D"], params["e"], params["d"]
+        return Layer(params["E"], params["D"], params["e"], params["d"])
     if class_tag == "SOAE":
         D = pi_orth(params["A"])
         E = D.T
         b = params["b"]
-        return E, D, -(E @ b), b
+        return Layer(E, D, -(E @ b), b)
     s = params["s"]
     if not np.all(value_of(s)):
         raise ValueError("SBAE scale vector must have no zero entries")
@@ -343,25 +340,18 @@ def _assemble_layer(class_tag: str, params: dict):
     s2 = square(s)
     r = value_of(s).shape[0]
     d = value_of(params["Q"]).shape[0]
-    top = Y @ diag(s2) @ Z.T
-    Et = X @ (concat_rows([top, np.zeros((d, r))]) if d else top)
-    inv_top = Y @ diag(reciprocal(s2)) @ Z.T
-    D = X @ (concat_rows([inv_top, params["Q"]]) if d else inv_top)
+    Et = X @ concat_rows([Y @ diag(s2) @ Z.T, np.zeros((d, r))])
+    D = X @ concat_rows([Y @ diag(reciprocal(s2)) @ Z.T, params["Q"]])
     E = Et.T
     b = params["b"]
-    return E, D, -(E @ b), b
-
-
-def assemble_layers(class_tag: str, layer_params: list[dict]) -> list[tuple]:
-    """Per-layer ``(E, D, e, d)`` tuples; taped when parameters are Vars."""
-    return [_assemble_layer(class_tag, p) for p in layer_params]
+    return Layer(E, D, -(E @ b), b)
 
 
 def assemble(theta: ParamVector) -> SymmetricAutoencoder:
     """Build and validate the autoencoder realized by ``theta``."""
     layers = tuple(
-        Layer(*(np.asarray(w, dtype=np.float64) for w in parts))
-        for parts in assemble_layers(theta.class_tag, theta.layers)
+        Layer(*(np.asarray(w, dtype=np.float64) for w in _assemble_layer(theta.class_tag, p)))
+        for p in theta.layers
     )
     return SymmetricAutoencoder(theta.skeleton, theta.act, layers, theta.class_tag)
 
@@ -399,17 +389,20 @@ def loss_on_batch(class_tag: str, act, layer_params: list[dict], batch):
     ``layer_params`` may hold arrays (plain evaluation) or ``Var`` leaves
     (the returned loss is then a taped scalar ready for ``backward``).
     """
-    layers = assemble_layers(class_tag, layer_params)
+    layers = [_assemble_layer(class_tag, p) for p in layer_params]
     recon = reconstruct_columns(layers, act, batch, class_tag)
     n_cols = value_of(batch).shape[1]
     return sum_sq(recon - batch) * (1.0 / n_cols)
 
 
+def empirical_mse(psi: SymmetricAutoencoder, U: np.ndarray) -> float:
+    """Mean squared reconstruction error over the snapshot columns."""
+    U = require_matrix(U, "snapshot matrix")
+    resid = U - psi.reconstruct(U)
+    return float(np.sum(resid * resid)) / U.shape[1]
+
+
 # -- checkpoint serialization ----------------------------------------------
-
-
-def _grid(a: np.ndarray) -> list:
-    return a.tolist()
 
 
 def save_model(psi: SymmetricAutoencoder, path, theta: ParamVector | None = None):
@@ -419,16 +412,13 @@ def save_model(psi: SymmetricAutoencoder, path, theta: ParamVector | None = None
         "class_tag": psi.class_tag,
         "skeleton": list(psi.skeleton.dims),
         "activation_spec": psi.act.spec(),
-        "layers": [
-            {"E": _grid(l.E), "D": _grid(l.D), "e": _grid(l.e), "d": _grid(l.d)}
-            for l in psi.layers
-        ],
+        "layers": [{k: v.tolist() for k, v in l._asdict().items()} for l in psi.layers],
     }
     if theta is not None:
         doc["theta"] = {
             "class_tag": theta.class_tag,
             "layers": [
-                {k: _grid(v) for k, v in params.items()} for params in theta.layers
+                {k: v.tolist() for k, v in params.items()} for params in theta.layers
             ],
         }
     Path(path).write_text(json.dumps(doc))
@@ -438,7 +428,8 @@ def load_model(path) -> tuple[SymmetricAutoencoder, ParamVector | None]:
     """Read a checkpoint written by :func:`save_model`.
 
     Raises :class:`DataFormatError` when the file is not JSON, carries
-    another format version or lacks a key.
+    another format version, lacks a key or holds a value that does not
+    build a valid model (a wrong shape or type, a broken invariant).
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -451,26 +442,30 @@ def load_model(path) -> tuple[SymmetricAutoencoder, ParamVector | None]:
         return _model_from_doc(doc)
     except KeyError as exc:
         raise DataFormatError(f"checkpoint {path} lacks the key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"checkpoint {path} has a bad value: {exc}") from exc
 
 
 def _model_from_doc(doc: dict) -> tuple[SymmetricAutoencoder, ParamVector | None]:
     skeleton = Skeleton(tuple(doc["skeleton"]))
     act = parse_activation(doc["activation_spec"])
     layers = tuple(
-        Layer(*(np.asarray(layer[k], dtype=np.float64) for k in ("E", "D", "e", "d")))
+        Layer(*(np.asarray(layer[k], dtype=np.float64) for k in Layer._fields))
         for layer in doc["layers"]
     )
     psi = SymmetricAutoencoder(skeleton, act, layers, doc["class_tag"])
     theta = None
     if "theta" in doc:
         block = doc["theta"]
-        theta = ParamVector(
-            block["class_tag"],
-            skeleton,
-            act,
-            [
-                {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-                for params in block["layers"]
-            ],
-        )
+        theta_layers = [
+            {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+            for params in block["layers"]
+        ]
+        # JSON stores a 0-row block (SBAE's Q when n_j = n_{j-1}) as [],
+        # which loses its column count; restore the shape the class expects.
+        for j, params in enumerate(theta_layers[: skeleton.depth], start=1):
+            for k, want in _param_shapes(block["class_tag"], skeleton, j).items():
+                if k in params and params[k].size == 0:
+                    params[k] = params[k].reshape(want)
+        theta = ParamVector(block["class_tag"], skeleton, act, theta_layers)
     return psi, theta

@@ -10,6 +10,9 @@ level contributes its mean projection residual, discounted by
 ``Lip(rho)^-2k`` on the lower side and amplified by ``Lip(rho^-1)^2k`` on
 the upper side.  The greedy bound runs the iterated-SVD construction and
 sums the weighted covariance tails it leaves behind at each level.
+
+:func:`empirical_mse` is defined in :mod:`symae.architecture`, next to the
+networks it scores, and re-exported here.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import Activation
-from .architecture import Skeleton, SymmetricAutoencoder
+from .architecture import Skeleton, SymmetricAutoencoder, empirical_mse
 from .initializers import EysCache
 from .linalg import covariance_spectrum, orthonormal_completion, require_matrix
 
@@ -74,20 +77,10 @@ def linear_lower_bound(U: np.ndarray, n1: int) -> float:
 
     No symmetric autoencoder whose first hidden width is ``n1`` can beat
     this mean squared error on the same data, because its reconstructions
-    live in an ``n1``-dimensional affine subspace.
+    live in an ``n1``-dimensional affine subspace.  This is the POD error
+    of :func:`pod`.
     """
-    U = require_matrix(U, "snapshot matrix")
-    if not 0 < n1 < U.shape[0]:
-        raise ValueError(f"n1 must lie in (0, {U.shape[0]}), got {n1}")
-    _, _, eigvals = covariance_spectrum(U)
-    return float(np.sum(eigvals[n1:]))
-
-
-def empirical_mse(psi: SymmetricAutoencoder, U: np.ndarray) -> float:
-    """Mean squared reconstruction error over the snapshot columns."""
-    U = require_matrix(U, "snapshot matrix")
-    resid = U - psi.reconstruct(U)
-    return float(np.sum(resid * resid)) / U.shape[1]
+    return pod(U, n1).error
 
 
 def layerwise_bounds(psi: SymmetricAutoencoder, U: np.ndarray) -> LayerwiseBounds:

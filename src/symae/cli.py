@@ -26,10 +26,10 @@ from .architecture import Skeleton, assemble, load_model, save_model
 from .bounds import empirical_mse, layerwise_bounds, linear_lower_bound
 from .data_io import DataFormatError, generate_pga, load_snapshots, save_snapshots
 from .initializers import (
-    EysCache,
     derive_seed,
     eys_init,
     he_init,
+    init_study,
     lift,
     orthogonal_random_init,
 )
@@ -159,8 +159,7 @@ def _initial_network(init, class_tag, train_norm, skeleton, act, seed):
     if init == "he":
         return he_init(skeleton, act, np.random.default_rng(derive_seed(seed, 1)))
     return orthogonal_random_init(
-        skeleton, act, np.random.default_rng(derive_seed(seed, 1)),
-        class_tag if class_tag in ("SBAE", "SOAE") else "SOAE",
+        skeleton, act, np.random.default_rng(derive_seed(seed, 1)), class_tag
     )
 
 
@@ -247,30 +246,6 @@ def _study_skeletons(args, n0: int) -> list[Skeleton]:
     return [Skeleton((n0, args.n1, w)) for w in _parse_widths(args.widths)]
 
 
-def init_study(U, act, skeletons, trials, seed):
-    """Initial test MSE per skeleton: iterated-SVD vs best-of-``trials`` random.
-
-    Shares the standardized split/normalization pipeline; the iterated-SVD
-    levels are cached across skeletons with a common prefix.  Returns a list
-    of ``(skeleton, eys_mse, baseline_best_mse)`` rows.
-    """
-    train_U, _val, test_U = split(U, seed)
-    train_norm, lo, hi = minmax_normalize(train_U)
-    test_norm = apply_minmax(test_U, lo, hi)
-    cache = EysCache(train_norm, act)
-    rows = []
-    for skeleton in skeletons:
-        psi = eys_init(train_norm, skeleton, act, cache=cache)
-        eys_mse = empirical_mse(psi, test_norm)
-        best = np.inf
-        for trial in range(trials):
-            rng = np.random.default_rng(derive_seed(seed, trial))
-            candidate = orthogonal_random_init(skeleton, act, rng)
-            best = min(best, empirical_mse(candidate, test_norm))
-        rows.append((skeleton, eys_mse, float(best)))
-    return rows
-
-
 def _cmd_init_study(args) -> int:
     try:
         act = parse_activation(args.act)
@@ -301,7 +276,6 @@ def _cmd_bounds(args) -> int:
             f"{psi.skeleton.dims[0]}"
         )
     mse = empirical_mse(psi, data.U)
-    floor = linear_lower_bound(data.U, psi.skeleton.dims[1])
     lines = []
     if psi.class_tag == "SOAE":
         report = layerwise_bounds(psi, data.U)
@@ -312,6 +286,7 @@ def _cmd_bounds(args) -> int:
         lines.append(f"lower,{report.lower:.10g}")
         lines.append(f"upper,{report.upper:.10g}")
     else:
+        floor = linear_lower_bound(data.U, psi.skeleton.dims[1])
         lines.append("k,lower_term")
         lines.append(f"mse,{mse:.10g}")
         lines.append(f"lower,{floor:.10g}")

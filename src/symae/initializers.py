@@ -13,6 +13,8 @@ Three schemes are provided:
 
 :func:`lift` converts an orthogonal-form network into the unconstrained
 parameter vector of any hypothesis class so training can start from it.
+:func:`init_study` scores the iterated-SVD start against the best of many
+random orthogonal starts over a family of skeletons.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ from .architecture import (
     SymmetricAutoencoder,
     Layer,
     check_class_invariants,
+    empirical_mse,
     spare_dim,
 )
 from .linalg import covariance_spectrum, orthonormal_completion, pi_orth, require_matrix
+from .training import apply_minmax, minmax_normalize, split
 
 __all__ = [
     "eys_init",
@@ -41,9 +45,8 @@ __all__ = [
     "he_variance",
     "derive_seed",
     "EysCache",
+    "init_study",
 ]
-
-INIT_SPECS = ("eys", "he", "orth")
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -78,19 +81,20 @@ class EysCache:
         if prefix not in self._data:
             head = prefix[:-1]
             mean, eigvecs, _ = self.level(head)
-            V = self._basis(head, prefix[-1])
+            V = _leading_basis(eigvecs, prefix[-1])
             Z = self._data[head]
             self._data[prefix] = self.act.apply(V.T @ (Z - mean))
         return self._data[prefix]
 
-    def _basis(self, head: tuple[int, ...], width: int) -> np.ndarray:
-        mean, eigvecs, eigvals = self.level(head)
-        n_prev = eigvecs.shape[0]
-        if width > n_prev:
-            raise ValueError(f"cannot retain {width} directions in dimension {n_prev}")
-        if width > eigvecs.shape[1]:
-            eigvecs = orthonormal_completion(eigvecs, width)
-        return eigvecs[:, :width]
+
+def _leading_basis(eigvecs: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` eigenvectors, completed when the spectrum has fewer."""
+    n_prev = eigvecs.shape[0]
+    if width > n_prev:
+        raise ValueError(f"cannot retain {width} directions in dimension {n_prev}")
+    if width > eigvecs.shape[1]:
+        eigvecs = orthonormal_completion(eigvecs, width)
+    return eigvecs[:, :width]
 
 
 def eys_init(
@@ -136,12 +140,10 @@ def eys_init(
                 "padding with an orthonormal completion",
                 stacklevel=2,
             )
-        want = n_j + spare_dim(n_prev, n_j)
-        if eigvecs.shape[1] < want:
-            eigvecs = orthonormal_completion(eigvecs, want)
-        V = eigvecs[:, :n_j]
+        basis = _leading_basis(eigvecs, n_j + spare_dim(n_prev, n_j))
+        V = basis[:, :n_j]
         layers.append(Layer(E=V.T, D=V, e=-(V.T @ mean), d=mean))
-        spares.append(eigvecs[:, n_j:want].copy())
+        spares.append(basis[:, n_j:].copy())
         prefix = prefix + (n_j,)
     return SymmetricAutoencoder(
         skeleton, act, tuple(layers), "SOAE", complements=tuple(spares)
@@ -219,14 +221,7 @@ def lift(psi: SymmetricAutoencoder, class_tag: str) -> ParamVector:
     layers: list[dict[str, np.ndarray]] = []
     if class_tag in ("SAE", "PlainAE"):
         for layer in psi.layers:
-            layers.append(
-                {
-                    "E": layer.E.copy(),
-                    "D": layer.D.copy(),
-                    "e": layer.e.copy(),
-                    "d": layer.d.copy(),
-                }
-            )
+            layers.append({k: v.copy() for k, v in layer._asdict().items()})
         return ParamVector(class_tag, psi.skeleton, psi.act, layers)
 
     try:
@@ -257,3 +252,27 @@ def lift(psi: SymmetricAutoencoder, class_tag: str) -> ParamVector:
             }
         )
     return ParamVector("SBAE", psi.skeleton, psi.act, layers)
+
+
+def init_study(U, act, skeletons, trials, seed):
+    """Initial test MSE per skeleton: iterated-SVD vs best-of-``trials`` random.
+
+    Shares the standardized split/normalization pipeline; the iterated-SVD
+    levels are cached across skeletons with a common prefix.  Returns a list
+    of ``(skeleton, eys_mse, baseline_best_mse)`` rows.
+    """
+    train_U, _val, test_U = split(U, seed)
+    train_norm, lo, hi = minmax_normalize(train_U)
+    test_norm = apply_minmax(test_U, lo, hi)
+    cache = EysCache(train_norm, act)
+    rows = []
+    for skeleton in skeletons:
+        psi = eys_init(train_norm, skeleton, act, cache=cache)
+        eys_mse = empirical_mse(psi, test_norm)
+        best = np.inf
+        for trial in range(trials):
+            rng = np.random.default_rng(derive_seed(seed, trial))
+            candidate = orthogonal_random_init(skeleton, act, rng)
+            best = min(best, empirical_mse(candidate, test_norm))
+        rows.append((skeleton, eys_mse, float(best)))
+    return rows

@@ -14,13 +14,20 @@ appears as a reporting column.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .architecture import ParamVector, SymmetricAutoencoder, assemble, loss_on_batch
+from .architecture import (
+    ParamVector,
+    SymmetricAutoencoder,
+    assemble,
+    empirical_mse,
+    loss_on_batch,
+)
 from .autodiff import gradient
 from .data_io import DataFormatError
 from .linalg import NumericalError, require_matrix
@@ -54,8 +61,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.epochs, self.patience, self.batch_size) <= 0:
             raise ValueError("epochs, patience and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError("learning rate must be positive and finite")
         if self.patience > self.epochs:
             raise ValueError("patience cannot exceed the epoch budget")
 
@@ -234,8 +241,7 @@ def train(
 
         theta.layers = theta.with_leaves(leaves)
         psi = assemble(theta)
-        val_resid = val_U - psi.reconstruct(val_U)
-        val_loss = float(np.sum(val_resid * val_resid)) / val_U.shape[1]
+        val_loss = empirical_mse(psi, val_U)
         if not np.isfinite(val_loss):
             raise NumericalError(f"non-finite validation loss at epoch {epoch}")
 

@@ -21,8 +21,7 @@ from symae.bounds import (
     linear_lower_bound,
     pod,
 )
-from symae.cli import init_study
-from symae.initializers import eys_init, he_init, he_variance, lift
+from symae.initializers import eys_init, he_init, he_variance, init_study, lift
 from symae.linalg import pi_orth
 from symae.training import (
     TrainConfig,

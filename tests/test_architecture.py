@@ -1,8 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _util import random_theta, small_skeletons
@@ -287,6 +289,39 @@ class TestCheckpoint:
         for p1, p2 in zip(theta.layers, theta2.layers):
             for key in p1:
                 assert np.array_equal(p1[key], p2[key])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["SAE", "PlainAE", "SBAE", "SOAE"]),
+        small_skeletons(),
+        st.sampled_from([Identity(), LeakyReLU(5 / 6, 5 / 4), HypAct.from_sharpness(3.0)]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    # An SBAE level with n_j = n_{j-1} has a 0-row Q block, which JSON stores as [].
+    @example("SBAE", Skeleton((2, 1, 1)), Identity(), 0, True)
+    def test_roundtrip_is_bit_exact(self, class_tag, skeleton, act, seed, with_theta):
+        rng = np.random.default_rng(seed)
+        theta = random_theta(class_tag, skeleton, act, rng, well_conditioned=True)
+        psi = assemble(theta)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(psi, path, theta=theta if with_theta else None)
+            again, theta2 = load_model(path)
+
+        def same_bits(a, b):
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        assert (again.class_tag, again.skeleton, again.act) == (class_tag, skeleton, act)
+        assert len(again.layers) == len(psi.layers)
+        for a, b in zip(psi.layers, again.layers):
+            assert all(same_bits(x, y) for x, y in zip(a, b))
+        if not with_theta:
+            assert theta2 is None
+            return
+        assert theta2.class_tag == class_tag
+        assert [list(p) for p in theta2.layers] == [list(p) for p in theta.layers]
+        assert all(same_bits(x, y) for x, y in zip(theta.leaves(), theta2.leaves()))
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

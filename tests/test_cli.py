@@ -8,6 +8,25 @@ from symae.cli import main
 from symae.data_io import SnapshotSet, save_snapshots
 
 
+def _sae_checkpoint(E_rows=3, theta_layers=None):
+    """An SAE checkpoint text for skeleton 20,3 with zero weights."""
+    doc = {
+        "format_version": 1,
+        "class_tag": "SAE",
+        "skeleton": [20, 3],
+        "activation_spec": "identity",
+        "layers": [{
+            "E": np.zeros((E_rows, 20)).tolist(),
+            "D": np.zeros((20, 3)).tolist(),
+            "e": np.zeros((3, 1)).tolist(),
+            "d": np.zeros((20, 1)).tolist(),
+        }],
+    }
+    if theta_layers is not None:
+        doc["theta"] = {"class_tag": "SAE", "layers": theta_layers}
+    return json.dumps(doc)
+
+
 @pytest.fixture()
 def small_data(tmp_path):
     """A 20-dimensional, 40-sample dataset cheap enough for CLI runs."""
@@ -160,7 +179,7 @@ class TestInitStudy:
     def test_data_driven_error_non_increasing_in_latent_width(self, pga400):
         from symae.activations import HypAct
         from symae.architecture import Skeleton
-        from symae.cli import init_study
+        from symae.initializers import init_study
 
         act = HypAct.from_sharpness(0.5)
         skeletons = [Skeleton((514, 20, n2)) for n2 in range(1, 21)]
@@ -226,6 +245,20 @@ class TestBounds:
         assert lines[0] == "k,lower_term"
         assert not any("upper" in line for line in lines)
         assert any(line.startswith("lower,") for line in lines)
+
+    def test_orthogonal_report_skips_the_linear_floor(self, small_data, tmp_path, monkeypatch):
+        import symae.cli as cli
+
+        model = self._train_model(small_data, tmp_path, "soae")
+        args = ["bounds", "--model", str(model), "--data", str(small_data), "--out"]
+        assert main([*args, str(tmp_path / "before.csv")]) == 0
+
+        def unused(*_args, **_kwargs):
+            raise AssertionError("the SOAE report does not print the linear floor")
+
+        monkeypatch.setattr(cli, "linear_lower_bound", unused)
+        assert main([*args, str(tmp_path / "after.csv")]) == 0
+        assert (tmp_path / "after.csv").read_text() == (tmp_path / "before.csv").read_text()
 
     def test_shape_mismatch_is_data_error(self, capsys, small_data, tmp_path):
         model = self._train_model(small_data, tmp_path, "sae")
@@ -300,8 +333,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "content",
-        ['{"format_version": 999}', "not json {", '{"format_version": 1}'],
-        ids=["wrong-version", "invalid-json", "missing-key"],
+        [
+            '{"format_version": 999}',
+            "not json {",
+            '{"format_version": 1}',
+            _sae_checkpoint(E_rows=2),
+            _sae_checkpoint(theta_layers=[[]]),
+        ],
+        ids=["wrong-version", "invalid-json", "missing-key", "bad-shape", "bad-theta-layer"],
     )
     def test_malformed_checkpoint_is_data_error(self, capsys, small_data, tmp_path, content):
         model = tmp_path / "model.json"

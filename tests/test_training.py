@@ -111,6 +111,8 @@ class TestTrainConfig:
             {"learning_rate": -1.0},
             {"batch_size": 0},
             {"epochs": 10, "patience": 11},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
