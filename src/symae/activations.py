@@ -145,6 +145,19 @@ class HypAct(Activation):
     ``tan(pi/4 - theta)`` and ``tan(pi/4 + theta)``, hence
     ``Lip(f) = Lip(f_inverse) = tan(theta + pi/4)``.  ``f(0) = 0`` and
     ``f'(0) = 1`` for every theta.
+
+    The slopes are reciprocal, so the hyperbola is symmetric about the line
+    ``y = -x`` and ``f_inverse(y) = -f(-y)``.  ``f`` is evaluated after
+    multiplying through by ``sin^2 cos^2``: with ``k = cos(2 theta)``,
+    ``c0 = sqrt(2) sin cos^2`` and ``R = sqrt((2x - sqrt(2) sin)^2 + 2k)``,
+
+        f(x) = (x - c0 + sin cos R) / k                          for x >= c0,
+        f(x) = x (2 c0 - k x) / (sin cos R + c0 - x)             for x < c0,
+
+    the second line being the first with its cancelling sum rationalized.
+    No constant exceeds 2 whatever theta and the root is taken without
+    overflow, so the map is finite wherever its value is and accurate over
+    the whole angle range; the closed form needs no Newton polish.
     """
 
     def __init__(self, theta: float):
@@ -153,12 +166,10 @@ class HypAct(Activation):
             raise ValueError(f"HypAct angle must lie in (0, pi/4), got {theta}")
         self.theta = theta
         sin, cos = math.sin(theta), math.cos(theta)
-        self._csc = 1.0 / sin
-        self._sec = 1.0 / cos
-        self._a = self._csc**2 - self._sec**2
-        self._b = self._csc**2 + self._sec**2
-        self._g_slope = 2.0 / (sin * cos)
-        self._g_shift = _SQRT2 / cos
+        self._sin_cos = sin * cos
+        self._kink = _SQRT2 * sin
+        self._c0 = _SQRT2 * sin * cos * cos
+        self._k = math.cos(2.0 * theta)
 
     @classmethod
     def from_sharpness(cls, sharpness: float) -> "HypAct":
@@ -168,49 +179,41 @@ class HypAct(Activation):
         return cls(math.atan(math.sqrt(1.0 + sharpness)) - math.pi / 4.0)
 
     def _branch(self, x):
-        g = self._g_slope * x - self._g_shift
-        return g, np.sqrt(g * g + 2.0 * self._a)
+        u = 2.0 * x - self._kink
+        # Past |u| = 1e150 the root rounds to |u|; capping |u| there before
+        # squaring keeps it finite for every finite u.
+        size = np.abs(u)
+        capped = np.minimum(size, 1e150)
+        return u, np.maximum(np.sqrt(capped * capped + 2.0 * self._k), size)
 
     def apply(self, x):
         x = np.asarray(x, dtype=np.float64)
         _, root = self._branch(x)
-        out = (self._b * x - _SQRT2 * self._csc + root) / self._a
-        return _float_if_scalar(out)
+        scaled = self._sin_cos * root
+        right = (x - self._c0 + scaled) / self._k
+        # Each branch is evaluated everywhere; only its own side is kept.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            left = x * ((2.0 * self._c0 - self._k * x) / (scaled + self._c0 - x))
+        return _float_if_scalar(np.where(x >= self._c0, right, left))
 
     def apply_inverse(self, y):
-        # Solving f(x) = y reduces to a quadratic in x whose discriminant is
-        # always positive; the product form below is the cancellation-free
-        # rearrangement of the correct root.
-        y = np.asarray(y, dtype=np.float64)
-        a, b, csc = self._a, self._b, self._csc
-        t = b * y + _SQRT2 * csc
-        delta = t * t - (a * y + _SQRT2 * csc) ** 2 + 2.0 * csc * csc
-        x = y * (a * y + 2.0 * _SQRT2 * csc) / (t + np.sqrt(delta))
-        return _float_if_scalar(self._polish_inverse(x, y))
-
-    def _polish_inverse(self, x, y):
-        # Closed form is exact in exact arithmetic; a guarded Newton step
-        # mops up any float64 residue on extreme inputs.
-        resid = np.abs(self.apply(np.atleast_1d(x)) - np.atleast_1d(y))
-        bad = resid > 1e-13 * np.maximum(1.0, np.abs(np.atleast_1d(y)))
-        if not np.any(bad):
-            return x
-        x = np.atleast_1d(np.array(x, copy=True))
-        yb = np.atleast_1d(y)
-        for _ in range(60):
-            fx = self.apply(x[bad]) - yb[bad]
-            if np.all(np.abs(fx) <= 1e-14 * np.maximum(1.0, np.abs(yb[bad]))):
-                break
-            x[bad] = x[bad] - fx / self.derivative(x[bad])
-        return x.reshape(np.shape(y))
+        return -self.apply(-np.asarray(y, dtype=np.float64))
 
     def derivative(self, x):
+        # f' = (1 + 2 sin cos u / R) / k; for u < 0 the sum cancels and is
+        # rationalized with R^2 - (2 sin cos u)^2 = k (k u^2 + 2).
         x = np.asarray(x, dtype=np.float64)
-        g, root = self._branch(x)
-        return _float_if_scalar((self._b + self._g_slope * g / root) / self._a)
+        u, root = self._branch(x)
+        ratio = u / root
+        right = (1.0 + 2.0 * self._sin_cos * ratio) / self._k
+        gap = root - 2.0 * self._sin_cos * u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            left = ratio * (self._k * u / gap) + (2.0 / root) / gap
+        return _float_if_scalar(np.where(u >= 0.0, right, left))
 
     def lipschitz_pair(self):
-        lip = math.tan(self.theta + math.pi / 4.0)
+        # tan(theta + pi/4) in a form that stays accurate as theta nears pi/4.
+        lip = (1.0 + math.sin(2.0 * self.theta)) / self._k
         return (lip, lip)
 
     def spec(self):

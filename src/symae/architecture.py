@@ -15,9 +15,13 @@ classes are supported, plus a conventional autoencoder baseline:
 
 Constrained classes are trained through unconstrained parametrizations
 (:class:`ParamVector`) that satisfy the constraints by construction; the
-assembly runs on plain arrays or on autodiff ``Var`` leaves unchanged and
-yields ``Layer`` tuples either way, so the same execution functions serve
-networks and taped losses.
+construction runs on plain arrays or on autodiff ``Var`` leaves unchanged,
+so the same execution functions serve networks and taped losses.  A level
+is a ``Layer`` except in the training loss of an SBAE network: there each
+level stays in the factored form ``E^T = X K_E``, ``D = X K_D`` and is
+applied to the batch as ``K_E^T (X^T (h - b))`` and ``X (K_D g) + b``,
+which never forms the ``n_{j-1} x n_j`` matrices.  :func:`assemble` forms
+``E`` and ``D`` from the same factors.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .activations import Activation, parse_activation
 from .autodiff import (
     apply_activation,
     concat_rows,
-    diag,
     reciprocal,
     square,
     sum_sq,
@@ -123,6 +126,42 @@ class Layer(NamedTuple):
     D: np.ndarray
     e: np.ndarray
     d: np.ndarray
+
+    def encode_affine(self, H):
+        """``E H + e``."""
+        return self.E @ H + self.e
+
+    def decode_affine(self, G):
+        """``D G + d``."""
+        return self.D @ G + self.d
+
+    def as_layer(self) -> "Layer":
+        return self
+
+
+class _BiorthogonalLevel(NamedTuple):
+    """An SBAE level in factored form: ``E^T = X K_E``, ``D = X K_D``, ``d = b``.
+
+    With ``e = -E b`` the affine maps act on a batch without forming the
+    ``n_{j-1} x n_j`` matrices ``E`` and ``D``:
+    ``E H + e = K_E^T (X^T (H - b))`` and ``D G + d = X (K_D G) + b``.
+    """
+
+    X: np.ndarray
+    K_E: np.ndarray
+    K_D: np.ndarray
+    b: np.ndarray
+
+    def encode_affine(self, H):
+        return self.K_E.T @ (self.X.T @ (H - self.b))
+
+    def decode_affine(self, G):
+        return self.X @ (self.K_D @ G) + self.b
+
+    def as_layer(self) -> Layer:
+        """The dense :class:`Layer` ``(E, D, -E b, b)``."""
+        E = (self.X @ self.K_E).T
+        return Layer(E, self.X @ self.K_D, -(E @ self.b), self.b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,16 +352,19 @@ def _param_shapes(class_tag: str, skeleton: Skeleton, j: int) -> dict[str, tuple
     }
 
 
-def _assemble_layer(class_tag: str, params: dict) -> Layer:
-    """One :class:`Layer` from unconstrained parameters.
+def _level(class_tag: str, params: dict):
+    """The map of one level built from unconstrained parameters.
 
-    Works on arrays or ``Var`` leaves.  SOAE: ``D = pi_orth(A)``,
-    ``E = D^T``.  SBAE: with ``X = pi_orth(X~)`` (q x (r+d)),
+    Works on arrays or ``Var`` leaves.  SAE/PlainAE: the raw
+    :class:`Layer`.  SOAE: ``D = pi_orth(A)``, ``E = D^T``, ``d = b``,
+    ``e = -E b``.  SBAE: with ``X = pi_orth(X~)`` (q x (r+d)),
     ``Y = pi_orth(Y~)``, ``Z = pi_orth(Z~)`` (r x r) and ``S = diag(s^2)``,
 
-        E^T = X [Y S Z^T; 0],     D = X [Y S^-1 Z^T; Q],
+        E^T = X K_E,  K_E = [Y S Z^T; 0],     D = X K_D,  K_D = [Y S^-1 Z^T; Q],
 
-    which gives ``E D = I`` identically.  Biases: ``d = b``, ``e = -E b``.
+    which gives ``E D = I`` identically; biases ``d = b``, ``e = -E b``.
+    The SBAE level stays factored (:class:`_BiorthogonalLevel`); its
+    ``as_layer`` forms ``E`` and ``D``.
     """
     if class_tag in ("SAE", "PlainAE"):
         return Layer(params["E"], params["D"], params["e"], params["d"])
@@ -336,21 +378,19 @@ def _assemble_layer(class_tag: str, params: dict) -> Layer:
         raise ValueError("SBAE scale vector must have no zero entries")
     X = pi_orth(params["X"])
     Y = pi_orth(params["Y"])
-    Z = pi_orth(params["Z"])
-    s2 = square(s)
+    Zt = pi_orth(params["Z"]).T
+    s2 = square(s).T
     r = value_of(s).shape[0]
     d = value_of(params["Q"]).shape[0]
-    Et = X @ concat_rows([Y @ diag(s2) @ Z.T, np.zeros((d, r))])
-    D = X @ concat_rows([Y @ diag(reciprocal(s2)) @ Z.T, params["Q"]])
-    E = Et.T
-    b = params["b"]
-    return Layer(E, D, -(E @ b), b)
+    K_E = concat_rows([(Y * s2) @ Zt, np.zeros((d, r))])
+    K_D = concat_rows([(Y * reciprocal(s2)) @ Zt, params["Q"]])
+    return _BiorthogonalLevel(X, K_E, K_D, params["b"])
 
 
 def assemble(theta: ParamVector) -> SymmetricAutoencoder:
     """Build and validate the autoencoder realized by ``theta``."""
     layers = tuple(
-        Layer(*(np.asarray(w, dtype=np.float64) for w in _assemble_layer(theta.class_tag, p)))
+        Layer(*(np.asarray(w, dtype=np.float64) for w in _level(theta.class_tag, p).as_layer()))
         for p in theta.layers
     )
     return SymmetricAutoencoder(theta.skeleton, theta.act, layers, theta.class_tag)
@@ -361,21 +401,20 @@ def assemble(theta: ParamVector) -> SymmetricAutoencoder:
 
 def encode_columns(layers, act, H, class_tag: str = "SAE"):
     inverse = class_tag == "PlainAE"
-    for E, _D, e, _d in layers:
-        H = apply_activation(act, E @ H + e, inverse=inverse)
+    for layer in layers:
+        H = apply_activation(act, layer.encode_affine(H), inverse=inverse)
     return H
 
 
 def decode_columns(layers, act, H, class_tag: str = "SAE"):
     if class_tag == "PlainAE":
         for j in range(len(layers) - 1, -1, -1):
-            _E, D, _e, d = layers[j]
-            H = D @ H + d
+            H = layers[j].decode_affine(H)
             if j > 0:
                 H = apply_activation(act, H, inverse=True)
         return H
-    for _E, D, _e, d in reversed(layers):
-        H = D @ apply_activation(act, H, inverse=True) + d
+    for layer in reversed(layers):
+        H = layer.decode_affine(apply_activation(act, H, inverse=True))
     return H
 
 
@@ -388,8 +427,10 @@ def loss_on_batch(class_tag: str, act, layer_params: list[dict], batch):
 
     ``layer_params`` may hold arrays (plain evaluation) or ``Var`` leaves
     (the returned loss is then a taped scalar ready for ``backward``).
+    SBAE levels act on the batch in factored form, so no ``E`` or ``D`` is
+    formed.
     """
-    layers = [_assemble_layer(class_tag, p) for p in layer_params]
+    layers = [_level(class_tag, p) for p in layer_params]
     recon = reconstruct_columns(layers, act, batch, class_tag)
     n_cols = value_of(batch).shape[1]
     return sum_sq(recon - batch) * (1.0 / n_cols)
@@ -429,7 +470,8 @@ def load_model(path) -> tuple[SymmetricAutoencoder, ParamVector | None]:
 
     Raises :class:`DataFormatError` when the file is not JSON, carries
     another format version, lacks a key or holds a value that does not
-    build a valid model (a wrong shape or type, a broken invariant).
+    build a valid model (a wrong shape or type, a broken invariant, or a
+    ``theta`` that does not assemble to the stored layers).
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -468,4 +510,23 @@ def _model_from_doc(doc: dict) -> tuple[SymmetricAutoencoder, ParamVector | None
                 if k in params and params[k].size == 0:
                     params[k] = params[k].reshape(want)
         theta = ParamVector(block["class_tag"], skeleton, act, theta_layers)
+        _check_theta_realizes(theta, psi)
     return psi, theta
+
+
+def _check_theta_realizes(theta: ParamVector, psi: SymmetricAutoencoder):
+    """Raise ``ValueError`` unless ``assemble(theta)`` gives the layers of ``psi``.
+
+    Entries may differ by ``BIORTH_TOL`` relative to ``max(1, |entry|)``,
+    so a checkpoint still loads under another BLAS build.
+    """
+    if theta.class_tag != psi.class_tag:
+        raise ValueError(f"theta class {theta.class_tag} != network class {psi.class_tag}")
+    for j, (got, want) in enumerate(zip(assemble(theta).layers, psi.layers), start=1):
+        for name, g, w in zip(Layer._fields, got, want):
+            gap = float(np.max(np.abs(g - w) / np.maximum(1.0, np.abs(w))))
+            if gap > BIORTH_TOL:
+                raise ValueError(
+                    f"theta does not assemble to layer {j} weight {name} "
+                    f"(max relative gap {gap:.3e})"
+                )

@@ -24,13 +24,11 @@ __all__ = [
     "Var",
     "backward",
     "gradient",
-    "grad_check",
     "value_of",
     "square",
     "reciprocal",
     "sum_sq",
     "concat_rows",
-    "diag",
     "apply_activation",
 ]
 
@@ -197,33 +195,6 @@ def gradient(program, leaves: list[np.ndarray], *args) -> tuple[float, list[np.n
     return float(out.value), grads
 
 
-def grad_check(program, leaves: list[np.ndarray], *args, step: float = 1e-5) -> float:
-    """Worst relative disagreement between taped and central-difference gradients.
-
-    ``program(leaves, *args)`` must work both on ``Var`` leaves (returning a
-    scalar ``Var``) and on plain arrays (returning a float), which holds for
-    any program written against this module's dispatch helpers.  Relative
-    error for one entry is ``|ad - fd| / max(1e-8, |ad| + |fd|)``.
-    """
-    _, grads = gradient(program, leaves, *args)
-    worst = 0.0
-    work = [np.array(leaf, dtype=np.float64) for leaf in leaves]
-    for leaf, grad in zip(work, grads):
-        flat = leaf.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            up = float(value_of(program(work, *args)))
-            flat[i] = keep - step
-            down = float(value_of(program(work, *args)))
-            flat[i] = keep
-            fd = (up - down) / (2.0 * step)
-            err = abs(gflat[i] - fd) / max(1e-8, abs(gflat[i]) + abs(fd))
-            worst = max(worst, err)
-    return worst
-
-
 # -- dual-dispatch helpers (ndarray or Var) -----------------------------------
 
 
@@ -256,18 +227,6 @@ def concat_rows(parts):
         return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(lifted)))
 
     return Var._node(np.concatenate([p.value for p in lifted], axis=0), tuple(lifted), vjp)
-
-
-def diag(v):
-    """Square diagonal matrix from a column vector ``(r, 1)``."""
-    if not isinstance(v, Var):
-        return np.diagflat(v)
-    r = v.value.shape[0]
-    return Var._node(
-        np.diagflat(v.value),
-        (v,),
-        lambda g: (np.diagonal(g).reshape(r, 1).copy(),),
-    )
 
 
 def apply_activation(act, x, inverse: bool = False):

@@ -6,7 +6,10 @@ pair with snapshot columns (means, biases) are stored as ``(n, 1)`` columns.
 The thin QR is LAPACK's Householder factorization (``np.linalg.qr``) with
 a sign fix that makes it unique.  Its orthonormal factor, :func:`pi_orth`,
 is a primitive of the reverse-mode tape: one node whose adjoint is the
-closed-form thin-QR vector-Jacobian product.  The SVD is a one-sided Jacobi
+closed-form thin-QR vector-Jacobian product, applied as a product with the
+explicit inverse of the n-by-n triangular factor (numpy has no triangular
+solve, and ``inv`` plus a matrix product beats an LU solve on the m-by-n
+right-hand side).  The SVD is a one-sided Jacobi
 iteration, chosen for its high relative accuracy on strongly graded
 spectra; tall inputs are first reduced by QR, wide inputs are handled by
 transposition.  Its sweeps follow the round-robin order of Brent and Luk:
@@ -94,8 +97,9 @@ def pi_orth(A):
     On an autodiff ``Var`` the result is one tape node with the same forward
     value and the closed-form thin-QR adjoint (with ``R_bar = 0``):
     ``A_bar = (Q_bar + Q copyltu(M)) R^-T`` where ``M = -Q_bar^T Q`` and
-    ``copyltu(M) = tril(M) + tril(M, -1)^T``.  The adjoint needs ``R``
-    invertible; an exactly singular ``R`` raises :class:`NumericalError`.
+    ``copyltu(M) = tril(M) + tril(M, -1)^T``; ``R^-T`` is applied as the
+    product ``B @ inv(R).T``.  The adjoint needs ``R`` invertible; an exactly
+    singular ``R`` raises :class:`NumericalError`.
     """
     if not isinstance(A, Var):
         return householder_qr(A)[0]
@@ -103,15 +107,16 @@ def pi_orth(A):
     m, n = Q.shape
 
     def vjp(g):
-        M = -(g.T @ Q)
-        B = g + Q @ (np.tril(M) + np.tril(M, -1).T)
         try:
-            return (np.linalg.solve(R, B.T).T,)
+            R_inv = np.linalg.inv(R)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"pi_orth adjoint: R factor of the {m}x{n} input is singular "
                 "(the input is rank-deficient)"
             ) from exc
+        M = -(g.T @ Q)
+        B = g + Q @ (np.tril(M) + np.tril(M, -1).T)
+        return (B @ R_inv.T,)
 
     return Var._node(Q, (A,), vjp)
 

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from symae.architecture import ParamVector, Skeleton, spare_dim
+from symae.autodiff import gradient, value_of
 
 
 @st.composite
@@ -63,3 +64,30 @@ def random_theta(class_tag, skeleton, act, rng, well_conditioned=False):
                 }
             )
     return ParamVector(class_tag, skeleton, act, layers)
+
+
+def grad_check(program, leaves: list[np.ndarray], *args, step: float = 1e-5) -> float:
+    """Worst relative disagreement between taped and central-difference gradients.
+
+    ``program(leaves, *args)`` must work both on ``Var`` leaves (returning a
+    scalar ``Var``) and on plain arrays (returning a float), which holds for
+    any program written against ``symae.autodiff``'s dispatch helpers.  Relative
+    error for one entry is ``|ad - fd| / max(1e-8, |ad| + |fd|)``.
+    """
+    _, grads = gradient(program, leaves, *args)
+    worst = 0.0
+    work = [np.array(leaf, dtype=np.float64) for leaf in leaves]
+    for leaf, grad in zip(work, grads):
+        flat = leaf.reshape(-1)
+        gflat = grad.reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + step
+            up = float(value_of(program(work, *args)))
+            flat[i] = keep - step
+            down = float(value_of(program(work, *args)))
+            flat[i] = keep
+            fd = (up - down) / (2.0 * step)
+            err = abs(gflat[i] - fd) / max(1e-8, abs(gflat[i]) + abs(fd))
+            worst = max(worst, err)
+    return worst

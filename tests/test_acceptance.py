@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from _util import random_theta
+from _util import grad_check, random_theta
 from symae.activations import HypAct, Identity, LeakyReLU
 from symae.architecture import Skeleton, assemble
 from symae.bounds import (
@@ -117,7 +117,6 @@ def test_c03_constraints_hold_by_construction():
 
 def test_c04_gradient_correctness():
     from symae.architecture import loss_on_batch
-    from symae.autodiff import grad_check
 
     t0 = time.perf_counter()
     sk = Skeleton((20, 8, 4, 2))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symae.activations import HypAct, Identity, LeakyReLU, parse_activation
 
@@ -182,3 +184,58 @@ class TestValidationAndParsing:
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_activation(bad)
+
+
+# Every angle HypAct accepts, and inputs far into both asymptotic regimes.
+ANGLES = st.floats(0.0, math.pi / 4, exclude_min=True, exclude_max=True)
+POINTS = st.floats(-1e150, 1e150)
+EPS = np.finfo(np.float64).eps
+
+
+def hypact_tolerance(act, *values):
+    """Round-trip error allowed for HypAct, scaled by ``max(1, |value|)``.
+
+    The map bends within a width of about ``sqrt(cos 2 theta)``, so its
+    constants, rounded to ``eps``, move outputs near the bend by up to
+    ``eps / sqrt(cos 2 theta)``, which is at most ``eps * sqrt(Lip)``.
+    """
+    lip, _ = act.lipschitz_pair()
+    return 16.0 * EPS * (1.0 + math.sqrt(lip)) * max([1.0] + [abs(v) for v in values])
+
+
+class TestHypActProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(ANGLES, POINTS)
+    @example(math.pi / 4 - 1e-12, -1.0)
+    @example(math.pi / 4 - 1e-12, 0.7)
+    @example(1e-7, 1e150)
+    @example(1e-7, -1e150)
+    def test_inverse_round_trip(self, theta, x):
+        act = HypAct(theta)
+        y = act.apply(x)
+        back = act.apply_inverse(y)
+        assert math.isfinite(y) and math.isfinite(back)
+        assert abs(back - x) <= hypact_tolerance(act, x)
+        again = act.apply(act.apply_inverse(x))
+        assert abs(again - x) <= hypact_tolerance(act, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ANGLES, POINTS, POINTS)
+    @example(math.pi / 4 - 1e-12, -1.0, 0.5)
+    def test_inverse_is_bilipschitz(self, theta, w, z):
+        act = HypAct(theta)
+        lip, lip_inv = act.lipschitz_pair()
+        xw, xz = act.apply_inverse(w), act.apply_inverse(z)
+        gap = abs(xw - xz)
+        slack = hypact_tolerance(act, xw, xz)
+        assert gap <= lip_inv * abs(w - z) + slack
+        assert gap >= abs(w - z) / lip - slack
+
+    @pytest.mark.parametrize("theta", [math.pi / 4 - 1e-12, math.pi / 4 - 1e-6, 1e-7])
+    def test_finite_and_increasing_on_wide_inputs(self, theta):
+        act = HypAct(theta)
+        rng = np.random.default_rng(7)
+        y = np.sort(np.concatenate([rng.standard_normal(20_000), [-1e150, 1e150]]))
+        x = act.apply_inverse(y)
+        assert np.all(np.isfinite(x))
+        assert np.all(np.diff(x) >= 0.0)

@@ -19,6 +19,7 @@ from symae.architecture import (
     save_model,
     spare_dim,
 )
+from symae.data_io import DataFormatError
 from symae.initializers import lift
 from symae.linalg import pi_orth
 
@@ -322,6 +323,28 @@ class TestCheckpoint:
         assert theta2.class_tag == class_tag
         assert [list(p) for p in theta2.layers] == [list(p) for p in theta.layers]
         assert all(same_bits(x, y) for x, y in zip(theta.leaves(), theta2.leaves()))
+
+    @pytest.mark.parametrize(
+        "target, shift, loads",
+        [("layers", 1e-12, True), ("theta", 1e-6, False)],
+        ids=["roundoff-in-layers", "tampered-theta"],
+    )
+    def test_theta_must_assemble_to_the_layers(self, tmp_path, target, shift, loads):
+        # A stored theta is checked against the stored layers to BIORTH_TOL,
+        # relative to max(1, |entry|): roundoff from another BLAS build
+        # loads, a real mismatch is a DataFormatError.
+        theta = random_theta("SBAE", Skeleton((9, 4, 2)), Identity(), np.random.default_rng(33))
+        path = tmp_path / "model.json"
+        save_model(assemble(theta), path, theta=theta)
+        doc = json.loads(path.read_text())
+        block = doc["layers"][1]["E"] if target == "layers" else doc["theta"]["layers"][1]["X"]
+        block[0][0] *= 1.0 + shift
+        path.write_text(json.dumps(doc))
+        if loads:
+            load_model(path)
+        else:
+            with pytest.raises(DataFormatError, match="does not assemble to layer 2"):
+                load_model(path)
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _util import random_theta
+from _util import random_theta, small_skeletons
 from symae.activations import HypAct, Identity, LeakyReLU
 from symae.architecture import Skeleton, assemble, loss_on_batch
+from symae.autodiff import gradient
 from symae.bounds import (
     empirical_mse,
     greedy_upper_bound,
@@ -187,14 +190,35 @@ class TestEmpiricalMse:
         U = psi.decode(np.random.default_rng(16).standard_normal((4, 12)))
         assert empirical_mse(psi, U) <= 1e-16
 
-    def test_matches_taped_loss(self):
+    @pytest.mark.parametrize("class_tag", ["SAE", "PlainAE", "SOAE", "SBAE"])
+    def test_matches_taped_loss(self, class_tag):
+        # The training loss applies SBAE levels in factored form; the
+        # network applies the assembled E and D.  Both must give one MSE.
         theta = random_theta(
-            "SAE", Skeleton((7, 3)), LeakyReLU(0.5, 2.0), np.random.default_rng(17)
+            class_tag, Skeleton((7, 4, 3, 2)), LeakyReLU(0.5, 2.0), np.random.default_rng(17)
         )
         psi = assemble(theta)
         U = np.random.default_rng(18).standard_normal((7, 9))
-        taped = loss_on_batch("SAE", theta.act, theta.layers, U)
+        taped = loss_on_batch(class_tag, theta.act, theta.layers, U)
         np.testing.assert_allclose(empirical_mse(psi, U), taped, rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["SAE", "PlainAE", "SOAE", "SBAE"]),
+        small_skeletons(),
+        st.sampled_from([Identity(), LeakyReLU(5 / 6, 5 / 4), HypAct.from_sharpness(3.0)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_taped_forward_is_bit_exact(self, class_tag, skeleton, act, seed):
+        rng = np.random.default_rng(seed)
+        theta = random_theta(class_tag, skeleton, act, rng)
+        batch = rng.standard_normal((skeleton.dims[0], 5))
+
+        def program(leaves, b):
+            return loss_on_batch(class_tag, act, theta.with_leaves(leaves), b)
+
+        taped, _ = gradient(program, theta.leaves(), batch)
+        assert taped == program(theta.leaves(), batch)
 
     def test_hand_computed_toy_value(self):
         # Zero network reconstructs everything to 0: the error is the mean

@@ -1,9 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from symae.architecture import load_model
+from _util import random_theta
+from symae.activations import Identity
+from symae.architecture import Skeleton, assemble, load_model, save_model
 from symae.cli import main
 from symae.data_io import SnapshotSet, save_snapshots
 
@@ -24,6 +28,21 @@ def _sae_checkpoint(E_rows=3, theta_layers=None):
     }
     if theta_layers is not None:
         doc["theta"] = {"class_tag": "SAE", "layers": theta_layers}
+    return json.dumps(doc)
+
+
+def _sbae_checkpoint(theta_shift=0.0):
+    """An SBAE checkpoint text for skeleton 20,6,3 with its theta.
+
+    ``theta_shift`` is added to one entry of the stored theta, so a nonzero
+    shift leaves layers that the theta no longer assembles to.
+    """
+    theta = random_theta("SBAE", Skeleton((20, 6, 3)), Identity(), np.random.default_rng(0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(assemble(theta), path, theta=theta)
+        doc = json.loads(path.read_text())
+    doc["theta"]["layers"][0]["X"][0][0] += theta_shift
     return json.dumps(doc)
 
 
@@ -339,8 +358,12 @@ class TestExitCodes:
             '{"format_version": 1}',
             _sae_checkpoint(E_rows=2),
             _sae_checkpoint(theta_layers=[[]]),
+            _sbae_checkpoint(theta_shift=1e-3),
         ],
-        ids=["wrong-version", "invalid-json", "missing-key", "bad-shape", "bad-theta-layer"],
+        ids=[
+            "wrong-version", "invalid-json", "missing-key", "bad-shape", "bad-theta-layer",
+            "tampered-sbae-theta",
+        ],
     )
     def test_malformed_checkpoint_is_data_error(self, capsys, small_data, tmp_path, content):
         model = tmp_path / "model.json"
