@@ -24,7 +24,7 @@ import numpy as np
 from .activations import Activation
 from .architecture import Skeleton, SymmetricAutoencoder, empirical_mse
 from .initializers import EysCache
-from .linalg import covariance_spectrum, orthonormal_completion, require_matrix
+from .linalg import covariance_spectrum, leading_basis, require_matrix
 
 __all__ = [
     "PodResult",
@@ -55,18 +55,16 @@ class LayerwiseBounds:
 def pod(U: np.ndarray, n: int) -> PodResult:
     """Optimal rank-``n`` affine reduction of the snapshot columns.
 
-    Returns the top ``n`` empirical covariance eigenvectors, the sample
-    mean, and the reduction error, which equals both the mean squared
-    projection residual and the tail eigenvalue sum.
+    Returns the top ``n`` empirical covariance eigenvectors (completed past
+    the numerical rank), the sample mean, and the reduction error: the mean
+    squared projection residual, equal to the tail eigenvalue sum.
     """
     U = require_matrix(U, "snapshot matrix")
     if not 0 < n < U.shape[0]:
         raise ValueError(f"reduced dimension must lie in (0, {U.shape[0]}), got {n}")
     mean, eigvecs, eigvals = covariance_spectrum(U)
-    if n > eigvecs.shape[1]:
-        eigvecs = orthonormal_completion(eigvecs, n)
     return PodResult(
-        basis=eigvecs[:, :n],
+        basis=leading_basis(eigvecs, n),
         shift=mean,
         error=float(np.sum(eigvals[n:])),
     )

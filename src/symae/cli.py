@@ -144,12 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_pga(args) -> int:
-    snapshots = generate_pga(args.samples, args.seed)
-    try:
-        save_snapshots(snapshots, args.out)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    save_snapshots(generate_pga(args.samples, args.seed), args.out)
     return EXIT_OK
 
 
@@ -233,7 +228,10 @@ def _parse_widths(text: str) -> list[int]:
     text = text.strip()
     if "-" in text and "," not in text:
         lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
+        widths = range(int(lo), int(hi) + 1)
+        if not widths:
+            raise ValueError(f"--widths {text!r} is an empty range")
+        return list(widths)
     return [int(part) for part in text.split(",")]
 
 

@@ -34,7 +34,13 @@ from .architecture import (
     empirical_mse,
     spare_dim,
 )
-from .linalg import covariance_spectrum, orthonormal_completion, pi_orth, require_matrix
+from .linalg import (
+    covariance_spectrum,
+    leading_basis,
+    orthonormal_completion,
+    pi_orth,
+    require_matrix,
+)
 from .training import apply_minmax, minmax_normalize, split
 
 __all__ = [
@@ -81,20 +87,10 @@ class EysCache:
         if prefix not in self._data:
             head = prefix[:-1]
             mean, eigvecs, _ = self.level(head)
-            V = _leading_basis(eigvecs, prefix[-1])
+            V = leading_basis(eigvecs, prefix[-1])
             Z = self._data[head]
             self._data[prefix] = self.act.apply(V.T @ (Z - mean))
         return self._data[prefix]
-
-
-def _leading_basis(eigvecs: np.ndarray, width: int) -> np.ndarray:
-    """The first ``width`` eigenvectors, completed when the spectrum has fewer."""
-    n_prev = eigvecs.shape[0]
-    if width > n_prev:
-        raise ValueError(f"cannot retain {width} directions in dimension {n_prev}")
-    if width > eigvecs.shape[1]:
-        eigvecs = orthonormal_completion(eigvecs, width)
-    return eigvecs[:, :width]
 
 
 def eys_init(
@@ -111,10 +107,10 @@ def eys_init(
     layer.  The result carries spare orthonormal directions (the next
     singular vectors) used when lifting into the biorthogonal class.
 
-    Entirely deterministic: no randomness enters, and a level whose
-    requested width exceeds the numerical rank of the centered data is
-    padded with a deterministic orthonormal completion (reported via
-    ``warnings.warn``).
+    Entirely deterministic: no randomness enters, and directions past the
+    numerical rank of the centered data (spares included) are the
+    orthonormal completion of :func:`~symae.linalg.leading_basis`; a level
+    wider than that rank is reported via ``warnings.warn``.
     """
     U = require_matrix(U, "snapshot matrix")
     if U.shape[1] < 2:
@@ -131,16 +127,13 @@ def eys_init(
     for j in range(1, skeleton.depth + 1):
         n_prev, n_j = skeleton.layer_shape(j)
         mean, eigvecs, eigvals = cache.level(prefix)
-        # Numerical rank on the singular-value scale (eigvals are squared).
-        sv_floor = n_prev * np.finfo(float).eps
-        rank = int(np.count_nonzero(eigvals > eigvals[0] * sv_floor * sv_floor))
-        if rank < n_j:
+        if len(eigvals) < n_j:
             warnings.warn(
-                f"level {j}: requested width {n_j} exceeds numerical rank {rank}; "
+                f"level {j}: requested width {n_j} exceeds numerical rank {len(eigvals)}; "
                 "padding with an orthonormal completion",
                 stacklevel=2,
             )
-        basis = _leading_basis(eigvecs, n_j + spare_dim(n_prev, n_j))
+        basis = leading_basis(eigvecs, n_j + spare_dim(n_prev, n_j))
         V = basis[:, :n_j]
         layers.append(Layer(E=V.T, D=V, e=-(V.T @ mean), d=mean))
         spares.append(basis[:, n_j:].copy())

@@ -15,6 +15,9 @@ spectra; tall inputs are first reduced by QR, wide inputs are handled by
 transposition.  Its sweeps follow the round-robin order of Brent and Luk:
 each round rotates ``n/2`` disjoint column pairs with one batched 2x2
 matrix product, and ``n - 1`` rounds (``n`` odd: ``n``) meet every pair.
+
+The one numerical-rank rule is in :func:`covariance_spectrum`; :func:`leading_basis`
+completes past it, so no basis depends on how the SVD treats roundoff.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "pi_orth",
     "thin_svd",
     "covariance_spectrum",
+    "leading_basis",
     "orthonormal_completion",
 ]
 
@@ -284,10 +288,11 @@ def covariance_spectrum(
 
     For ``U`` of shape ``(n0, S)`` the empirical covariance (normalized by
     ``1/S``) has eigenvalues ``s_i^2 / S`` and eigenvectors equal to the
-    left singular vectors of the column-centered snapshot matrix.
+    left singular vectors of the column-centered snapshot matrix.  Only
+    ``s_i > n0 * eps * s_0`` counts; the rest is roundoff, not data.
 
-    Returns ``(mean, eigvecs, eigvals)`` where ``mean`` is the ``(n0, 1)``
-    sample mean, eigenvalues are nonincreasing of length ``min(n0, S)``.
+    Returns ``(mean, eigvecs, eigvals)``: the ``(n0, 1)`` sample mean, the
+    ``n0 x rank`` eigenvectors and the ``rank`` nonincreasing eigenvalues.
     """
     U = require_matrix(U, "snapshot matrix")
     n0, S = U.shape
@@ -295,4 +300,10 @@ def covariance_spectrum(
         raise ValueError("need at least one snapshot column")
     mean = U.mean(axis=1, keepdims=True)
     svd = thin_svd(U - mean)
-    return mean, svd.U, (svd.s * svd.s) / S
+    rank = int(np.count_nonzero(svd.s > n0 * np.finfo(float).eps * svd.s[0]))
+    return mean, svd.U[:, :rank], svd.s[:rank] ** 2 / S
+
+
+def leading_basis(eigvecs: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` columns of ``eigvecs``, completed past its length."""
+    return orthonormal_completion(eigvecs[:, :width], width)

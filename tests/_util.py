@@ -91,3 +91,10 @@ def grad_check(program, leaves: list[np.ndarray], *args, step: float = 1e-5) -> 
             err = abs(gflat[i] - fd) / max(1e-8, abs(gflat[i]) + abs(fd))
             worst = max(worst, err)
     return worst
+
+
+def low_rank_snapshots(rank):
+    """40 x 60 snapshots of centered rank ``rank`` whose further singular
+    values are nonzero roundoff (about 1e-15), not exact zeros."""
+    rng = np.random.default_rng(7)
+    return rng.standard_normal((40, rank)) @ rng.standard_normal((rank, 60))

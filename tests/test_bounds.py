@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _util import random_theta, small_skeletons
+from _util import low_rank_snapshots, random_theta, small_skeletons
 from symae.activations import HypAct, Identity, LeakyReLU
 from symae.architecture import Skeleton, assemble, loss_on_batch
 from symae.autodiff import gradient
@@ -15,7 +15,7 @@ from symae.bounds import (
     pod,
 )
 from symae.initializers import eys_init, orthogonal_random_init
-from symae.linalg import pi_orth
+from symae.linalg import orthonormal_completion, pi_orth
 
 
 def projection_error(U, V, q):
@@ -62,6 +62,13 @@ class TestPod:
             pod(U, 5)
         with pytest.raises(ValueError):
             pod(U, 0)
+
+    @pytest.mark.parametrize("n", [6, 12, 30])
+    def test_basis_past_rank_is_the_orthonormal_completion(self, n):
+        result = pod(low_rank_snapshots(rank=5), n)
+        expected = orthonormal_completion(result.basis[:, :5], n)
+        assert np.max(np.abs(result.basis[:, 5:] - expected[:, 5:])) <= 1e-14
+        assert result.error == 0.0
 
 
 class TestLinearLowerBound:

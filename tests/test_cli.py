@@ -320,6 +320,17 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_empty_width_range_is_usage_error(self, capsys, small_data, tmp_path):
+        out = tmp_path / "s.csv"
+        rc = main([
+            "init-study", "--data", str(small_data), "--widths", "3-1", "--n1", "6",
+            "--trials", "1", "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "empty range" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "init-study"])
     def test_too_few_snapshots_is_data_error(self, capsys, tmp_path, command):
         data = tmp_path / "three.csv"

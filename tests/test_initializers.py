@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _util import small_skeletons
+from _util import low_rank_snapshots, small_skeletons
 from symae.activations import HypAct, Identity, LeakyReLU
 from symae.architecture import Layer, Skeleton, SymmetricAutoencoder, assemble
 from symae.bounds import empirical_mse, greedy_upper_bound, pod
@@ -16,7 +16,7 @@ from symae.initializers import (
     lift,
     orthogonal_random_init,
 )
-from symae.linalg import pi_orth
+from symae.linalg import orthonormal_completion, pi_orth
 
 
 class TestEysInit:
@@ -67,6 +67,15 @@ class TestEysInit:
             psi = eys_init(U, Skeleton((15, 6)), Identity())
         V = psi.layers[0].D
         assert np.max(np.abs(V.T @ V - np.eye(6))) <= 1e-10
+
+    @pytest.mark.parametrize("width", [6, 12, 30])
+    def test_columns_past_rank_are_the_orthonormal_completion(self, width):
+        U = low_rank_snapshots(rank=5)
+        with pytest.warns(UserWarning, match="numerical rank 5;"):
+            psi = eys_init(U, Skeleton((40, width)), Identity())
+        D = psi.layers[0].D
+        expected = orthonormal_completion(D[:, :5], width)
+        assert np.max(np.abs(D[:, 5:] - expected[:, 5:])) <= 1e-14
 
     def test_shared_cache_matches_fresh_run(self, pga100):
         act = HypAct.from_sharpness(0.5)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from _util import low_rank_snapshots
 from symae.linalg import (
     NumericalError,
     _next_round,
@@ -276,6 +277,14 @@ class TestCovarianceSpectrum:
         np.testing.assert_allclose(m1, m2, atol=1e-14)
         np.testing.assert_allclose(e1, e2, rtol=1e-9, atol=1e-16)
         np.testing.assert_allclose(v1, v2, atol=1e-8)
+
+    def test_keeps_only_the_numerical_rank(self):
+        U = low_rank_snapshots(rank=5)
+        s = thin_svd(U - U.mean(axis=1, keepdims=True)).s
+        assert np.all(s[5:] > 0.0)  # roundoff, not exact zeros
+        _mean, vecs, eigvals = covariance_spectrum(U)
+        assert vecs.shape == (40, 5) and eigvals.shape == (5,)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(5))) <= 1e-14
 
 
 class TestCompletion:
