@@ -226,13 +226,19 @@ def _cmd_train(args) -> int:
 
 def _parse_widths(text: str) -> list[int]:
     text = text.strip()
-    if "-" in text and "," not in text:
-        lo, hi = text.split("-")
-        widths = range(int(lo), int(hi) + 1)
-        if not widths:
-            raise ValueError(f"--widths {text!r} is an empty range")
-        return list(widths)
-    return [int(part) for part in text.split(",")]
+    try:
+        if "-" in text and "," not in text:
+            lo, hi = text.split("-")
+            widths = list(range(int(lo), int(hi) + 1))
+        else:
+            widths = [int(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(
+            f"--widths {text!r} is not a width, a comma list or a range LO-HI"
+        ) from exc
+    if not widths:
+        raise ValueError(f"--widths {text!r} is an empty range")
+    return widths
 
 
 def _study_skeletons(args, n0: int) -> list[Skeleton]:

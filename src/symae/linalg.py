@@ -9,15 +9,35 @@ is a primitive of the reverse-mode tape: one node whose adjoint is the
 closed-form thin-QR vector-Jacobian product, applied as a product with the
 explicit inverse of the n-by-n triangular factor (numpy has no triangular
 solve, and ``inv`` plus a matrix product beats an LU solve on the m-by-n
-right-hand side).  The SVD is a one-sided Jacobi
-iteration, chosen for its high relative accuracy on strongly graded
-spectra; tall inputs are first reduced by QR, wide inputs are handled by
-transposition.  Its sweeps follow the round-robin order of Brent and Luk:
-each round rotates ``n/2`` disjoint column pairs with one batched 2x2
-matrix product, and ``n - 1`` rounds (``n`` odd: ``n``) meet every pair.
+right-hand side).
 
-The one numerical-rank rule is in :func:`covariance_spectrum`; :func:`leading_basis`
-completes past it, so no basis depends on how the SVD treats roundoff.
+One one-sided Jacobi kernel serves two routines.  Its sweeps follow the
+round-robin order of Brent and Luk: each round rotates ``n/2`` disjoint
+column pairs with one batched 2x2 matrix product, and ``n - 1`` rounds
+(``n`` odd: ``n``) meet every pair.
+
+* :func:`thin_svd` reduces a tall input by QR (a wide one by transposition)
+  and runs the kernel on the triangular factor until every pair is
+  orthogonal.  It keeps every direction, so it keeps Jacobi's full relative
+  accuracy on strongly graded spectra (Demmel and Veselic, SIAM J. Matrix
+  Anal. Appl. 13, 1992), down to the smallest singular value.
+* :func:`covariance_spectrum` applies the one numerical-rank rule (a
+  singular value of the centered data counts only above ``n0 * eps * s0``)
+  and needs nothing below it.  It takes one QR of the centered data (of
+  its transpose when wide) and runs the kernel on the transposed
+  triangular factor of the data: ``R.T`` when tall, ``R`` when wide.  That
+  converges in far fewer sweeps (Drmac and Veselic, SIAM J. Matrix Anal.
+  Appl. 29, 2008).  After each sweep it retires every row below
+  ``n0 * eps / sqrt(k)`` times the largest live row, ``k`` being the side
+  of the factor; the remaining sweeps pair only the live rows.  Together the retired rows are a backward perturbation of
+  Frobenius norm below ``n0 * eps * s0``, the threshold itself, and the
+  margin of ``1/sqrt(k)`` keeps a direction just above the threshold live.
+  The eigenvectors are the accumulated rotations, orthonormal by
+  construction.  Retirement stays out of :func:`thin_svd`, whose callers
+  may read the directions it would drop.
+
+:func:`leading_basis` completes past the rank, so no basis depends on how
+the SVD treats roundoff.
 """
 
 from __future__ import annotations
@@ -165,7 +185,9 @@ def _next_round(src: np.ndarray, dst: np.ndarray) -> None:
     dst[:-1, 1] = src[1:, 1]
 
 
-def _jacobi_orthogonalize(B: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_orthogonalize(
+    B: np.ndarray, label: str, retire_below: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Rotate the columns of ``B`` until they are pairwise orthogonal.
 
     One-sided Jacobi in the round-robin order of Brent and Luk: the rows of
@@ -179,6 +201,11 @@ def _jacobi_orthogonalize(B: np.ndarray, label: str) -> tuple[np.ndarray, np.nda
     accuracy even when column norms span many orders of magnitude, or when
     either column is zero; the iteration stops after a sweep with no
     rotation.  Returns ``(W, Vt)`` with ``W = (B @ V).T`` and ``Vt = V.T``.
+
+    With ``retire_below`` set, each sweep ends by retiring every row whose
+    norm is below ``retire_below`` times the largest live row norm: it is
+    never rotated again and is left out of ``W`` and ``Vt``, and the next
+    sweeps seat only the live rows (kept in their original order).
     """
     m, n = B.shape
     if n < 2:
@@ -187,12 +214,18 @@ def _jacobi_orthogonalize(B: np.ndarray, label: str) -> tuple[np.ndarray, np.nda
     seats = np.zeros((2 * k, m + n))
     seats[:n, :m] = B.T
     seats[:n, m:] = np.eye(n)
-    pairs = seats.reshape(k, 2, m + n)
-    rotated_pairs = np.empty_like(pairs)
-    norms2 = np.empty((k, 2))
-    rotation = np.empty((k, 2, 2))
-    turned = np.empty((k, 2))
+    rotated_buf = np.empty_like(seats)
+    norms2_buf = np.empty((k, 2))
+    rotation_buf = np.empty((k, 2, 2))
+    turned_buf = np.empty((k, 2))
+    live = n
     for _ in range(JACOBI_MAX_SWEEPS):
+        k = (live + 1) // 2
+        pairs = seats[: 2 * k].reshape(k, 2, m + n)
+        rotated_pairs = rotated_buf[: 2 * k].reshape(k, 2, m + n)
+        norms2 = norms2_buf[:k]
+        rotation = rotation_buf[:k]
+        turned = turned_buf[:k]
         w = pairs[:, :, :m]
         np.einsum("ijl,ijl->ij", w, w, out=norms2)
         rotated = False
@@ -219,12 +252,28 @@ def _jacobi_orthogonalize(B: np.ndarray, label: str) -> tuple[np.ndarray, np.nda
             np.matmul(rotation, pairs, out=rotated_pairs)
             _next_round(rotated_pairs, pairs)
         if not rotated:
-            return seats[:n, :m], seats[:n, m:]
-    worst = _worst_cosine(seats[:n, :m])
+            return seats[:live, :m], seats[:live, m:]
+        if retire_below is not None:
+            live = _retire(seats, live, m, retire_below)
+    worst = _worst_cosine(seats[:live, :m])
     raise NumericalError(
         f"one-sided Jacobi SVD did not converge for a {label} matrix after "
         f"{JACOBI_MAX_SWEEPS} sweeps (worst pairwise cosine {worst:.3e})"
     )
+
+
+def _retire(seats: np.ndarray, live: int, m: int, fraction: float) -> int:
+    """Move the rows of ``seats[:live]`` whose first ``m`` entries have a norm
+    of at least ``fraction`` times the largest such norm to the front, in
+    order, and return their count; an odd count gets a zero pad seat."""
+    w = seats[:live, :m]
+    norms = np.sqrt(np.einsum("ij,ij->i", w, w))
+    keep = np.flatnonzero(norms >= fraction * norms.max())
+    live = len(keep)
+    seats[:live] = seats[keep]
+    if live % 2:
+        seats[live] = 0.0
+    return live
 
 
 def _worst_cosine(W: np.ndarray) -> float:
@@ -238,11 +287,14 @@ def _worst_cosine(W: np.ndarray) -> float:
 def thin_svd(A: np.ndarray) -> ThinSVD:
     """Thin SVD with deterministic ordering and column signs.
 
-    Singular values are sorted nonincreasing (stable order on ties); each
-    left singular vector is flipped so its largest-magnitude entry is
-    positive.  Columns whose singular value underflows to exactly zero are
-    replaced by a deterministic orthonormal completion, keeping ``U``
-    orthonormal even for rank-deficient input.
+    Singular values are sorted nonincreasing (stable order on ties).  Each
+    singular vector pair is signed so that the vector along the longer side
+    has a positive largest-magnitude entry: the left vector (a column of
+    ``U``) when ``m >= n``, the right vector (a column of ``V``) when
+    ``m < n``.  Vectors along the longer side whose singular value
+    underflows to exactly zero are replaced by a deterministic orthonormal
+    completion, keeping ``U`` and ``V`` orthonormal even for rank-deficient
+    input.
 
     Raises :class:`NumericalError` if the Jacobi sweeps fail to converge.
     """
@@ -275,7 +327,8 @@ def thin_svd(A: np.ndarray) -> ThinSVD:
     if Q0 is not None:
         U = Q0 @ U
 
-    # Sign convention: dominant entry of each left singular vector positive.
+    # Sign convention: dominant entry of each left singular vector positive
+    # (for a wide input this U is returned as V, see the top of the function).
     idx = np.argmax(np.abs(U), axis=0)
     signs = np.where(U[idx, np.arange(n)] < 0.0, -1.0, 1.0)
     return ThinSVD(U=U * signs, s=s, V=Vt.T * signs)
@@ -290,18 +343,44 @@ def covariance_spectrum(
     ``1/S``) has eigenvalues ``s_i^2 / S`` and eigenvectors equal to the
     left singular vectors of the column-centered snapshot matrix.  Only
     ``s_i > n0 * eps * s_0`` counts; the rest is roundoff, not data.
+    Signs follow :func:`thin_svd`: the singular vector along the longer
+    side of the centered data (the eigenvector itself when ``n0 >= S``,
+    the ``S``-vector of snapshot weights when ``n0 < S``) has a positive
+    largest-magnitude entry.
 
     Returns ``(mean, eigvecs, eigvals)``: the ``(n0, 1)`` sample mean, the
     ``n0 x rank`` eigenvectors and the ``rank`` nonincreasing eigenvalues.
+
+    Raises :class:`NumericalError` if the Jacobi sweeps fail to converge.
     """
     U = require_matrix(U, "snapshot matrix")
     n0, S = U.shape
-    if S < 1:
-        raise ValueError("need at least one snapshot column")
+    if n0 < 1 or S < 1:
+        raise ValueError(f"need at least one snapshot row and column, got {n0}x{S}")
     mean = U.mean(axis=1, keepdims=True)
-    svd = thin_svd(U - mean)
-    rank = int(np.count_nonzero(svd.s > n0 * np.finfo(float).eps * svd.s[0]))
-    return mean, svd.U[:, :rank], svd.s[:rank] ** 2 / S
+    A = U - mean
+    tall = n0 >= S
+    Q, R = householder_qr(A if tall else A.T)
+    # A = Q T (tall, T = R) or A = T Q^T (wide, T = R^T).  Jacobi on T^T
+    # accumulates the left singular vectors V of T; those of A are Q V (tall)
+    # or V (wide).  Rows retire 1/sqrt(k) below the rank threshold.
+    eps = np.finfo(float).eps
+    W, Vt = _jacobi_orthogonalize(
+        R.T if tall else R, f"{n0}x{S}", retire_below=n0 * eps / np.sqrt(len(R))
+    )
+    s = np.sqrt(np.einsum("ij,ij->i", W, W))
+    order = np.argsort(-s, kind="stable")
+    rank = int(np.count_nonzero(s > n0 * eps * s[order[0]]))
+    live = order[:rank]
+    eigvecs = Vt[live].T
+    if tall:
+        eigvecs = Q @ eigvecs
+        longer = eigvecs
+    else:
+        longer = Q @ W[live].T
+    idx = np.argmax(np.abs(longer), axis=0)
+    signs = np.where(longer[idx, np.arange(rank)] < 0.0, -1.0, 1.0)
+    return mean, eigvecs * signs, s[live] ** 2 / S
 
 
 def leading_basis(eigvecs: np.ndarray, width: int) -> np.ndarray:

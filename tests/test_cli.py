@@ -331,6 +331,18 @@ class TestExitCodes:
         assert "empty range" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("widths", ["1-2-3", "2,,3", "a-3"])
+    def test_malformed_widths_name_the_flag(self, capsys, small_data, tmp_path, widths):
+        out = tmp_path / "s.csv"
+        rc = main([
+            "init-study", "--data", str(small_data), "--widths", widths, "--n1", "6",
+            "--trials", "1", "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--widths {widths!r}" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "init-study"])
     def test_too_few_snapshots_is_data_error(self, capsys, tmp_path, command):
         data = tmp_path / "three.csv"

@@ -105,6 +105,16 @@ class TestThinSVD:
         with pytest.raises(ValueError, match="non-finite"):
             thin_svd(A)
 
+    @pytest.mark.parametrize("shape", [(9, 4), (6, 6), (6, 15)])
+    def test_vector_along_the_longer_side_has_positive_dominant_entry(self, shape):
+        # Wide input is solved through its transpose, so there the right
+        # vectors carry the sign; the left ones may have a negative one.
+        for seed in range(20):
+            svd = thin_svd(np.random.default_rng(seed).standard_normal(shape))
+            longer = svd.U if shape[0] >= shape[1] else svd.V
+            dominant = longer[np.argmax(np.abs(longer), axis=0), np.arange(min(shape))]
+            assert np.all(dominant > 0.0)
+
 
 def assert_matches_lapack(A, svd):
     """Differential check of a thin SVD against numpy's LAPACK.
@@ -278,6 +288,22 @@ class TestCovarianceSpectrum:
         np.testing.assert_allclose(e1, e2, rtol=1e-9, atol=1e-16)
         np.testing.assert_allclose(v1, v2, atol=1e-8)
 
+    @pytest.mark.parametrize("shape", [(30, 12), (17, 17), (9, 25)])
+    def test_eigenvectors_are_thin_svd_left_vectors(self, shape):
+        # Same vectors and the same signs as thin_svd, whose sign sits on
+        # the side of the snapshot weights when the data is wide.
+        U = np.random.default_rng(sum(shape)).standard_normal(shape)
+        svd = thin_svd(U - U.mean(axis=1, keepdims=True))
+        _mean, vecs, eigvals = covariance_spectrum(U)
+        r = len(eigvals)
+        np.testing.assert_allclose(vecs, svd.U[:, :r], atol=1e-10)
+        np.testing.assert_allclose(eigvals, svd.s[:r] ** 2 / shape[1], rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_input_rejected(self, shape):
+        with pytest.raises(ValueError, match="at least one snapshot row and column"):
+            covariance_spectrum(np.zeros(shape))
+
     def test_keeps_only_the_numerical_rank(self):
         U = low_rank_snapshots(rank=5)
         s = thin_svd(U - U.mean(axis=1, keepdims=True)).s
@@ -285,6 +311,66 @@ class TestCovarianceSpectrum:
         _mean, vecs, eigvals = covariance_spectrum(U)
         assert vecs.shape == (40, 5) and eigvals.shape == (5,)
         assert np.max(np.abs(vecs.T @ vecs - np.eye(5))) <= 1e-14
+
+
+class TestCovarianceSpectrumAgainstLapack:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(1, 40),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.one_of(st.none(), st.integers(1, 40)),
+        duplicates=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=10),
+    )
+    @example(m=40, n=9, seed=1, rank=None, duplicates=[])
+    @example(m=9, n=40, seed=2, rank=None, duplicates=[])
+    @example(m=40, n=40, seed=3, rank=None, duplicates=[])
+    @example(m=35, n=30, seed=4, rank=7, duplicates=[])
+    @example(m=12, n=33, seed=5, rank=None, duplicates=[(3, 4), (10, 20), (11, 20)])
+    @example(m=30, n=12, seed=6, rank=3, duplicates=[(0, 1)])
+    def test_tall_wide_and_rank_deficient(self, m, n, seed, rank, duplicates):
+        # Full-rank gaussians, low-rank products and duplicated columns; the
+        # eigenvalue bound is the thin SVD's 2 * max(m, n) * eps * s0 gap to
+        # LAPACK on the singular values, carried through s^2 / S.
+        rng = np.random.default_rng(seed)
+        if rank is None:
+            U = rng.standard_normal((m, n))
+        else:
+            U = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        for dst, src in duplicates:
+            U[:, dst % n] = U[:, src % n]
+        _mean, vecs, eigvals = covariance_spectrum(U)
+        A = U - U.mean(axis=1, keepdims=True)
+        U_ref, s_ref, _ = np.linalg.svd(A, full_matrices=False)
+        r = len(eigvals)
+        eps = np.finfo(float).eps
+        gap = 2 * max(m, n) * eps * s_ref[0]
+        assert vecs.shape == (m, r)
+        assert np.all(np.abs(eigvals - s_ref[:r] ** 2 / n) <= gap * (2 * s_ref[:r] + gap) / n)
+        assert np.all(s_ref[r:] <= m * eps * s_ref[0] + gap)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(r)), initial=0.0) <= 1e-13
+        # Leading blocks that end at a clear gap span LAPACK's subspace.  The
+        # projector error scales as eps * s0 / separation; LAPACK's own reaches
+        # about 1.5e3 * eps * s0 / separation on these sizes (thin_svd agrees
+        # with this kernel there), so the bound leaves a factor of 30.
+        s_next = np.append(s_ref, 0.0)
+        for j in range(1, r + 1):
+            separation = s_ref[j - 1] - s_next[j]
+            if separation < 1e-3 * s_ref[0]:
+                continue
+            P = vecs[:, :j] @ vecs[:, :j].T
+            P_ref = U_ref[:, :j] @ U_ref[:, :j].T
+            assert np.max(np.abs(P - P_ref)) <= 1e-11 * s_ref[0] / separation
+
+    def test_pga400_rank_matches_the_thin_svd_count(self, pga400):
+        # Rows are retired a margin below the rank threshold, so a direction
+        # just above it must survive: the rank is the full SVD's count.
+        train = split(pga400, 0)[0]
+        s = thin_svd(train - train.mean(axis=1, keepdims=True)).s
+        first = covariance_spectrum(train)
+        assert len(first[2]) == np.count_nonzero(s > train.shape[0] * np.finfo(float).eps * s[0])
+        again = covariance_spectrum(train)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
 
 
 class TestCompletion:
@@ -311,6 +397,16 @@ def test_sweep_cap_failure_names_dimensions(monkeypatch):
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(NumericalError, match=r"8x5.*0 sweeps"):
         thin_svd(np.random.default_rng(0).standard_normal((8, 5)))
+
+
+@pytest.mark.parametrize("shape", [(8, 5), (5, 8)])
+def test_covariance_sweep_cap_failure_names_the_input_shape(monkeypatch, shape):
+    import symae.linalg as linalg
+
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
+    label = f"{shape[0]}x{shape[1]}"
+    with pytest.raises(NumericalError, match=rf"{label}.*0 sweeps"):
+        covariance_spectrum(np.random.default_rng(0).standard_normal(shape))
 
 
 def test_require_matrix_validates():
