@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -37,7 +36,6 @@ from .linalg import NumericalError
 from .training import TrainConfig, apply_minmax, evaluate, minmax_normalize, split, train
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
@@ -53,32 +51,40 @@ _VALID_INITS = {
 _DEPTH_LADDER_MIDS = (3, 5, 9, 17, 33)
 
 
+def _owned(parse):
+    """Argparse type: run ``parse``, the flag's owner; its ``ValueError`` is the usage error."""
+
+    def adapter(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return adapter
+
+
 def _parse_skeleton(text: str) -> Skeleton:
-    try:
-        return Skeleton(tuple(int(part) for part in text.split(",")))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return Skeleton(tuple(int(part) for part in text.split(",")))
 
 
-def _positive(kind, zero_ok=False):
-    """Argparse type: a finite ``kind`` value above zero (or zero, if ``zero_ok``)."""
+def _positive(zero_ok=False):
+    """Argparse type: an int above zero (or zero, if ``zero_ok``)."""
 
-    def parse(text: str):
-        value = kind(text)
-        if not ((value >= 0 if zero_ok else value > 0) and math.isfinite(value)):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < (0 if zero_ok else 1):
             wording = "non-negative" if zero_ok else "positive"
             raise argparse.ArgumentTypeError(f"must be {wording}, got {text}")
         return value
 
-    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
     return parse
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "patience", None) is not None and args.patience > args.epochs:
-        parser.error(f"--patience {args.patience} exceeds --epochs {args.epochs}")
+    args = _build_parser().parse_args(argv)
+    if args.handler is _cmd_train:
+        args.config = _train_config(args)
     try:
         return args.handler(args)
     except DataFormatError as exc:
@@ -92,6 +98,26 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
+def _train_config(args) -> TrainConfig:
+    """The run settings of ``train``; a rejected flag ends as a usage error."""
+    valid_inits = _VALID_INITS[_CLASS_BY_FLAG[args.model_class]]
+    if args.init not in valid_inits:
+        args.usage_error(
+            f"init '{args.init}' is not available for class "
+            f"'{args.model_class}' (choose from {valid_inits})"
+        )
+    try:
+        return TrainConfig(
+            epochs=args.epochs,
+            patience=min(500, args.epochs) if args.patience is None else args.patience,
+            learning_rate=args.lr,
+            batch_size=args.batch,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        args.usage_error(str(exc))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symae",
@@ -100,40 +126,42 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(required=True, metavar="command")
 
     gen = sub.add_parser("gen-pga", help="generate the gaussian-bump snapshot dataset")
-    gen.add_argument("--samples", type=_positive(int), default=400)
-    gen.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
+    gen.add_argument("--samples", type=_positive(), default=400)
+    gen.add_argument("--seed", type=_positive(zero_ok=True), default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(handler=_cmd_gen_pga)
 
     tr = sub.add_parser("train", help="run the standardized training pipeline")
     tr.add_argument("--data", required=True)
     tr.add_argument("--class", dest="model_class", choices=sorted(_CLASS_BY_FLAG), required=True)
-    tr.add_argument("--skeleton", type=_parse_skeleton, required=True,
+    tr.add_argument("--skeleton", type=_owned(_parse_skeleton), required=True,
                     help="comma-separated dims, e.g. 514,64,15,3")
-    tr.add_argument("--act", default="identity", help="identity | leakyrelu:a,b | hypact:t")
+    tr.add_argument("--act", type=_owned(parse_activation), default="identity",
+                    help="identity | leakyrelu:a,b | hypact:t")
     tr.add_argument("--init", choices=("eys", "he", "orth"), default="eys")
-    tr.add_argument("--epochs", type=_positive(int), default=1500)
-    tr.add_argument("--patience", type=_positive(int),
+    tr.add_argument("--epochs", type=int, default=1500)
+    tr.add_argument("--patience", type=int,
                     help="early-stopping patience, at most --epochs (default: min(500, epochs))")
-    tr.add_argument("--lr", type=_positive(float), default=1e-3)
-    tr.add_argument("--batch", type=_positive(int), default=8)
-    tr.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
+    tr.add_argument("--lr", type=float, default=1e-3)
+    tr.add_argument("--batch", type=int, default=8)
+    tr.add_argument("--seed", type=_positive(zero_ok=True), default=0)
     tr.add_argument("--out-model")
     tr.add_argument("--out-history")
-    tr.set_defaults(handler=_cmd_train)
+    tr.set_defaults(handler=_cmd_train, usage_error=tr.error)
 
     study = sub.add_parser("init-study", help="initial-MSE study: iterated-SVD vs random init")
     study.add_argument("--data", required=True)
-    study.add_argument("--act", default="identity")
+    study.add_argument("--act", type=_owned(parse_activation), default="identity")
     group = study.add_mutually_exclusive_group(required=True)
-    group.add_argument("--widths", help="latent widths to sweep, e.g. 1,2,...,20 or 1-20")
+    group.add_argument("--widths", type=_owned(_parse_widths),
+                       help="latent widths to sweep, e.g. 1,2,...,20 or 1-20")
     group.add_argument("--depth-pattern", action="store_true",
                        help="fixed-width depth ladder ending at latent 3")
     study.add_argument("--n1", type=int, default=20, help="first width for --widths sweeps")
-    study.add_argument("--trials", type=_positive(int), default=100)
-    study.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
+    study.add_argument("--trials", type=_positive(), default=100)
+    study.add_argument("--seed", type=_positive(zero_ok=True), default=0)
     study.add_argument("--out", required=True)
-    study.set_defaults(handler=_cmd_init_study)
+    study.set_defaults(handler=_cmd_init_study, usage_error=study.error)
 
     bnd = sub.add_parser("bounds", help="error-bound report for a trained model")
     bnd.add_argument("--model", required=True)
@@ -160,43 +188,18 @@ def _initial_network(init, class_tag, train_norm, skeleton, act, seed):
 
 def _cmd_train(args) -> int:
     class_tag = _CLASS_BY_FLAG[args.model_class]
-    if args.init not in _VALID_INITS[class_tag]:
-        print(
-            f"error: init '{args.init}' is not available for class "
-            f"'{args.model_class}' (choose from {_VALID_INITS[class_tag]})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        act = parse_activation(args.act)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
     data = load_snapshots(args.data)
-    skeleton = args.skeleton
-    if skeleton.dims[0] != data.U.shape[0]:
-        print(
-            f"error: skeleton input {skeleton.dims[0]} != data dimension {data.U.shape[0]}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    if args.skeleton.dims[0] != data.U.shape[0]:
+        args.usage_error(f"skeleton input {args.skeleton.dims[0]} != data rows {data.U.shape[0]}")
 
     train_U, val_U, test_U = split(data.U, args.seed)
     train_norm, lo, hi = minmax_normalize(train_U)
     val_norm = apply_minmax(val_U, lo, hi)
     test_norm = apply_minmax(test_U, lo, hi)
 
-    psi0 = _initial_network(args.init, class_tag, train_norm, skeleton, act, args.seed)
+    psi0 = _initial_network(args.init, class_tag, train_norm, args.skeleton, args.act, args.seed)
     theta0 = lift(psi0, class_tag)
-    config = TrainConfig(
-        epochs=args.epochs,
-        patience=args.patience or min(500, args.epochs),
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        seed=args.seed,
-    )
-    theta, history = train(theta0, train_norm, val_norm, config)
+    theta, history = train(theta0, train_norm, val_norm, args.config)
     psi = assemble(theta)
     metrics = evaluate(psi, test_norm)
 
@@ -209,8 +212,8 @@ def _cmd_train(args) -> int:
         json.dumps(
             {
                 "class": args.model_class,
-                "skeleton": list(skeleton.dims),
-                "activation": act.spec(),
+                "skeleton": list(args.skeleton.dims),
+                "activation": args.act.spec(),
                 "init": args.init,
                 "seed": args.seed,
                 "mse": metrics.mse,
@@ -247,22 +250,16 @@ def _study_skeletons(args, n0: int) -> list[Skeleton]:
             Skeleton((n0, 65) + tuple(reversed(_DEPTH_LADDER_MIDS[:k])))
             for k in range(1, len(_DEPTH_LADDER_MIDS) + 1)
         ]
-    return [Skeleton((n0, args.n1, w)) for w in _parse_widths(args.widths)]
+    return [Skeleton((n0, args.n1, w)) for w in args.widths]
 
 
 def _cmd_init_study(args) -> int:
-    try:
-        act = parse_activation(args.act)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     data = load_snapshots(args.data)
     try:
         skeletons = _study_skeletons(args, data.U.shape[0])
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rows = init_study(data.U, act, skeletons, args.trials, args.seed)
+        args.usage_error(str(exc))
+    rows = init_study(data.U, args.act, skeletons, args.trials, args.seed)
     with open(args.out, "w") as fh:
         fh.write("config,eys_mse,baseline_best_mse\n")
         for skeleton, eys_mse, base_mse in rows:

@@ -214,20 +214,14 @@ def _jacobi_orthogonalize(
     seats = np.zeros((2 * k, m + n))
     seats[:n, :m] = B.T
     seats[:n, m:] = np.eye(n)
-    rotated_buf = np.empty_like(seats)
-    norms2_buf = np.empty((k, 2))
-    rotation_buf = np.empty((k, 2, 2))
-    turned_buf = np.empty((k, 2))
     live = n
     for _ in range(JACOBI_MAX_SWEEPS):
         k = (live + 1) // 2
         pairs = seats[: 2 * k].reshape(k, 2, m + n)
-        rotated_pairs = rotated_buf[: 2 * k].reshape(k, 2, m + n)
-        norms2 = norms2_buf[:k]
-        rotation = rotation_buf[:k]
-        turned = turned_buf[:k]
         w = pairs[:, :, :m]
-        np.einsum("ijl,ijl->ij", w, w, out=norms2)
+        norms2 = np.einsum("ijl,ijl->ij", w, w)
+        rotation = np.empty((k, 2, 2))
+        turned = np.empty((k, 2))
         rotated = False
         for _ in range(2 * k - 1):
             dp = norms2[:, 0]
@@ -245,12 +239,10 @@ def _jacobi_orthogonalize(
             np.maximum(dp - tc, 0.0, out=turned[:, 0])
             np.maximum(dq + tc, 0.0, out=turned[:, 1])
             _next_round(turned, norms2)
-            rotation[:, 0, 0] = cs
-            rotation[:, 1, 1] = cs
+            rotation[:, 0, 0] = rotation[:, 1, 1] = cs
             rotation[:, 1, 0] = sn
             np.negative(sn, out=rotation[:, 0, 1])
-            np.matmul(rotation, pairs, out=rotated_pairs)
-            _next_round(rotated_pairs, pairs)
+            _next_round(rotation @ pairs, pairs)
         if not rotated:
             return seats[:live, :m], seats[:live, m:]
         if retire_below is not None:

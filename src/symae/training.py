@@ -49,6 +49,11 @@ __all__ = [
 
 HISTORY_HEADER = "epoch,train_loss,val_loss,wall_time_s,constraint_residual"
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -59,12 +64,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.patience, self.batch_size) <= 0:
-            raise ValueError("epochs, patience and batch_size must be positive")
+        for name in ("epochs", "patience", "batch_size"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ValueError("learning rate must be positive and finite")
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.patience > self.epochs:
-            raise ValueError("patience cannot exceed the epoch budget")
+            raise ValueError(f"patience {self.patience} exceeds the epoch budget {self.epochs}")
 
 
 @dataclass(frozen=True)
@@ -169,21 +175,18 @@ def adam_step(
     grads: list[np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> list[np.ndarray]:
     """One Adam update with bias correction; mutates ``state``, returns new params."""
     state.t += 1
-    corr1 = 1.0 - beta1**state.t
-    corr2 = 1.0 - beta2**state.t
+    corr1 = 1.0 - ADAM_BETA1**state.t
+    corr2 = 1.0 - ADAM_BETA2**state.t
     out = []
     for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[i] / corr1
         v_hat = state.v[i] / corr2
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        out.append(p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     return out
 
 
@@ -203,6 +206,9 @@ def train(
     the validation loss full-batch at each epoch end, and stops after
     ``patience`` epochs without improvement.  Returns the parameters of the
     best validation epoch together with the logged history.
+
+    Raises :class:`NumericalError` when a loss turns non-finite or when the
+    parameters at an epoch end fail :func:`assemble`'s checks.
     """
     train_U = require_matrix(train_U, "training data")
     val_U = require_matrix(val_U, "validation data")
@@ -240,7 +246,10 @@ def train(
         train_loss = sq_sum / S
 
         theta.layers = theta.with_leaves(leaves)
-        psi = assemble(theta)
+        try:
+            psi = assemble(theta)
+        except ValueError as exc:
+            raise NumericalError(f"network after epoch {epoch} fails a check: {exc}") from exc
         val_loss = empirical_mse(psi, val_U)
         if not np.isfinite(val_loss):
             raise NumericalError(f"non-finite validation loss at epoch {epoch}")

@@ -146,17 +146,17 @@ class TestTrain:
         assert exc.value.code == 2
 
     def test_incompatible_init_class_pair(self, capsys, small_data, tmp_path):
-        rc, _ = self._run(
-            capsys, small_data, tmp_path, "--class", "soae", "--init", "he"
-        )
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            self._run(capsys, small_data, tmp_path, "--class", "soae", "--init", "he")
+        assert exc.value.code == 2
 
     def test_skeleton_data_mismatch(self, capsys, small_data, tmp_path):
-        rc = main([
-            "train", "--data", str(small_data), "--class", "sae",
-            "--skeleton", "19,6,3", "--epochs", "2", "--patience", "2",
-        ])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "train", "--data", str(small_data), "--class", "sae",
+                "--skeleton", "19,6,3", "--epochs", "2", "--patience", "2",
+            ])
+        assert exc.value.code == 2
 
     def test_missing_data_file(self, tmp_path):
         rc = main([
@@ -166,8 +166,21 @@ class TestTrain:
         assert rc == 3
 
     def test_bad_activation_spec(self, capsys, small_data, tmp_path):
-        rc, _ = self._run(capsys, small_data, tmp_path, "--class", "sae", "--act", "tanh")
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            self._run(capsys, small_data, tmp_path, "--class", "sae", "--act", "tanh")
+        assert exc.value.code == 2
+
+    def test_broken_constraint_mid_run_is_numerical_failure(self, capsys, small_data):
+        # A step of 1e4 breaks E D = I by about 1e-3 at epoch 1, far past
+        # BIORTH_TOL; a small rate would land too close to it for every BLAS.
+        rc = main([
+            "train", "--data", str(small_data), "--class", "sbae", "--skeleton", "20,6,3",
+            "--epochs", "5", "--lr", "1e4", "--batch", "4",
+        ])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "epoch 1" in err
+        assert "Traceback" not in err
 
 
 class TestInitStudy:
@@ -298,9 +311,11 @@ class TestExitCodes:
             ("--epochs", "0"),
             ("--patience", "-3"),
             ("--epochs", "5", "--patience", "6"),
+            ("--patience", "0"),
+            ("--lr", "inf"),
         ],
         ids=["negative-lr", "nan-lr", "zero-batch", "zero-epochs", "negative-patience",
-             "patience-over-epochs"],
+             "patience-over-epochs", "zero-patience", "inf-lr"],
     )
     def test_bad_training_flags_are_usage_errors(self, capsys, small_data, flags):
         with pytest.raises(SystemExit) as exc:
@@ -322,11 +337,12 @@ class TestExitCodes:
 
     def test_empty_width_range_is_usage_error(self, capsys, small_data, tmp_path):
         out = tmp_path / "s.csv"
-        rc = main([
-            "init-study", "--data", str(small_data), "--widths", "3-1", "--n1", "6",
-            "--trials", "1", "--out", str(out),
-        ])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "init-study", "--data", str(small_data), "--widths", "3-1", "--n1", "6",
+                "--trials", "1", "--out", str(out),
+            ])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "empty range" in err and "Traceback" not in err
         assert not out.exists()
@@ -334,14 +350,33 @@ class TestExitCodes:
     @pytest.mark.parametrize("widths", ["1-2-3", "2,,3", "a-3"])
     def test_malformed_widths_name_the_flag(self, capsys, small_data, tmp_path, widths):
         out = tmp_path / "s.csv"
-        rc = main([
-            "init-study", "--data", str(small_data), "--widths", widths, "--n1", "6",
-            "--trials", "1", "--out", str(out),
-        ])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "init-study", "--data", str(small_data), "--widths", widths, "--n1", "6",
+                "--trials", "1", "--out", str(out),
+            ])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"--widths {widths!r}" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("init-study", "--widths", "1-2-3"),
+            ("train", "--class", "sae", "--skeleton", "20,6,3", "--act", "tanh"),
+            ("train", "--class", "soae", "--skeleton", "20,6,3", "--init", "he"),
+        ],
+        ids=["malformed-widths", "bad-act", "incompatible-init"],
+    )
+    def test_usage_error_reported_before_data_is_read(self, capsys, tmp_path, args):
+        command, *rest = args
+        out = ["--out", str(tmp_path / "s.csv")] if command == "init-study" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(tmp_path / "missing.csv"), *rest, *out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"symae {command}: error:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "init-study"])
     def test_too_few_snapshots_is_data_error(self, capsys, tmp_path, command):

@@ -196,6 +196,15 @@ class TestTrain:
             with pytest.raises(NumericalError, match="batch"):
                 train(theta0, U, U, cfg)
 
+    def test_broken_constraint_raises_numerical_error_naming_the_epoch(self):
+        rng = np.random.default_rng(4)
+        U = rng.uniform(0, 1, (10, 16))
+        theta0 = lift(eys_init(U, Skeleton((10, 4, 2)), LeakyReLU(5 / 6, 5 / 4)), "SBAE")
+        # A step of 1e4 leaves E D = I off by about 4e-4 after epoch 1.
+        cfg = TrainConfig(epochs=3, patience=3, learning_rate=1e4, batch_size=4, seed=1)
+        with pytest.raises(NumericalError, match=r"epoch 1\b.*violates E D = I"):
+            train(theta0, U, U, cfg)
+
     def test_short_final_batch_is_kept(self):
         rng = np.random.default_rng(14)
         U = rng.uniform(0, 1, (6, 10))  # batch 4 -> batches of 4, 4, 2
