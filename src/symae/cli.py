@@ -48,6 +48,7 @@ _VALID_INITS = {
 }
 
 # Depth ladder used by the initialization study: fixed first width, latent 3.
+_DEPTH_LADDER_FIRST = 65
 _DEPTH_LADDER_MIDS = (3, 5, 9, 17, 33)
 
 
@@ -245,20 +246,31 @@ def _parse_widths(text: str) -> list[int]:
 
 
 def _study_skeletons(args, n0: int) -> list[Skeleton]:
+    """The study's skeletons on ``n0``-row data.
+
+    A skeleton that ``Skeleton`` rejects is a usage error naming the flags
+    that built it.
+    """
     if args.depth_pattern:
-        return [
-            Skeleton((n0, 65) + tuple(reversed(_DEPTH_LADDER_MIDS[:k])))
+        flags = f"--depth-pattern (first width {_DEPTH_LADDER_FIRST})"
+        built = [
+            (flags, (n0, _DEPTH_LADDER_FIRST) + tuple(reversed(_DEPTH_LADDER_MIDS[:k])))
             for k in range(1, len(_DEPTH_LADDER_MIDS) + 1)
         ]
-    return [Skeleton((n0, args.n1, w)) for w in args.widths]
+    else:
+        built = [(f"--n1 {args.n1} --widths {w}", (n0, args.n1, w)) for w in args.widths]
+    skeletons = []
+    for flags, dims in built:
+        try:
+            skeletons.append(Skeleton(dims))
+        except ValueError as exc:
+            args.usage_error(f"{flags}: {exc}")
+    return skeletons
 
 
 def _cmd_init_study(args) -> int:
     data = load_snapshots(args.data)
-    try:
-        skeletons = _study_skeletons(args, data.U.shape[0])
-    except ValueError as exc:
-        args.usage_error(str(exc))
+    skeletons = _study_skeletons(args, data.U.shape[0])
     rows = init_study(data.U, args.act, skeletons, args.trials, args.seed)
     with open(args.out, "w") as fh:
         fh.write("config,eys_mse,baseline_best_mse\n")

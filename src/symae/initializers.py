@@ -14,7 +14,12 @@ Three schemes are provided:
 :func:`lift` converts an orthogonal-form network into the unconstrained
 parameter vector of any hypothesis class so training can start from it.
 :func:`init_study` scores the iterated-SVD start against the best of many
-random orthogonal starts over a family of skeletons.
+random orthogonal starts over a family of skeletons.  Both sides share work
+by width prefix: :class:`EysCache` holds the iterated-SVD levels, and within
+one trial the random levels of a common prefix are drawn, orthonormalized
+and applied to the test split once.  The draw order is kept, so every row
+is bitwise the one :func:`orthogonal_random_init` gives skeleton by
+skeleton.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .architecture import (
     SymmetricAutoencoder,
     Layer,
     check_class_invariants,
-    empirical_mse,
+    encode_columns,
     spare_dim,
 )
 from .linalg import (
@@ -190,12 +195,16 @@ def orthogonal_random_init(
     """
     if class_tag not in ("SBAE", "SOAE"):
         raise ValueError("orthogonal random init applies to SBAE or SOAE")
-    layers = []
-    for j in range(1, skeleton.depth + 1):
-        q, r = skeleton.layer_shape(j)
-        V = pi_orth(rng.standard_normal((q, r)))
-        layers.append(Layer(E=V.T, D=V, e=np.zeros((r, 1)), d=np.zeros((q, 1))))
-    return SymmetricAutoencoder(skeleton, act, tuple(layers), class_tag)
+    layers = tuple(
+        _random_level(rng, *skeleton.layer_shape(j)) for j in range(1, skeleton.depth + 1)
+    )
+    return SymmetricAutoencoder(skeleton, act, layers, class_tag)
+
+
+def _random_level(rng: np.random.Generator, q: int, r: int) -> Layer:
+    """One random orthogonal level: ``D = pi_orth(N(0, 1)^{q x r})``, ``E = D^T``, zero biases."""
+    V = pi_orth(rng.standard_normal((q, r)))
+    return Layer(E=V.T, D=V, e=np.zeros((r, 1)), d=np.zeros((q, 1)))
 
 
 def lift(psi: SymmetricAutoencoder, class_tag: str) -> ParamVector:
@@ -250,22 +259,49 @@ def lift(psi: SymmetricAutoencoder, class_tag: str) -> ParamVector:
 def init_study(U, act, skeletons, trials, seed):
     """Initial test MSE per skeleton: iterated-SVD vs best-of-``trials`` random.
 
-    Shares the standardized split/normalization pipeline; the iterated-SVD
-    levels are cached across skeletons with a common prefix.  Returns a list
-    of ``(skeleton, eys_mse, baseline_best_mse)`` rows.
+    Shares the standardized split/normalization pipeline and validates the
+    test split once.  Random trial ``t`` draws from
+    ``default_rng(derive_seed(seed, t))`` for every skeleton, so skeletons
+    with a common width prefix share that prefix's levels: within a trial
+    each prefix is drawn, orthonormalized and applied to the test split
+    once, and a skeleton draws only the levels past its longest shared
+    prefix, from the generator state saved after it.  The draws keep their
+    order and every candidate is still built as a validated network, so
+    each baseline is bitwise the minimum over trials of
+    ``empirical_mse(orthogonal_random_init(skeleton, act, rng_t), test)``.
+    The iterated-SVD levels are shared the same way (:class:`EysCache`).
+    Returns a list of ``(skeleton, eys_mse, baseline_best_mse)`` rows.
     """
+    if trials < 1:
+        raise ValueError(f"init study needs at least one random trial, got {trials}")
     train_U, _val, test_U = split(U, seed)
     train_norm, lo, hi = minmax_normalize(train_U)
-    test_norm = apply_minmax(test_U, lo, hi)
+    test_norm = require_matrix(apply_minmax(test_U, lo, hi), "snapshot matrix")
+
+    def test_mse(recon):  # empirical_mse on the validated test split
+        resid = test_norm - recon
+        return float(np.sum(resid * resid)) / test_norm.shape[1]
+
     cache = EysCache(train_norm, act)
-    rows = []
-    for skeleton in skeletons:
-        psi = eys_init(train_norm, skeleton, act, cache=cache)
-        eys_mse = empirical_mse(psi, test_norm)
-        best = np.inf
-        for trial in range(trials):
-            rng = np.random.default_rng(derive_seed(seed, trial))
-            candidate = orthogonal_random_init(skeleton, act, rng)
-            best = min(best, empirical_mse(candidate, test_norm))
-        rows.append((skeleton, eys_mse, float(best)))
-    return rows
+    eys = [
+        test_mse(eys_init(train_norm, skeleton, act, cache=cache).reconstruct(test_norm))
+        for skeleton in skeletons
+    ]
+    best = [np.inf] * len(skeletons)
+    for trial in range(trials):
+        rng = np.random.default_rng(derive_seed(seed, trial))
+        # dims[:j+1] -> (generator state after its draws, its levels, test encoding)
+        memo = {test_norm.shape[:1]: (rng.bit_generator.state, (), test_norm)}
+        for i, skeleton in enumerate(skeletons):
+            dims = skeleton.dims
+            shared = max(j for j in range(skeleton.depth + 1) if dims[: j + 1] in memo)
+            state, layers, H = memo[dims[: shared + 1]]
+            rng.bit_generator.state = state
+            for j in range(shared + 1, skeleton.depth + 1):
+                level = _random_level(rng, *skeleton.layer_shape(j))
+                layers += (level,)
+                H = encode_columns((level,), act, H, "SOAE")
+                memo[dims[: j + 1]] = (rng.bit_generator.state, layers, H)
+            candidate = SymmetricAutoencoder(skeleton, act, layers, "SOAE")
+            best[i] = min(best[i], test_mse(candidate.decode(H)))
+    return [(skeleton, eys_mse, float(b)) for skeleton, eys_mse, b in zip(skeletons, eys, best)]

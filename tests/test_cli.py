@@ -347,6 +347,33 @@ class TestExitCodes:
         assert "empty range" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--widths", "2", "--n1", "25"),
+             "--n1 25 --widths 2: first hidden dimension must shrink the input: (20, 25, 2)"),
+            (("--widths", "8", "--n1", "6"),
+             "--n1 6 --widths 8: hidden dimensions must be nonincreasing: (20, 6, 8)"),
+            (("--depth-pattern",),
+             "--depth-pattern (first width 65): first hidden dimension must shrink the "
+             "input: (20, 65, 3)"),
+        ],
+        ids=["n1-over-rows", "width-over-n1", "depth-pattern-over-rows"],
+    )
+    def test_study_skeleton_errors_name_their_flags(
+        self, capsys, small_data, tmp_path, flags, message
+    ):
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "init-study", "--data", str(small_data), *flags,
+                "--trials", "1", "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"symae init-study: error: {message}\n" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("widths", ["1-2-3", "2,,3", "a-3"])
     def test_malformed_widths_name_the_flag(self, capsys, small_data, tmp_path, widths):
         out = tmp_path / "s.csv"

@@ -13,10 +13,12 @@ from symae.initializers import (
     eys_init,
     he_init,
     he_variance,
+    init_study,
     lift,
     orthogonal_random_init,
 )
 from symae.linalg import orthonormal_completion, pi_orth
+from symae.training import apply_minmax, minmax_normalize, split
 
 
 class TestEysInit:
@@ -234,6 +236,48 @@ class TestLiftProperties:
         built = assemble(lift(psi, class_tag))
         u = np.random.default_rng(seed).standard_normal((skeleton.dims[0], 5))
         np.testing.assert_allclose(built.reconstruct(u), psi.reconstruct(u), atol=1e-10)
+
+
+class TestInitStudy:
+    @staticmethod
+    def direct_rows(U, act, skeletons, trials, seed):
+        """The study's definition, skeleton by skeleton with fresh draws."""
+        train_U, _val, test_U = split(U, seed)
+        train_norm, lo, hi = minmax_normalize(train_U)
+        test_norm = apply_minmax(test_U, lo, hi)
+        rows = []
+        for sk in skeletons:
+            baseline = min(
+                empirical_mse(
+                    orthogonal_random_init(sk, act, np.random.default_rng(derive_seed(seed, t))),
+                    test_norm,
+                )
+                for t in range(trials)
+            )
+            rows.append((sk, empirical_mse(eys_init(train_norm, sk, act), test_norm), baseline))
+        return rows
+
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            [(24, 8, w) for w in range(1, 8)],
+            [(24, 12, 3), (24, 12, 5, 3), (24, 12, 9, 5, 3), (24, 12, 3)],
+            [(24, 8, 3), (24, 10, 3), (24, 8, 3), (24, 8, 3, 2), (24, 8), (24, 10, 3)],
+        ],
+        ids=["width-sweep", "depth-ladder", "mixed-n1-with-repeat"],
+    )
+    def test_rows_equal_the_direct_definition(self, dims):
+        U = np.random.default_rng(11).uniform(0.0, 1.0, (24, 60))
+        act = HypAct.from_sharpness(0.5)
+        skeletons = [Skeleton(d) for d in dims]
+        rows = init_study(U, act, skeletons, trials=4, seed=5)
+        assert rows == self.direct_rows(U, act, skeletons, trials=4, seed=5)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_needs_at_least_one_trial(self, trials):
+        U = np.random.default_rng(12).uniform(0.0, 1.0, (10, 20))
+        with pytest.raises(ValueError, match="at least one random trial"):
+            init_study(U, Identity(), [Skeleton((10, 3))], trials=trials, seed=0)
 
 
 def test_derive_seed_is_deterministic_and_spreads():
