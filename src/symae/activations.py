@@ -84,7 +84,7 @@ class Identity(Activation):
 class LeakyReLU(Activation):
     """Two-slope piecewise-linear map: ``alpha * x`` for x < 0, ``beta * x`` for x >= 0.
 
-    Both slopes must be positive and distinct.  The inverse is the
+    Both slopes must be finite, positive and distinct.  The inverse is the
     LeakyReLU with reciprocal slopes.  At the kink the derivative is
     defined as ``beta`` (the right limit) so downstream consumers are
     deterministic.
@@ -93,8 +93,10 @@ class LeakyReLU(Activation):
     def __init__(self, alpha: float, beta: float):
         alpha = float(alpha)
         beta = float(beta)
-        if not (alpha > 0.0 and beta > 0.0):
-            raise ValueError(f"LeakyReLU slopes must be positive, got ({alpha}, {beta})")
+        if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+            raise ValueError(
+                f"LeakyReLU slopes must be finite and positive, got ({alpha}, {beta})"
+            )
         if alpha == beta:
             raise ValueError("LeakyReLU slopes must differ (use identity for a linear map)")
         self.alpha = alpha

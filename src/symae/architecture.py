@@ -27,6 +27,8 @@ which never forms the ``n_{j-1} x n_j`` matrices.  :func:`assemble` forms
 from __future__ import annotations
 
 import json
+import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -75,7 +77,7 @@ LAYER_PARAM_KEYS = {
 }
 
 BIORTH_TOL = 1e-9
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -446,13 +448,25 @@ def empirical_mse(psi: SymmetricAutoencoder, U: np.ndarray) -> float:
 # -- checkpoint serialization ----------------------------------------------
 
 
-def save_model(psi: SymmetricAutoencoder, path, theta: ParamVector | None = None):
-    """Write a JSON checkpoint; floats round-trip bit-identically via repr."""
+def save_model(
+    psi: SymmetricAutoencoder,
+    path,
+    theta: ParamVector | None = None,
+    normalization: tuple[float, float] = (0.0, 1.0),
+):
+    """Write a JSON checkpoint; floats round-trip bit-identically via repr.
+
+    ``normalization`` is the min-max range ``(lo, hi)`` the network was
+    fitted on (see :func:`symae.training.minmax_normalize`); the default
+    identity range is that of a network fitted on raw data.
+    """
+    lo, hi = _checked_normalization(*normalization)
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "class_tag": psi.class_tag,
         "skeleton": list(psi.skeleton.dims),
         "activation_spec": psi.act.spec(),
+        "normalization": {"lo": lo, "hi": hi},
         "layers": [{k: v.tolist() for k, v in l._asdict().items()} for l in psi.layers],
     }
     if theta is not None:
@@ -465,27 +479,51 @@ def save_model(psi: SymmetricAutoencoder, path, theta: ParamVector | None = None
     Path(path).write_text(json.dumps(doc))
 
 
-def load_model(path) -> tuple[SymmetricAutoencoder, ParamVector | None]:
+def load_model(
+    path,
+) -> tuple[SymmetricAutoencoder, ParamVector | None, tuple[float, float]]:
     """Read a checkpoint written by :func:`save_model`.
+
+    Returns ``(psi, theta, (lo, hi))``, where ``theta`` is ``None`` when the
+    file stores none and ``(lo, hi)`` is the min-max range the network was
+    fitted on.  A version-1 file, which stores no range, loads with the
+    identity range ``(0, 1)`` and a warning.
 
     Raises :class:`DataFormatError` when the file is not JSON, carries
     another format version, lacks a key or holds a value that does not
-    build a valid model (a wrong shape or type, a broken invariant, or a
-    ``theta`` that does not assemble to the stored layers).
+    build a valid model (a wrong shape or type, a broken invariant, a
+    ``theta`` that does not assemble to the stored layers, or a range that
+    is not finite with ``lo < hi``).
     """
     try:
         doc = json.loads(Path(path).read_text())
     except ValueError as exc:
         raise DataFormatError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise DataFormatError(f"unsupported checkpoint version {version!r} in {path}")
     try:
-        return _model_from_doc(doc)
+        psi, theta = _model_from_doc(doc)
+        if version == 1:
+            warnings.warn(
+                f"checkpoint {path} is format version 1, which stores no normalization; "
+                "using the identity range lo=0, hi=1"
+            )
+            return psi, theta, (0.0, 1.0)
+        block = doc["normalization"]
+        return psi, theta, _checked_normalization(block["lo"], block["hi"])
     except KeyError as exc:
         raise DataFormatError(f"checkpoint {path} lacks the key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise DataFormatError(f"checkpoint {path} has a bad value: {exc}") from exc
+
+
+def _checked_normalization(lo, hi) -> tuple[float, float]:
+    """``(lo, hi)`` as floats; ``ValueError`` unless both are finite and ``lo < hi``."""
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"normalization needs finite lo < hi, got lo={lo!r}, hi={hi!r}")
+    return lo, hi
 
 
 def _model_from_doc(doc: dict) -> tuple[SymmetricAutoencoder, ParamVector | None]:

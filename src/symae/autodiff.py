@@ -1,19 +1,22 @@
 """Reverse-mode differentiation over dense numpy arrays.
 
 The tape is the implicit graph of :class:`Var` nodes: every operation
-evaluates its numpy result eagerly and records a vector-Jacobian closure,
-so control flow in client code may inspect intermediate values.  Calling
-:func:`backward` on a scalar root walks the graph once in reverse
-topological order and accumulates adjoints into ``Var.grad``.
+evaluates its numpy result eagerly and records, for each ``Var`` operand,
+one edge ``(operand, vjp)`` that maps the node's adjoint to that operand's
+contribution, so control flow in client code may inspect intermediate
+values.  Plain arrays and floats are constants: they get no node and no
+edge, so their adjoints are never formed.  Calling :func:`backward` on a
+scalar root walks the graph once in reverse topological order and
+accumulates adjoints into ``Var.grad``.
 
-The module-level helpers (:func:`sum_sq`, :func:`square`,
-:func:`concat_rows`, ...) dispatch on ndarray vs. ``Var``, which lets a
-single implementation of a numerical routine serve both as the plain
-evaluator and as the differentiable program, so taped forward values match
-the untaped arithmetic bit for bit.  Linear-algebra operations with a
+Every operation is one function over operands that may be plain or taped
+(:func:`sum_sq`, :func:`square`, :func:`concat_rows`, ...): on plain
+operands it is the plain evaluator, so taped forward values match the
+untaped arithmetic bit for bit.  Linear-algebra operations with a
 closed-form adjoint are primitives instead: :func:`symae.linalg.pi_orth`
-on a ``Var`` is one node built with :meth:`Var._node`, whose forward value
-is the untaped result and whose vjp is the analytic thin-QR adjoint.
+on a ``Var`` is one node built with ``Var._node(value, (A, vjp))``, whose
+forward value is the untaped result and whose vjp is the analytic thin-QR
+adjoint.
 """
 
 from __future__ import annotations
@@ -45,110 +48,86 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-class Var:
-    """One tape node: a float64 array, its parents, and a vjp closure."""
+def value_of(x) -> np.ndarray:
+    """Forward value of ``x`` whether taped or plain."""
+    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
-    __slots__ = ("value", "parents", "vjp", "grad", "needs_grad")
+
+# -- binary operations: either operand may be a constant ---------------------
+
+
+def _add(a, b):
+    va, vb = value_of(a), value_of(b)
+    return Var._node(
+        va + vb,
+        (a, lambda g: _unbroadcast(g, va.shape)),
+        (b, lambda g: _unbroadcast(g, vb.shape)),
+    )
+
+
+def _sub(a, b):
+    va, vb = value_of(a), value_of(b)
+    return Var._node(
+        va - vb,
+        (a, lambda g: _unbroadcast(g, va.shape)),
+        (b, lambda g: _unbroadcast(-g, vb.shape)),
+    )
+
+
+def _mul(a, b):
+    va, vb = value_of(a), value_of(b)
+    return Var._node(
+        va * vb,
+        (a, lambda g: _unbroadcast(g * vb, va.shape)),
+        (b, lambda g: _unbroadcast(g * va, vb.shape)),
+    )
+
+
+def _matmul(a, b):
+    va, vb = value_of(a), value_of(b)
+    if va.ndim != 2 or vb.ndim != 2 or va.shape[1] != vb.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {va.shape} @ {vb.shape}")
+    return Var._node(va @ vb, (a, lambda g: g @ vb.T), (b, lambda g: va.T @ g))
+
+
+class Var:
+    """One tape node: a float64 array, its adjoint, and one edge per ``Var`` operand."""
+
+    __slots__ = ("value", "grad", "edges")
 
     # Make numpy defer binary ops to Var (so ndarray @ Var hits __rmatmul__).
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=(), vjp=None, needs_grad=True):
+    def __init__(self, value, edges=()):
         self.value = np.asarray(value, dtype=np.float64)
-        self.parents = parents
-        self.vjp = vjp
         self.grad = None
-        self.needs_grad = needs_grad
-
-    @property
-    def shape(self):
-        return self.value.shape
+        self.edges = edges
 
     def __repr__(self):
-        return f"Var(shape={self.value.shape}, needs_grad={self.needs_grad})"
-
-    # -- graph construction helpers -----------------------------------------
+        return f"Var(shape={self.value.shape}, edges={len(self.edges)})"
 
     @staticmethod
-    def _lift(x) -> "Var":
-        if isinstance(x, Var):
-            return x
-        return Var(x, needs_grad=False)
+    def _node(value, *edges) -> "Var":
+        """A node over ``(operand, vjp)`` edges; constant operands get none."""
+        return Var(value, tuple(edge for edge in edges if isinstance(edge[0], Var)))
 
-    @staticmethod
-    def _node(value, parents, vjp) -> "Var":
-        needs = any(p.needs_grad for p in parents)
-        return Var(value, parents if needs else (), vjp if needs else None, needs)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        a, b = self, Var._lift(other)
-        return Var._node(
-            a.value + b.value,
-            (a, b),
-            lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)),
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = self, Var._lift(other)
-        return Var._node(
-            a.value - b.value,
-            (a, b),
-            lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)),
-        )
+    __add__ = __radd__ = _add
+    __sub__ = _sub
+    __mul__ = __rmul__ = _mul
+    __matmul__ = _matmul
 
     def __rsub__(self, other):
-        return Var._lift(other).__sub__(self)
-
-    def __neg__(self):
-        return Var._node(-self.value, (self,), lambda g: (-g,))
-
-    def __mul__(self, other):
-        a, b = self, Var._lift(other)
-        return Var._node(
-            a.value * b.value,
-            (a, b),
-            lambda g: (
-                _unbroadcast(g * b.value, a.value.shape),
-                _unbroadcast(g * a.value, b.value.shape),
-            ),
-        )
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        a, b = self, Var._lift(other)
-        if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-            raise ValueError(
-                f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}"
-            )
-        return Var._node(
-            a.value @ b.value,
-            (a, b),
-            lambda g: (g @ b.value.T, a.value.T @ g),
-        )
+        return _sub(other, self)
 
     def __rmatmul__(self, other):
-        return Var._lift(other).__matmul__(self)
+        return _matmul(other, self)
+
+    def __neg__(self):
+        return Var._node(-self.value, (self, lambda g: -g))
 
     @property
     def T(self):
-        return Var._node(self.value.T, (self,), lambda g: (g.T,))
-
-    # -- elementwise and reductions -------------------------------------------
-
-    def square(self):
-        return Var._node(self.value * self.value, (self,), lambda g: (g * (2.0 * self.value),))
-
-    def reciprocal(self):
-        inv = 1.0 / self.value
-        return Var._node(inv, (self,), lambda g: (-g * inv * inv,))
-
-    def sum_sq(self):
-        return Var._node(np.sum(self.value * self.value), (self,), lambda g: (g * (2.0 * self.value),))
+        return Var._node(self.value.T, (self, lambda g: g.T))
 
 
 def _topo_order(root: Var) -> list[Var]:
@@ -160,12 +139,12 @@ def _topo_order(root: Var) -> list[Var]:
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen or not node.needs_grad:
+        if id(node) in seen:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node.parents:
-            stack.append((parent, False))
+        for operand, _ in node.edges:
+            stack.append((operand, False))
     return order
 
 
@@ -176,12 +155,9 @@ def backward(root: Var) -> None:
     order = _topo_order(root)
     root.grad = np.asarray(1.0)
     for node in reversed(order):
-        if node.vjp is None or node.grad is None:
-            continue
-        for parent, g in zip(node.parents, node.vjp(node.grad)):
-            if not parent.needs_grad or g is None:
-                continue
-            parent.grad = g if parent.grad is None else parent.grad + g
+        for operand, vjp in node.edges:
+            g = vjp(node.grad)
+            operand.grad = g if operand.grad is None else operand.grad + g
 
 
 def gradient(program, leaves: list[np.ndarray], *args) -> tuple[float, list[np.ndarray]]:
@@ -195,24 +171,26 @@ def gradient(program, leaves: list[np.ndarray], *args) -> tuple[float, list[np.n
     return float(out.value), grads
 
 
-# -- dual-dispatch helpers (ndarray or Var) -----------------------------------
-
-
-def value_of(x) -> np.ndarray:
-    """Forward value of ``x`` whether taped or plain."""
-    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+# -- operations on a plain array or a ``Var`` ---------------------------------
 
 
 def square(x):
-    return x.square() if isinstance(x, Var) else x * x
+    if not isinstance(x, Var):
+        return x * x
+    return Var._node(x.value * x.value, (x, lambda g: g * (2.0 * x.value)))
 
 
 def reciprocal(x):
-    return x.reciprocal() if isinstance(x, Var) else 1.0 / x
+    if not isinstance(x, Var):
+        return 1.0 / x
+    inv = 1.0 / x.value
+    return Var._node(inv, (x, lambda g: -g * inv * inv))
 
 
 def sum_sq(x):
-    return x.sum_sq() if isinstance(x, Var) else float(np.sum(x * x))
+    if not isinstance(x, Var):
+        return float(np.sum(x * x))
+    return Var._node(np.sum(x.value * x.value), (x, lambda g: g * (2.0 * x.value)))
 
 
 def concat_rows(parts):
@@ -220,13 +198,15 @@ def concat_rows(parts):
     parts = list(parts)
     if not any(isinstance(p, Var) for p in parts):
         return np.concatenate(parts, axis=0)
-    lifted = [Var._lift(p) for p in parts]
-    offsets = np.cumsum([0] + [p.value.shape[0] for p in lifted])
-
-    def vjp(g):
-        return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(lifted)))
-
-    return Var._node(np.concatenate([p.value for p in lifted], axis=0), tuple(lifted), vjp)
+    values = [value_of(p) for p in parts]
+    offsets = np.cumsum([0] + [v.shape[0] for v in values])
+    return Var._node(
+        np.concatenate(values, axis=0),
+        *(
+            (p, lambda g, lo=lo, hi=hi: g[lo:hi])
+            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])
+        ),
+    )
 
 
 def apply_activation(act, x, inverse: bool = False):
@@ -236,7 +216,5 @@ def apply_activation(act, x, inverse: bool = False):
     if inverse:
         out = act.apply_inverse(x.value)
         slope = act.derivative(out)
-        return Var._node(out, (x,), lambda g: (g / slope,))
-    return Var._node(
-        act.apply(x.value), (x,), lambda g: (g * act.derivative(x.value),)
-    )
+        return Var._node(out, (x, lambda g: g / slope))
+    return Var._node(act.apply(x.value), (x, lambda g: g * act.derivative(x.value)))

@@ -205,7 +205,7 @@ def _cmd_train(args) -> int:
     metrics = evaluate(psi, test_norm)
 
     if args.out_model:
-        save_model(psi, args.out_model, theta=theta)
+        save_model(psi, args.out_model, theta=theta, normalization=(lo, hi))
     if args.out_history:
         history.to_csv(args.out_history)
 
@@ -281,27 +281,30 @@ def _cmd_init_study(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    psi, _theta = load_model(args.model)
+    psi, _theta, (lo, hi) = load_model(args.model)
     data = load_snapshots(args.data)
     if data.U.shape[0] != psi.skeleton.dims[0]:
         raise DataFormatError(
             f"data dimension {data.U.shape[0]} does not match model input "
             f"{psi.skeleton.dims[0]}"
         )
-    mse = empirical_mse(psi, data.U)
+    # Score on the scale the network was fitted on, as ``train`` reports.
+    U = apply_minmax(data.U, lo, hi)
+    mse = empirical_mse(psi, U)
+    scores = [f"mse_denorm,{mse * (hi - lo) ** 2:.10g}", f"mse,{mse:.10g}"]
     lines = []
     if psi.class_tag == "SOAE":
-        report = layerwise_bounds(psi, data.U)
+        report = layerwise_bounds(psi, U)
         lines.append("k,lower_term,upper_term")
         for k, (low, up) in enumerate(zip(report.lower_terms, report.upper_terms)):
             lines.append(f"{k},{low:.10g},{up:.10g}")
-        lines.append(f"mse,{mse:.10g}")
+        lines.extend(scores)
         lines.append(f"lower,{report.lower:.10g}")
         lines.append(f"upper,{report.upper:.10g}")
     else:
-        floor = linear_lower_bound(data.U, psi.skeleton.dims[1])
+        floor = linear_lower_bound(U, psi.skeleton.dims[1])
         lines.append("k,lower_term")
-        lines.append(f"mse,{mse:.10g}")
+        lines.extend(scores)
         lines.append(f"lower,{floor:.10g}")
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")

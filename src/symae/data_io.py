@@ -98,24 +98,25 @@ def _read_matrix(path: Path) -> np.ndarray:
             f"{path}:1: expected header '# n0=<int> S=<int>', got {lines[0]!r}"
         )
     n0, S = int(header.group(1)), int(header.group(2))
-    body = [line for line in lines[1:] if line.strip()]
+    # (line number in the file, text) of each non-blank body line
+    body = [(number, line) for number, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(body) != n0:
         raise DataFormatError(
             f"{path}: header promises n0={n0} rows, found {len(body)}"
         )
     out = np.empty((n0, S))
-    for i, line in enumerate(body):
+    for i, (number, line) in enumerate(body):
         cells = line.split(",")
         if len(cells) != S:
             raise DataFormatError(
-                f"{path}:{i + 2}: expected {S} columns, found {len(cells)}"
+                f"{path}:{number}: expected {S} columns, found {len(cells)}"
             )
         try:
             out[i] = [float(c) for c in cells]
         except ValueError as exc:
-            raise DataFormatError(f"{path}:{i + 2}: {exc}") from exc
+            raise DataFormatError(f"{path}:{number}: {exc}") from exc
         if not np.all(np.isfinite(out[i])):
-            raise DataFormatError(f"{path}:{i + 2}: non-finite value")
+            raise DataFormatError(f"{path}:{number}: non-finite value")
     return out
 
 

@@ -118,8 +118,9 @@ def pi_orth(A):
     when ``A`` has full column rank).  Deterministic and a fixed point on
     inputs that already have orthonormal columns.
 
-    On an autodiff ``Var`` the result is one tape node with the same forward
-    value and the closed-form thin-QR adjoint (with ``R_bar = 0``):
+    On an autodiff ``Var`` the result is one tape node with a single edge to
+    ``A``, the same forward value and the closed-form thin-QR adjoint (with
+    ``R_bar = 0``):
     ``A_bar = (Q_bar + Q copyltu(M)) R^-T`` where ``M = -Q_bar^T Q`` and
     ``copyltu(M) = tril(M) + tril(M, -1)^T``; ``R^-T`` is applied as the
     product ``B @ inv(R).T``.  The adjoint needs ``R`` invertible; an exactly
@@ -140,9 +141,9 @@ def pi_orth(A):
             ) from exc
         M = -(g.T @ Q)
         B = g + Q @ (np.tril(M) + np.tril(M, -1).T)
-        return (B @ R_inv.T,)
+        return B @ R_inv.T
 
-    return Var._node(Q, (A,), vjp)
+    return Var._node(Q, (A, vjp))
 
 
 def orthonormal_completion(B: np.ndarray, total: int) -> np.ndarray:

@@ -163,6 +163,11 @@ class TestValidationAndParsing:
         with pytest.raises(ValueError):
             LeakyReLU(*bad)
 
+    @pytest.mark.parametrize("bad", [(math.inf, 1.25), (1.25, math.inf), (math.nan, 1.25)])
+    def test_leakyrelu_slopes_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            LeakyReLU(*bad)
+
     @pytest.mark.parametrize("bad", [0.0, math.pi / 4, -0.1, 1.0])
     def test_hypact_domain(self, bad):
         with pytest.raises(ValueError):

@@ -268,8 +268,9 @@ class TestCheckpoint:
         psi = random_network("SBAE", Skeleton((7, 4, 2)), HypAct.from_sharpness(3.0), seed=29)
         path = tmp_path / "model.json"
         save_model(psi, path)
-        again, theta = load_model(path)
+        again, theta, normalization = load_model(path)
         assert theta is None
+        assert normalization == (0.0, 1.0)
         assert again.class_tag == psi.class_tag
         assert again.skeleton == psi.skeleton
         assert again.act == psi.act
@@ -285,7 +286,7 @@ class TestCheckpoint:
         psi = assemble(theta)
         path = tmp_path / "model.json"
         save_model(psi, path, theta=theta)
-        _again, theta2 = load_model(path)
+        _again, theta2, _normalization = load_model(path)
         assert theta2 is not None and theta2.class_tag == "SOAE"
         for p1, p2 in zip(theta.layers, theta2.layers):
             for key in p1:
@@ -298,21 +299,24 @@ class TestCheckpoint:
         st.sampled_from([Identity(), LeakyReLU(5 / 6, 5 / 4), HypAct.from_sharpness(3.0)]),
         st.integers(0, 2**32 - 1),
         st.booleans(),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2,
+                 unique=True).map(sorted),
     )
     # An SBAE level with n_j = n_{j-1} has a 0-row Q block, which JSON stores as [].
-    @example("SBAE", Skeleton((2, 1, 1)), Identity(), 0, True)
-    def test_roundtrip_is_bit_exact(self, class_tag, skeleton, act, seed, with_theta):
+    @example("SBAE", Skeleton((2, 1, 1)), Identity(), 0, True, [0.0, 1.0])
+    def test_roundtrip_is_bit_exact(self, class_tag, skeleton, act, seed, with_theta, lo_hi):
         rng = np.random.default_rng(seed)
         theta = random_theta(class_tag, skeleton, act, rng, well_conditioned=True)
         psi = assemble(theta)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.json"
-            save_model(psi, path, theta=theta if with_theta else None)
-            again, theta2 = load_model(path)
+            save_model(psi, path, theta=theta if with_theta else None, normalization=lo_hi)
+            again, theta2, normalization = load_model(path)
 
         def same_bits(a, b):
             return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
+        assert np.array(lo_hi).tobytes() == np.array(normalization).tobytes()
         assert (again.class_tag, again.skeleton, again.act) == (class_tag, skeleton, act)
         assert len(again.layers) == len(psi.layers)
         for a, b in zip(psi.layers, again.layers):
@@ -345,6 +349,48 @@ class TestCheckpoint:
         else:
             with pytest.raises(DataFormatError, match="does not assemble to layer 2"):
                 load_model(path)
+
+    def test_version_1_loads_with_the_identity_normalization(self, tmp_path):
+        theta = random_theta("SOAE", Skeleton((6, 3)), Identity(), np.random.default_rng(34))
+        path = tmp_path / "model.json"
+        save_model(assemble(theta), path, theta=theta, normalization=(3.0, 13.0))
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 1
+        del doc["normalization"]
+        path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match="format version 1.*identity range lo=0, hi=1"):
+            _psi, theta2, normalization = load_model(path)
+        assert normalization == (0.0, 1.0) and theta2 is not None
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ({"lo": 1.0, "hi": 1.0}, "finite lo < hi"),
+            ({"lo": 2.0, "hi": 1.0}, "finite lo < hi"),
+            ({"lo": 0.0, "hi": float("inf")}, "finite lo < hi"),
+            ({"lo": float("nan"), "hi": 1.0}, "finite lo < hi"),
+            ({"lo": "zero", "hi": 1.0}, "bad value"),
+            ({"lo": 0.0}, "lacks the key 'hi'"),
+            (None, "lacks the key 'normalization'"),
+        ],
+        ids=["empty-range", "reversed", "infinite", "nan", "not-a-number", "no-hi", "missing"],
+    )
+    def test_bad_normalization_is_data_error(self, tmp_path, block, message):
+        path = tmp_path / "model.json"
+        save_model(random_network("SAE", Skeleton((5, 2)), Identity(), seed=35), path)
+        doc = json.loads(path.read_text())
+        if block is None:
+            del doc["normalization"]
+        else:
+            doc["normalization"] = block
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=message):
+            load_model(path)
+
+    def test_save_rejects_a_bad_normalization(self, tmp_path):
+        psi = random_network("SAE", Skeleton((5, 2)), Identity(), seed=36)
+        with pytest.raises(ValueError, match="finite lo < hi"):
+            save_model(psi, tmp_path / "model.json", normalization=(1.0, 0.0))
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

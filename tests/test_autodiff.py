@@ -29,7 +29,7 @@ class TestPrimitives:
     def test_sum_of_squares_gradient_is_2x(self):
         x = np.random.default_rng(0).standard_normal((4, 3))
         v = Var(x)
-        out = v.sum_sq()
+        out = sum_sq(v)
         backward(out)
         np.testing.assert_allclose(v.grad, 2 * x)
 
@@ -147,6 +147,33 @@ class TestTapedLossMatchesPlainEvaluation:
         np.testing.assert_allclose(taped, plain, rtol=1e-12)
 
 
+class TestTapeInvariant:
+    # Constants (the batch, the SBAE zero block, scalars) are plain arrays:
+    # every node built while taping a loss is a leaf or has an edge to a Var.
+    @pytest.mark.parametrize("class_tag", ["SAE", "SBAE", "SOAE", "PlainAE"])
+    def test_only_leaves_lack_edges(self, monkeypatch, class_tag):
+        rng = np.random.default_rng(11)
+        theta = random_theta(
+            class_tag, Skeleton((9, 5, 2)), LeakyReLU(5 / 6, 5 / 4), rng, well_conditioned=True
+        )
+        batch = rng.standard_normal((9, 4))
+        built = []
+        var_init = Var.__init__
+
+        def counting_init(node, *args, **kwargs):
+            built.append(node)
+            var_init(node, *args, **kwargs)
+
+        monkeypatch.setattr(Var, "__init__", counting_init)
+        gradient(loss_program(class_tag, theta.act, theta), theta.leaves(), batch)
+        n_leaves = len(theta.leaves())
+        leaves, inner = built[:n_leaves], built[n_leaves:]
+        assert inner and all(not node.edges for node in leaves)
+        assert all(node.edges for node in inner)
+        assert all(isinstance(operand, Var) for node in inner for operand, _ in node.edges)
+        assert not any(node.value is batch for node in built)
+
+
 class TestPiOrthPrimitive:
     def test_taped_call_is_one_node_on_its_input(self, monkeypatch):
         built = []
@@ -160,7 +187,7 @@ class TestPiOrthPrimitive:
         monkeypatch.setattr(Var, "__init__", counting_init)
         Q = pi_orth(A)
         assert built == [Q]
-        assert len(Q.parents) == 1 and Q.parents[0] is A
+        assert len(Q.edges) == 1 and Q.edges[0][0] is A
         np.testing.assert_array_equal(Q.value, pi_orth(A.value))
 
     @pytest.mark.parametrize("shape", [(514, 128), (64, 64)], ids=["tall", "square"])

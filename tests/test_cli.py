@@ -7,15 +7,19 @@ import pytest
 
 from _util import random_theta
 from symae.activations import Identity
-from symae.architecture import Skeleton, assemble, load_model, save_model
+from symae.architecture import Skeleton, assemble, empirical_mse, load_model, save_model
 from symae.cli import main
-from symae.data_io import SnapshotSet, save_snapshots
+from symae.data_io import SnapshotSet, generate_pga, load_snapshots, save_snapshots
+from symae.training import apply_minmax, minmax_normalize, split
 
 
-def _sae_checkpoint(E_rows=3, theta_layers=None):
-    """An SAE checkpoint text for skeleton 20,3 with zero weights."""
+def _sae_checkpoint(E_rows=3, theta_layers=None, normalization=(0.0, 1.0)):
+    """An SAE checkpoint text for skeleton 20,3 with zero weights.
+
+    ``normalization`` is the stored ``(lo, hi)``; ``None`` leaves it out.
+    """
     doc = {
-        "format_version": 1,
+        "format_version": 2,
         "class_tag": "SAE",
         "skeleton": [20, 3],
         "activation_spec": "identity",
@@ -28,6 +32,8 @@ def _sae_checkpoint(E_rows=3, theta_layers=None):
     }
     if theta_layers is not None:
         doc["theta"] = {"class_tag": "SAE", "layers": theta_layers}
+    if normalization is not None:
+        doc["normalization"] = dict(zip(("lo", "hi"), normalization))
     return json.dumps(doc)
 
 
@@ -118,7 +124,7 @@ class TestTrain:
         assert result["init"] == "eys"
         assert result["epochs_run"] == 5
         assert result["mse"] >= 0 and result["mre"] >= 0 and result["mse_denorm"] >= 0
-        psi, theta = load_model(tmp_path / "model.json")
+        psi, theta, _normalization = load_model(tmp_path / "model.json")
         assert psi.class_tag == "SBAE" and theta is not None
         history = (tmp_path / "history.csv").read_text().splitlines()
         assert history[0].startswith("epoch,")
@@ -300,6 +306,45 @@ class TestBounds:
         rc = main(["bounds", "--model", str(model), "--data", str(other), "--out", str(tmp_path / "b.csv")])
         assert rc == 3
 
+    def test_scores_on_the_training_scale(self, tmp_path):
+        # Data far from [0, 1]: the network is fitted on min-max normalized
+        # columns, so bounds must score it on that scale, not on the raw file.
+        U = 10.0 * generate_pga(40, seed=0).U + 3.0
+        data = tmp_path / "scaled.csv"
+        save_snapshots(SnapshotSet(U=U), data)
+        model = tmp_path / "model.json"
+        assert main([
+            "train", "--data", str(data), "--class", "soae", "--skeleton", "514,10,3",
+            "--epochs", "3", "--seed", "0", "--out-model", str(model),
+        ]) == 0
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--model", str(model), "--data", str(data), "--out", str(out)]) == 0
+        rows = dict(line.split(",", 1) for line in out.read_text().strip().splitlines())
+
+        psi, _theta, (lo, hi) = load_model(model)
+        assert (lo, hi) == minmax_normalize(split(U, 0)[0])[1:]
+        mse = empirical_mse(psi, apply_minmax(U, lo, hi))
+        assert rows["mse"] == f"{mse:.10g}"
+        assert rows["mse_denorm"] == f"{mse * (hi - lo) ** 2:.10g}"
+        assert float(rows["lower"]) <= float(rows["mse"]) + 1e-9 <= float(rows["upper"]) + 2e-9
+
+    def test_version_1_checkpoint_scores_raw_data(self, capsys, small_data, tmp_path):
+        model = self._train_model(small_data, tmp_path, "sae")
+        doc = json.loads(model.read_text())
+        doc["format_version"] = 1
+        del doc["normalization"]
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "bounds.csv"
+        with pytest.warns(UserWarning, match="format version 1"):
+            rc = main(
+                ["bounds", "--model", str(model), "--data", str(small_data), "--out", str(out)]
+            )
+            psi, _theta, _normalization = load_model(model)
+        assert rc == 0
+        rows = dict(line.split(",", 1) for line in out.read_text().strip().splitlines())
+        U = load_snapshots(small_data).U
+        assert rows["mse"] == rows["mse_denorm"] == f"{empirical_mse(psi, U):.10g}"
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(
@@ -406,6 +451,24 @@ class TestExitCodes:
         assert f"symae {command}: error:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "init-study"])
+    @pytest.mark.parametrize("act", ["leakyrelu:inf,1.25", "leakyrelu:1.25,inf"])
+    def test_infinite_leakyrelu_slope_is_usage_error(
+        self, capsys, small_data, tmp_path, command, act
+    ):
+        out = tmp_path / "s.csv"
+        extra = (
+            ["--class", "sae", "--skeleton", "20,6,3", "--epochs", "2"]
+            if command == "train"
+            else ["--widths", "2", "--n1", "6", "--trials", "1", "--out", str(out)]
+        )
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(small_data), "--act", act, *extra])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "slopes must be finite and positive" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "init-study"])
     def test_too_few_snapshots_is_data_error(self, capsys, tmp_path, command):
         data = tmp_path / "three.csv"
         save_snapshots(SnapshotSet(U=np.random.default_rng(0).uniform(0, 1, (20, 3))), data)
@@ -444,10 +507,14 @@ class TestExitCodes:
             _sae_checkpoint(E_rows=2),
             _sae_checkpoint(theta_layers=[[]]),
             _sbae_checkpoint(theta_shift=1e-3),
+            _sae_checkpoint(normalization=None),
+            _sae_checkpoint(normalization=(1.0, 1.0)),
+            _sae_checkpoint(normalization=(0.0, float("inf"))),
         ],
         ids=[
             "wrong-version", "invalid-json", "missing-key", "bad-shape", "bad-theta-layer",
-            "tampered-sbae-theta",
+            "tampered-sbae-theta", "missing-normalization", "empty-normalization",
+            "infinite-normalization",
         ],
     )
     def test_malformed_checkpoint_is_data_error(self, capsys, small_data, tmp_path, content):

@@ -105,6 +105,17 @@ class TestSnapshotFiles:
         with pytest.raises(DataFormatError, match="bad.csv:2"):
             load_snapshots(path)
 
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [("x,3.0", "could not convert"), ("inf,3.0", "non-finite"), ("3.0", "expected 2 columns")],
+        ids=["unparsable", "non-finite", "ragged"],
+    )
+    def test_error_names_the_file_line_past_blank_lines(self, tmp_path, bad_row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# n0=2 S=2\n1.0,2.0\n\n\n{bad_row}\n")
+        with pytest.raises(DataFormatError, match=f"bad.csv:5: {message}"):
+            load_snapshots(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_snapshots(tmp_path / "nope.csv")
