@@ -161,8 +161,12 @@ def backward(root: Var) -> None:
 
 
 def gradient(program, leaves: list[np.ndarray], *args) -> tuple[float, list[np.ndarray]]:
-    """Run ``program`` on taped copies of ``leaves``; return loss and leaf grads."""
-    vars_ = [Var(np.array(leaf, dtype=np.float64)) for leaf in leaves]
+    """Run ``program`` on ``leaves`` taped as they are; return loss and leaf grads.
+
+    Each leaf is wrapped as a ``Var`` without a copy: no operation writes to
+    a tape value, so the caller's arrays are left untouched.
+    """
+    vars_ = [Var(leaf) for leaf in leaves]
     out = program(vars_, *args)
     backward(out)
     grads = [

@@ -303,7 +303,6 @@ def _cmd_bounds(args) -> int:
         lines.append(f"upper,{report.upper:.10g}")
     else:
         floor = linear_lower_bound(U, psi.skeleton.dims[1])
-        lines.append("k,lower_term")
         lines.extend(scores)
         lines.append(f"lower,{floor:.10g}")
     with open(args.out, "w") as fh:

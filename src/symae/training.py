@@ -8,6 +8,10 @@ best-validation parameters.  Constrained
 classes train through their unconstrained parametrizations, so the
 constraint residual recorded in the history stays at roundoff level.
 
+Adam keeps the parameters and both moments as flat float64 vectors and
+updates them in place; the leaves the tape differentiates are reshaped views
+into the parameter vector, so a step allocates no per-leaf temporaries.
+
 Everything is deterministic given the config seed; wall-clock time only
 appears as a reporting column.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -154,40 +158,58 @@ def split(U: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 # -- Adam --------------------------------------------------------------------
 
 
-@dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per leaf."""
+    """Adam's parameters and moments, each one flat float64 vector.
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    t: int = 0
+    ``AdamState(leaves)`` copies the leaves, in order, into ``params``;
+    ``leaves`` are reshaped views into it, so every :func:`adam_step`
+    updates them in place.  ``m`` and ``v`` are the first and second moment
+    accumulators, and ``t`` counts the steps taken.
+    """
 
-    @classmethod
-    def like(cls, leaves: list[np.ndarray]) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(x) for x in leaves],
-            v=[np.zeros_like(x) for x in leaves],
-        )
+    def __init__(self, leaves: list[np.ndarray]):
+        self.params = np.concatenate([np.ravel(x) for x in leaves], dtype=np.float64)
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        self.t = 0
+        offsets = np.cumsum([0] + [x.size for x in leaves])
+        self.leaves = [
+            self.params[lo:hi].reshape(x.shape)
+            for x, lo, hi in zip(leaves, offsets[:-1], offsets[1:])
+        ]
+        self._grad = np.empty_like(self.params)
+        self._scratch = np.empty_like(self.params)
 
 
-def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float,
-) -> list[np.ndarray]:
-    """One Adam update with bias correction; mutates ``state``, returns new params."""
+def adam_step(grads: list[np.ndarray], state: AdamState, lr: float) -> None:
+    """One Adam update with bias correction, in place on ``state.params``.
+
+    ``grads`` match ``state.leaves`` in order and shape.  The whole vector is
+    updated with the textbook formula and operation order, so the result is
+    bitwise that of a per-leaf update.
+    """
     state.t += 1
     corr1 = 1.0 - ADAM_BETA1**state.t
     corr2 = 1.0 - ADAM_BETA2**state.t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[i] / corr1
-        v_hat = state.v[i] / corr2
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-    return out
+    g, s = state._grad, state._scratch
+    np.concatenate([np.ravel(x) for x in grads], out=g)
+    # m = beta1 m + (1 - beta1) g
+    np.multiply(state.m, ADAM_BETA1, out=state.m)
+    np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    np.add(state.m, s, out=state.m)
+    # v = beta2 v + (1 - beta2) (g g); g is free after this
+    np.multiply(g, g, out=g)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=g)
+    np.multiply(state.v, ADAM_BETA2, out=state.v)
+    np.add(state.v, g, out=state.v)
+    # p -= (lr (m / corr1)) / (sqrt(v / corr2) + eps)
+    np.divide(state.m, corr1, out=s)
+    np.multiply(s, lr, out=s)
+    np.divide(state.v, corr2, out=g)
+    np.sqrt(g, out=g)
+    np.add(g, ADAM_EPS, out=g)
+    np.divide(s, g, out=s)
+    np.subtract(state.params, s, out=state.params)
 
 
 # -- training loop ------------------------------------------------------------
@@ -216,9 +238,9 @@ def train(
     S = train_U.shape[1]
     B = config.batch_size
 
-    theta = theta0.copy()
-    leaves = theta.leaves()
-    adam = AdamState.like(leaves)
+    adam = AdamState(theta0.leaves())
+    leaves = adam.leaves
+    theta = replace(theta0, layers=theta0.with_leaves(leaves))
 
     def program(leaf_vars, batch):
         return loss_on_batch(theta.class_tag, theta.act, theta.with_leaves(leaf_vars), batch)
@@ -241,11 +263,10 @@ def train(
                     f"non-finite training loss at epoch {epoch}, "
                     f"batch {start // B + 1}"
                 )
-            leaves = adam_step(leaves, grads, adam, config.learning_rate)
+            adam_step(grads, adam, config.learning_rate)
             sq_sum += loss * batch.shape[1]
         train_loss = sq_sum / S
 
-        theta.layers = theta.with_leaves(leaves)
         try:
             psi = assemble(theta)
         except ValueError as exc:

@@ -73,29 +73,61 @@ class TestSplit:
             split(np.ones((3, 3)), seed=0)
 
 
+def textbook_adam(params, grads, m, v, t, lr):
+    """Per-leaf Adam with bias correction, allocating every intermediate."""
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+        v[i] = 0.999 * v[i] + (1.0 - 0.999) * (g * g)
+        m_hat = m[i] / (1.0 - 0.9**t)
+        v_hat = v[i] / (1.0 - 0.999**t)
+        out.append(p - lr * m_hat / (np.sqrt(v_hat) + 1e-8))
+    return out
+
+
 class TestOptimizers:
+    # SAE 514,64,15,3 has 12 leaves; SBAE (8,4,4,2) has a (0, 4) Q block at level 2.
+    @pytest.mark.parametrize(
+        "class_tag, dims",
+        [("SAE", (514, 64, 15, 3)), ("SBAE", (8, 4, 4, 2))],
+        ids=["sae", "sbae"],
+    )
+    def test_matches_the_textbook_update_bitwise(self, class_tag, dims):
+        rng = np.random.default_rng(15)
+        params = random_theta(class_tag, Skeleton(dims), Identity(), rng).leaves()
+        shapes = [p.shape for p in params]
+        m = [np.zeros(shape) for shape in shapes]
+        v = [np.zeros(shape) for shape in shapes]
+        state = AdamState(params)
+        for t in range(1, 21):
+            grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 2) for shape in shapes]
+            params = textbook_adam(params, grads, m, v, t, lr=1e-3)
+            adam_step(grads, state, lr=1e-3)
+        for want, got in zip(params, state.leaves):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_zero_gradient_leaves_parameters(self):
-        params = [np.ones((2, 2))]
-        state = AdamState.like(params)
-        out = adam_step(params, [np.zeros((2, 2))], state, lr=0.1)
-        np.testing.assert_allclose(out[0], params[0])
+        state = AdamState([np.ones((2, 2))])
+        adam_step([np.zeros((2, 2))], state, lr=0.1)
+        np.testing.assert_allclose(state.leaves[0], np.ones((2, 2)))
 
     def test_first_step_from_zero_state(self):
         g = np.array([[0.25, -3.0]])
-        state = AdamState.like([g])
-        out = adam_step([np.zeros((1, 2))], [g], state, lr=1e-3)
+        state = AdamState([np.zeros((1, 2))])
+        adam_step([g], state, lr=1e-3)
         expected = -1e-3 * g / (np.abs(g) + 1e-8)
-        np.testing.assert_allclose(out[0], expected, rtol=1e-6)
+        np.testing.assert_allclose(state.leaves[0], expected, rtol=1e-6)
 
     def test_constant_gradient_step_magnitude_approaches_lr(self):
         g = np.array([[2.0]])
-        p = [np.zeros((1, 1))]
-        state = AdamState.like(p)
+        state = AdamState([np.zeros((1, 1))])
         for _ in range(5000):
-            new = adam_step(p, [g], state, lr=1e-3)
-            step = new[0] - p[0]
-            p = new
+            before = state.leaves[0].copy()
+            adam_step([g], state, lr=1e-3)
+            step = state.leaves[0] - before
         np.testing.assert_allclose(abs(step[0, 0]), 1e-3, rtol=1e-3)
+
 
 class TestTrainConfig:
     def test_defaults(self):
@@ -204,6 +236,25 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, patience=3, learning_rate=1e4, batch_size=4, seed=1)
         with pytest.raises(NumericalError, match=r"epoch 1\b.*violates E D = I"):
             train(theta0, U, U, cfg)
+
+    @pytest.mark.parametrize("class_tag", ["SAE", "SBAE", "SOAE", "PlainAE"])
+    def test_leaves_theta0_alone_and_returns_owned_arrays(self, class_tag):
+        rng = np.random.default_rng(16)
+        U = rng.uniform(0, 1, (8, 12))
+        theta0 = random_theta(
+            class_tag, Skeleton((8, 4, 4, 2)), LeakyReLU(0.5, 2.0), rng, well_conditioned=True
+        )
+        before = [x.tobytes() for x in theta0.leaves()]
+        cfg = TrainConfig(epochs=3, patience=3, learning_rate=1e-2, batch_size=4, seed=0)
+        theta, _hist = train(theta0, U, U, cfg)
+        assert [x.tobytes() for x in theta0.leaves()] == before
+        # Disjoint views into one buffer do not overlap, so also ask that each
+        # returned leaf owns its data.
+        assert all(x.flags.owndata for x in theta.leaves())
+        leaves = theta.leaves() + theta0.leaves()
+        for i, a in enumerate(leaves):
+            for b in leaves[i + 1 :]:
+                assert not np.shares_memory(a, b)
 
     def test_short_final_batch_is_kept(self):
         rng = np.random.default_rng(14)
