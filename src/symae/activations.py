@@ -60,6 +60,10 @@ class Activation:
     def __repr__(self):
         return f"{type(self).__name__}({self.spec()!r})"
 
+    def __eq__(self, other):
+        # ``spec`` writes parameters with ``repr``, which round-trips floats.
+        return type(other) is type(self) and other.spec() == self.spec()
+
 
 class Identity(Activation):
     def apply(self, x):
@@ -76,9 +80,6 @@ class Identity(Activation):
 
     def spec(self):
         return "identity"
-
-    def __eq__(self, other):
-        return isinstance(other, Identity)
 
 
 class LeakyReLU(Activation):
@@ -126,13 +127,6 @@ class LeakyReLU(Activation):
 
     def spec(self):
         return f"leakyrelu:{self.alpha!r},{self.beta!r}"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LeakyReLU)
-            and other.alpha == self.alpha
-            and other.beta == self.beta
-        )
 
 
 class HypAct(Activation):
@@ -220,9 +214,6 @@ class HypAct(Activation):
 
     def spec(self):
         return f"hypact:{self.theta!r}"
-
-    def __eq__(self, other):
-        return isinstance(other, HypAct) and other.theta == self.theta
 
 
 def parse_activation(text: str) -> Activation:

@@ -16,7 +16,10 @@ classes are supported, plus a conventional autoencoder baseline:
 Constrained classes are trained through unconstrained parametrizations
 (:class:`ParamVector`) that satisfy the constraints by construction; the
 construction runs on plain arrays or on autodiff ``Var`` leaves unchanged,
-so the same execution functions serve networks and taped losses.  A level
+so the same execution functions serve networks and taped losses.
+``_param_shapes`` is the one layout table: each class's parameter names,
+their leaf order and their shapes, checked by ``_check_layout`` for both
+parameters and dense layers (which have the SAE layout).  A level
 is a ``Layer`` except in the training loss of an SBAE network: there each
 level stays in the factored form ``E^T = X K_E``, ``D = X K_D`` and is
 applied to the batch as ``K_E^T (X^T (h - b))`` and ``X (K_D g) + b``,
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,7 +53,6 @@ from .linalg import pi_orth, require_matrix
 
 __all__ = [
     "CLASS_TAGS",
-    "LAYER_PARAM_KEYS",
     "Skeleton",
     "Layer",
     "SymmetricAutoencoder",
@@ -68,14 +71,6 @@ __all__ = [
 
 CLASS_TAGS = ("SAE", "SBAE", "SOAE", "PlainAE")
 
-# Canonical per-layer parameter names, fixing leaf order everywhere.
-LAYER_PARAM_KEYS = {
-    "SAE": ("E", "D", "e", "d"),
-    "PlainAE": ("E", "D", "e", "d"),
-    "SBAE": ("X", "Y", "Z", "Q", "s", "b"),
-    "SOAE": ("A", "b"),
-}
-
 BIORTH_TOL = 1e-9
 CHECKPOINT_VERSION = 2
 
@@ -87,7 +82,12 @@ class Skeleton:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            if any(isinstance(d, bool) for d in self.dims):
+                raise TypeError
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError:
+            raise ValueError(f"skeleton dimensions must be integers: {self.dims!r}") from None
         object.__setattr__(self, "dims", dims)
         if len(dims) < 2:
             raise ValueError("skeleton needs an input and at least one hidden dimension")
@@ -180,7 +180,12 @@ class SymmetricAutoencoder:
     def __post_init__(self):
         if self.class_tag not in CLASS_TAGS:
             raise ValueError(f"unknown class tag {self.class_tag!r}")
-        _check_shapes(self)
+        # A dense level is the SAE layout, whatever the class.
+        dense = _check_layout("SAE", self.skeleton, [l._asdict() for l in self.layers])
+        for j, weights in enumerate(dense, start=1):
+            for name, arr in weights.items():
+                if not np.all(np.isfinite(arr)):
+                    raise ValueError(f"layer {j} weight {name} has non-finite entries")
         object.__setattr__(
             self, "_residual", check_class_invariants(self.class_tag, self.layers)
         )
@@ -225,24 +230,6 @@ def _as_columns(u, expected_rows: int) -> tuple[np.ndarray, bool]:
     if cols.ndim != 2 or cols.shape[0] != expected_rows:
         raise ValueError(f"expected {expected_rows} rows, got shape {u.shape}")
     return cols, was_vec
-
-
-def _check_shapes(psi: SymmetricAutoencoder):
-    dims = psi.skeleton.dims
-    if len(psi.layers) != psi.skeleton.depth:
-        raise ValueError(
-            f"skeleton depth {psi.skeleton.depth} != layer count {len(psi.layers)}"
-        )
-    for j, layer in enumerate(psi.layers, start=1):
-        q, r = dims[j - 1], dims[j]
-        wants = ((r, q), (q, r), (r, 1), (q, 1))
-        for name, arr, want in zip(Layer._fields, layer, wants):
-            if arr.shape != want:
-                raise ValueError(
-                    f"layer {j} weight {name} has shape {arr.shape}, expected {want}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"layer {j} weight {name} has non-finite entries")
 
 
 def check_class_invariants(class_tag: str, layers) -> float:
@@ -299,45 +286,20 @@ class ParamVector:
     def __post_init__(self):
         if self.class_tag not in CLASS_TAGS:
             raise ValueError(f"unknown class tag {self.class_tag!r}")
-        keys = LAYER_PARAM_KEYS[self.class_tag]
-        if len(self.layers) != self.skeleton.depth:
-            raise ValueError("parameter layer count does not match skeleton depth")
-        for j, params in enumerate(self.layers, start=1):
-            if set(params) != set(keys):
-                raise ValueError(
-                    f"layer {j} parameters {sorted(params)} != expected {sorted(keys)}"
-                )
-            for name, want in _param_shapes(self.class_tag, self.skeleton, j).items():
-                if params[name].shape != want:
-                    raise ValueError(
-                        f"layer {j} parameter {name} has shape {params[name].shape}, "
-                        f"expected {want}"
-                    )
+        self.layers = _check_layout(self.class_tag, self.skeleton, self.layers)
 
     def leaves(self) -> list[np.ndarray]:
         """Flat leaf list in canonical order (layer-major)."""
-        keys = LAYER_PARAM_KEYS[self.class_tag]
-        return [params[k] for params in self.layers for k in keys]
+        return [arr for params in self.layers for arr in params.values()]
 
     def with_leaves(self, arrays: list) -> list[dict]:
         """Regroup a flat leaf list (arrays or Vars) into per-layer dicts."""
-        keys = LAYER_PARAM_KEYS[self.class_tag]
-        out = []
         it = iter(arrays)
-        for _ in self.layers:
-            out.append({k: next(it) for k in keys})
-        return out
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(
-            self.class_tag,
-            self.skeleton,
-            self.act,
-            [{k: v.copy() for k, v in params.items()} for params in self.layers],
-        )
+        return [{k: next(it) for k in params} for params in self.layers]
 
 
 def _param_shapes(class_tag: str, skeleton: Skeleton, j: int) -> dict[str, tuple]:
+    """Level ``j`` of ``class_tag``: parameter names in canonical leaf order, and shapes."""
     q, r = skeleton.layer_shape(j)
     if class_tag in ("SAE", "PlainAE"):
         return {"E": (r, q), "D": (q, r), "e": (r, 1), "d": (q, 1)}
@@ -352,6 +314,25 @@ def _param_shapes(class_tag: str, skeleton: Skeleton, j: int) -> dict[str, tuple
         "s": (r, 1),
         "b": (q, 1),
     }
+
+
+def _check_layout(class_tag: str, skeleton: Skeleton, layers) -> list[dict]:
+    """Check ``name -> array`` levels against :func:`_param_shapes`; return them in key order."""
+    if len(layers) != skeleton.depth:
+        raise ValueError(f"skeleton depth {skeleton.depth} != layer count {len(layers)}")
+    out = []
+    for j, params in enumerate(layers, start=1):
+        want = _param_shapes(class_tag, skeleton, j)
+        if params.keys() != want.keys():
+            raise ValueError(f"layer {j} parameters {sorted(params)} != expected {sorted(want)}")
+        for name, shape in want.items():
+            if params[name].shape != shape:
+                raise ValueError(
+                    f"layer {j} parameter {name} has shape {params[name].shape}, "
+                    f"expected {shape}"
+                )
+        out.append({name: params[name] for name in want})
+    return out
 
 
 def _level(class_tag: str, params: dict):
@@ -401,26 +382,23 @@ def assemble(theta: ParamVector) -> SymmetricAutoencoder:
 # -- generic columnwise execution -----------------------------------------
 
 
-def encode_columns(layers, act, H, class_tag: str = "SAE"):
+def encode_columns(layers, act, H, class_tag: str):
     inverse = class_tag == "PlainAE"
     for layer in layers:
         H = apply_activation(act, layer.encode_affine(H), inverse=inverse)
     return H
 
 
-def decode_columns(layers, act, H, class_tag: str = "SAE"):
-    if class_tag == "PlainAE":
-        for j in range(len(layers) - 1, -1, -1):
-            H = layers[j].decode_affine(H)
-            if j > 0:
-                H = apply_activation(act, H, inverse=True)
-        return H
-    for layer in reversed(layers):
-        H = layer.decode_affine(apply_activation(act, H, inverse=True))
+def decode_columns(layers, act, H, class_tag: str):
+    # PlainAE skips rho_inv at the latent end only.
+    for j, layer in enumerate(reversed(layers)):
+        if j or class_tag != "PlainAE":
+            H = apply_activation(act, H, inverse=True)
+        H = layer.decode_affine(H)
     return H
 
 
-def reconstruct_columns(layers, act, U, class_tag: str = "SAE"):
+def reconstruct_columns(layers, act, U, class_tag: str):
     return decode_columns(layers, act, encode_columns(layers, act, U, class_tag), class_tag)
 
 

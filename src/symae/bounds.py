@@ -2,8 +2,8 @@
 
 Everything here is evaluated under the empirical law of the snapshot
 columns: expectations become means over columns, covariances are
-normalized by ``1/S``, and the eigen-machinery is the centered thin SVD
-from :mod:`symae.linalg`.
+normalized by ``1/S``, and the eigen-machinery is
+:func:`symae.linalg.covariance_spectrum`.
 
 The two-sided layerwise bounds apply to orthogonal-class networks: each
 level contributes its mean projection residual, discounted by

@@ -84,8 +84,6 @@ def _positive(zero_ok=False):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.handler is _cmd_train:
-        args.config = _train_config(args)
     try:
         return args.handler(args)
     except DataFormatError as exc:
@@ -188,6 +186,7 @@ def _initial_network(init, class_tag, train_norm, skeleton, act, seed):
 
 
 def _cmd_train(args) -> int:
+    config = _train_config(args)  # usage errors come before any file is read
     class_tag = _CLASS_BY_FLAG[args.model_class]
     data = load_snapshots(args.data)
     if args.skeleton.dims[0] != data.U.shape[0]:
@@ -200,7 +199,7 @@ def _cmd_train(args) -> int:
 
     psi0 = _initial_network(args.init, class_tag, train_norm, args.skeleton, args.act, args.seed)
     theta0 = lift(psi0, class_tag)
-    theta, history = train(theta0, train_norm, val_norm, args.config)
+    theta, history = train(theta0, train_norm, val_norm, config)
     psi = assemble(theta)
     metrics = evaluate(psi, test_norm)
 

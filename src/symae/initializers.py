@@ -30,7 +30,7 @@ import numpy as np
 
 from .activations import Activation
 from .architecture import (
-    LAYER_PARAM_KEYS,
+    CLASS_TAGS,
     ParamVector,
     Skeleton,
     SymmetricAutoencoder,
@@ -218,7 +218,7 @@ def lift(psi: SymmetricAutoencoder, class_tag: str) -> ParamVector:
     failing that, a deterministic completion.  In every case assembling the
     lifted parameters reproduces the original reconstruction map.
     """
-    if class_tag not in LAYER_PARAM_KEYS:
+    if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")
     layers: list[dict[str, np.ndarray]] = []
     if class_tag in ("SAE", "PlainAE"):

@@ -34,13 +34,17 @@ class TestSkeleton:
         assert sk.depth == 3
         assert sk.latent_dim == 3
         assert sk.layer_shape(1) == (514, 64)
+        assert Skeleton((np.int64(7), np.int32(4))).dims == (7, 4)
 
     def test_equal_hidden_dims_allowed(self):
         Skeleton((514, 20, 20))
 
     @pytest.mark.parametrize(
         "dims",
-        [(514, 64, 65, 3), (10, 10), (5, 8), (4, 2, 0), (6,), (6, -2)],
+        [
+            (514, 64, 65, 3), (10, 10), (5, 8), (4, 2, 0), (6,), (6, -2),
+            (7.9, 4, 2), (7.0, 4), ("7", "4"), (7, True),
+        ],
     )
     def test_invalid(self, dims):
         with pytest.raises(ValueError):
@@ -424,3 +428,67 @@ class TestParamVectorValidation:
         np.testing.assert_allclose(
             psi.reconstruct(u), psi.reconstruct(u.reshape(-1, 1))[:, 0]
         )
+
+
+def _dense_layers(skeleton, seed):
+    return list(random_network("SAE", skeleton, Identity(), seed).layers)
+
+
+def _network_with_bad_E(skeleton):
+    layers = _dense_layers(skeleton, 40)
+    layers[1] = layers[1]._replace(E=np.zeros((3, 5)))
+    return SymmetricAutoencoder(skeleton, Identity(), tuple(layers), "SOAE")
+
+
+def _network_with_nan_D(skeleton):
+    layers = _dense_layers(skeleton, 41)
+    D = layers[1].D.copy()
+    D[0, 1] = np.nan
+    layers[1] = layers[1]._replace(D=D)
+    return SymmetricAutoencoder(skeleton, Identity(), tuple(layers), "SAE")
+
+
+def _network_missing_a_level(skeleton):
+    return SymmetricAutoencoder(skeleton, Identity(), tuple(_dense_layers(skeleton, 42)[:1]), "SAE")
+
+
+def _theta_with_bad_Y(skeleton):
+    theta = random_theta("SBAE", skeleton, Identity(), np.random.default_rng(43))
+    theta.layers[1]["Y"] = np.zeros((3, 2))
+    return ParamVector("SBAE", skeleton, Identity(), theta.layers)
+
+
+def _theta_missing_a_level(skeleton):
+    theta = random_theta("SOAE", skeleton, Identity(), np.random.default_rng(44))
+    return ParamVector("SOAE", skeleton, Identity(), theta.layers[1:])
+
+
+class TestLayoutCheck:
+    """One layout check guards dense networks and parameter vectors alike."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (_network_with_bad_E, r"layer 2 parameter E has shape \(3, 5\), expected \(2, 5\)"),
+            (_network_with_nan_D, "layer 2 weight D has non-finite entries"),
+            (_network_missing_a_level, "skeleton depth 2 != layer count 1"),
+            (_theta_with_bad_Y, r"layer 2 parameter Y has shape \(3, 2\), expected \(2, 2\)"),
+            (_theta_missing_a_level, "skeleton depth 2 != layer count 1"),
+        ],
+        ids=["network-shape", "network-nan", "network-level", "theta-shape", "theta-level"],
+    )
+    def test_rejects_what_does_not_fit(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(Skeleton((8, 5, 2)))
+
+    @pytest.mark.parametrize("class_tag", ["SAE", "SBAE", "SOAE", "PlainAE"])
+    def test_leaves_come_out_in_canonical_order(self, class_tag):
+        skeleton = Skeleton((8, 5, 2))
+        canonical = random_theta(class_tag, skeleton, Identity(), np.random.default_rng(45))
+        shuffled = [dict(reversed(list(params.items()))) for params in canonical.layers]
+        theta = ParamVector(class_tag, skeleton, Identity(), shuffled)
+        assert [list(p) for p in theta.layers] == [list(p) for p in canonical.layers]
+        assert all(a is b for a, b in zip(theta.leaves(), canonical.leaves()))
+        regrouped = theta.with_leaves(theta.leaves())
+        assert [list(p) for p in regrouped] == [list(p) for p in theta.layers]
+        assert all(r[k] is p[k] for r, p in zip(regrouped, theta.layers) for k in p)

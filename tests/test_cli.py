@@ -13,15 +13,16 @@ from symae.data_io import SnapshotSet, generate_pga, load_snapshots, save_snapsh
 from symae.training import apply_minmax, minmax_normalize, split
 
 
-def _sae_checkpoint(E_rows=3, theta_layers=None, normalization=(0.0, 1.0)):
+def _sae_checkpoint(E_rows=3, theta_layers=None, normalization=(0.0, 1.0), skeleton=(20, 3)):
     """An SAE checkpoint text for skeleton 20,3 with zero weights.
 
     ``normalization`` is the stored ``(lo, hi)``; ``None`` leaves it out.
+    ``skeleton`` is the stored dimension list.
     """
     doc = {
         "format_version": 2,
         "class_tag": "SAE",
-        "skeleton": [20, 3],
+        "skeleton": list(skeleton),
         "activation_spec": "identity",
         "layers": [{
             "E": np.zeros((E_rows, 20)).tolist(),
@@ -508,11 +509,12 @@ class TestExitCodes:
             _sae_checkpoint(normalization=None),
             _sae_checkpoint(normalization=(1.0, 1.0)),
             _sae_checkpoint(normalization=(0.0, float("inf"))),
+            _sae_checkpoint(skeleton=(20.4, 3.2)),
         ],
         ids=[
             "wrong-version", "invalid-json", "missing-key", "bad-shape", "bad-theta-layer",
             "tampered-sbae-theta", "missing-normalization", "empty-normalization",
-            "infinite-normalization",
+            "infinite-normalization", "non-integer-skeleton",
         ],
     )
     def test_malformed_checkpoint_is_data_error(self, capsys, small_data, tmp_path, content):
