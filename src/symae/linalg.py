@@ -3,13 +3,19 @@
 Matrices are plain float64 numpy arrays in row-major order; "vectors" that
 pair with snapshot columns (means, biases) are stored as ``(n, 1)`` columns.
 
-The thin QR is LAPACK's Householder factorization (``np.linalg.qr``) with
-a sign fix that makes it unique.  Its orthonormal factor, :func:`pi_orth`,
-is a primitive of the reverse-mode tape: one node whose adjoint is the
-closed-form thin-QR vector-Jacobian product, applied as a product with the
-explicit inverse of the n-by-n triangular factor (numpy has no triangular
-solve, and ``inv`` plus a matrix product beats an LU solve on the m-by-n
-right-hand side).
+The thin QR, :func:`householder_qr`, is LAPACK's Householder factorization
+(``np.linalg.qr``) with a sign fix that makes it unique: ``R`` has a
+nonnegative diagonal.  Its orthonormal factor, :func:`pi_orth`, is a
+primitive of the reverse-mode tape: one node whose adjoint is the
+closed-form thin-QR vector-Jacobian product, a product with ``R^-1``.
+On a tall input past a measured shape crossover, :func:`pi_orth` forms the
+same Q by CholeskyQR2 instead (two Cholesky factorizations of Gram
+matrices and products with their inverses, all matrix-matrix work), which
+hands ``R^-1`` to the adjoint.  The result is kept only while the first
+pass is close to orthonormal; an ill-conditioned, rank-deficient or
+non-finite input is refused and takes the Householder route.  Triangular
+factors are inverted by recursive 2x2 blocks, three times faster than
+``np.linalg.inv`` (an LU factorization of a general matrix) at n = 128.
 
 One one-sided Jacobi kernel serves two routines.  Its sweeps follow the
 round-robin order of Brent and Luk: each round rotates ``n/2`` disjoint
@@ -66,6 +72,30 @@ JACOBI_TOL = 1e-12
 # Deterministic source of completion directions for rank-deficient inputs.
 _COMPLETION_SEED = 0x5D32C1
 
+# pi_orth tries CholeskyQR2 on an m x n input when (m - 2n) * n**2 reaches
+# this.  CholeskyQR2 lost on every measured input with m <= 1.5n, whatever
+# its size, and on small ones of any aspect; it won on every one with
+# (m - 2n) * n**2 >= 2.5e5.  Untaped time in microseconds, Householder /
+# CholeskyQR2, median of 7 (2-core VM, 1 BLAS thread, numpy 2.4 with
+# OpenBLAS 0.3.31), by (m - 2n) * n**2:
+#   below:    64x64  159 /  332    128x128 1122 / 1586    160x128 1411 / 1682
+#             64x30   75 /  122    100x20    56 /   85    514x10    85 /   84
+#            514x20  188 /  143    300x30   261 /  245    256x128 2639 / 2009
+#   at/above: 225x100 1004 / 906   514x25   252 /  218    400x30   249 /  199
+#             2600x10  432 / 175   514x32   456 /  230    514x64  1298 /  725
+#             384x128 4028 / 2015  514x128 6627 / 3170
+# So the network's level-1 factor 514x128 (skeleton 514,64,...) and the
+# 514x64 draws take CholeskyQR2, and the init-study's 514x20 does not.
+_CHOLQR2_MIN_WORK = 2.5e5
+# CholeskyQR2's first pass is kept only while ||Q1^T Q1 - I||_F is at most
+# this.  The Frobenius norm bounds the spectral one, so kappa(Q1) <= sqrt(3)
+# and the second pass restores orthogonality to roundoff.  The largest entry
+# alone does not: a 7x6 input of rank 5 had entries of at most 0.39 and
+# came out with max|Q^T Q - I| = 1.
+_CHOLQR2_MAX_GAP = 0.5
+# _triangular_inverse halves a block until it has at most this many rows.
+_TRIANGULAR_LEAF = 32
+
 
 class NumericalError(RuntimeError):
     """An iterative kernel failed to reach its accuracy target."""
@@ -110,38 +140,103 @@ def householder_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Q * flips, R * flips[:, None]
 
 
+def _triangular_inverse(R: np.ndarray) -> np.ndarray:
+    """Inverse of an upper-triangular matrix by recursive 2x2 blocks.
+
+    ``[[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]]``, halving
+    until a block has at most ``_TRIANGULAR_LEAF`` rows, which
+    ``np.linalg.inv`` inverts.  An LU factorization of a triangular block
+    needs no row exchange, so an exactly zero diagonal entry meets a zero
+    pivot and raises ``np.linalg.LinAlgError``.
+    """
+    n = len(R)
+    if n <= _TRIANGULAR_LEAF:
+        return np.linalg.inv(R)
+    k = n // 2
+    out = np.zeros((n, n))
+    out[:k, :k] = A_inv = _triangular_inverse(R[:k, :k])
+    out[k:, k:] = C_inv = _triangular_inverse(R[k:, k:])
+    out[:k, k:] = -(A_inv @ R[:k, k:]) @ C_inv
+    return out
+
+
+def _cholesky_qr2(A: np.ndarray, want_inverse: bool):
+    """CholeskyQR2 of a tall ``A``: ``(Q, R^-1)``, or ``None`` to fall back.
+
+    ``R1 = chol(A^T A)^T``, ``Q1 = A R1^-1``, ``R2 = chol(Q1^T Q1)^T`` and
+    ``Q = Q1 R2^-1`` (Fukaya et al., ScalA 2014); ``R^-1 = R1^-1 R2^-1`` is
+    formed only when ``want_inverse`` (else the second entry is ``None``).
+    Cholesky factors have a positive diagonal, so ``Q`` is the Q of the
+    sign-fixed thin QR.  Its orthogonality is O(eps) while
+    ``kappa(A) <~ eps^-1/2`` (Yamamoto et al., ETNA 44, 2015); the result
+    is refused when either factorization fails or when the Frobenius norm
+    of ``Q1^T Q1 - I`` exceeds ``_CHOLQR2_MAX_GAP`` (NaN included).
+    """
+    try:
+        R1_inv = _triangular_inverse(np.linalg.cholesky(A.T @ A).T)
+        Q1 = A @ R1_inv
+        G = Q1.T @ Q1
+        with np.errstate(over="ignore"):
+            gap = np.linalg.norm(G - np.eye(len(G)))
+        if not gap <= _CHOLQR2_MAX_GAP:
+            return None
+        R2_inv = _triangular_inverse(np.linalg.cholesky(G).T)
+    except np.linalg.LinAlgError:
+        return None
+    return Q1 @ R2_inv, (R1_inv @ R2_inv if want_inverse else None)
+
+
 def pi_orth(A):
     """Orthonormalize the columns of a tall matrix.
 
-    Returns the Q factor of the sign-fixed thin QR: an ``m x n`` matrix with
-    orthonormal columns whose span contains the span of ``A`` (with equality
-    when ``A`` has full column rank).  Deterministic and a fixed point on
-    inputs that already have orthonormal columns.
+    Returns the Q factor of the sign-fixed thin QR (``R`` with a positive
+    diagonal): an ``m x n`` matrix with orthonormal columns whose span
+    contains the span of ``A`` (with equality when ``A`` has full column
+    rank).  Deterministic and a fixed point on inputs that already have
+    orthonormal columns.
+
+    A tall input with ``(m - 2n) * n**2 >= _CHOLQR2_MIN_WORK`` tries
+    :func:`_cholesky_qr2` first; when that refuses (an ill-conditioned,
+    rank-deficient or non-finite input, or one whose ``A^T A`` underflows
+    or overflows), and below the crossover,
+    :func:`householder_qr` runs.  Both give the same unique Q up to
+    roundoff, and taped and untaped calls take the same route, so their
+    values are bitwise equal.
 
     On an autodiff ``Var`` the result is one tape node with a single edge to
     ``A``, the same forward value and the closed-form thin-QR adjoint (with
     ``R_bar = 0``):
     ``A_bar = (Q_bar + Q copyltu(M)) R^-T`` where ``M = -Q_bar^T Q`` and
-    ``copyltu(M) = tril(M) + tril(M, -1)^T``; ``R^-T`` is applied as the
-    product ``B @ inv(R).T``.  The adjoint needs ``R`` invertible; an exactly
+    ``copyltu(M) = tril(M) + tril(M, -1)^T``, applied as ``B @ R_inv.T``.
+    CholeskyQR2 hands ``R^-1`` over from the forward pass; after Householder
+    the adjoint inverts ``R`` with :func:`_triangular_inverse`.  An exactly
     singular ``R`` raises :class:`NumericalError`.
     """
-    if not isinstance(A, Var):
-        return householder_qr(A)[0]
-    Q, R = householder_qr(A.value)
-    m, n = Q.shape
+    taped = isinstance(A, Var)
+    a = np.asarray(A.value if taped else A, dtype=np.float64)
+    m, n = a.shape
+    fast = None
+    if (m - 2 * n) * n * n >= _CHOLQR2_MIN_WORK:
+        fast = _cholesky_qr2(a, want_inverse=taped)
+    if fast is None:
+        Q, R = householder_qr(a)
+    else:
+        Q, R_inv = fast
+    if not taped:
+        return Q
 
     def vjp(g):
+        M = -(g.T @ Q)
+        B = g + Q @ (np.tril(M) + np.tril(M, -1).T)
+        if fast is not None:
+            return B @ R_inv.T
         try:
-            R_inv = np.linalg.inv(R)
+            return B @ _triangular_inverse(R).T
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"pi_orth adjoint: R factor of the {m}x{n} input is singular "
                 "(the input is rank-deficient)"
             ) from exc
-        M = -(g.T @ Q)
-        B = g + Q @ (np.tril(M) + np.tril(M, -1).T)
-        return B @ R_inv.T
 
     return Var._node(Q, (A, vjp))
 

@@ -175,7 +175,9 @@ class TestTapeInvariant:
 
 
 class TestPiOrthPrimitive:
-    def test_taped_call_is_one_node_on_its_input(self, monkeypatch):
+    # 7x4 takes the Householder route, 514x128 the CholeskyQR2 one.
+    @pytest.mark.parametrize("shape", [(7, 4), (514, 128)], ids=["householder", "cholesky-qr2"])
+    def test_taped_call_is_one_node_on_its_input(self, monkeypatch, shape):
         built = []
         var_init = Var.__init__
 
@@ -183,7 +185,7 @@ class TestPiOrthPrimitive:
             built.append(node)
             var_init(node, *args, **kwargs)
 
-        A = Var(np.random.default_rng(16).standard_normal((7, 4)))
+        A = Var(np.random.default_rng(16).standard_normal(shape))
         monkeypatch.setattr(Var, "__init__", counting_init)
         Q = pi_orth(A)
         assert built == [Q]
@@ -209,11 +211,14 @@ class TestPiOrthPrimitive:
         assert abs(np.sum(v.grad * dA) - fd) <= 1e-7 * np.linalg.norm(v.grad)
 
     def test_singular_r_raises_numerical_error(self):
-        A = np.random.default_rng(18).standard_normal((6, 3))
-        A[:, 1] = 0.0
-        loss = sum_sq(pi_orth(Var(A)) - 1.0)
-        with pytest.raises(NumericalError, match="6x3"):
-            backward(loss)
+        # 514x128 is past the CholeskyQR2 crossover; its zero column makes
+        # that route refuse, and the Householder R is exactly singular.
+        for shape in [(6, 3), (514, 128)]:
+            A = np.random.default_rng(18).standard_normal(shape)
+            A[:, 1] = 0.0
+            loss = sum_sq(pi_orth(Var(A)) - 1.0)
+            with pytest.raises(NumericalError, match=f"{shape[0]}x{shape[1]}"):
+                backward(loss)
 
 
 class TestGradCheck:

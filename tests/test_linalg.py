@@ -7,7 +7,9 @@ from hypothesis.extra.numpy import arrays
 from _util import low_rank_snapshots
 from symae.linalg import (
     NumericalError,
+    _cholesky_qr2,
     _next_round,
+    _triangular_inverse,
     covariance_spectrum,
     householder_qr,
     orthonormal_completion,
@@ -249,6 +251,119 @@ class TestPiOrthProperties:
     def test_fixed_point_on_orthonormal_input(self, A):
         Q = pi_orth(A)
         assert np.max(np.abs(pi_orth(Q) - Q)) <= 1e-12
+
+
+def upper_triangular(n, seed):
+    """A well-conditioned n x n upper-triangular matrix: the R of a 2n x n
+    gaussian draw, rows rescaled by random signs and powers of ten in
+    (0.1, 10)."""
+    rng = np.random.default_rng(seed)
+    T = householder_qr(rng.standard_normal((2 * n, n)))[1]
+    return T * (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-1.0, 1.0, n))[:, None]
+
+
+class TestTriangularInverse:
+    # n up to 100 reaches the 32-row leaf, two levels of halving and odd
+    # splits (65 = 32 + 33, 33 = 16 + 17).
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 100), st.integers(0, 2**32 - 1))
+    @example(65, 0)
+    @example(33, 1)
+    def test_matches_lapack_inverse(self, n, seed):
+        T = upper_triangular(n, seed)
+        X = _triangular_inverse(T)
+        reference = np.linalg.inv(T)
+        bound = n * np.linalg.cond(T) * np.finfo(float).eps
+        assert np.all(np.tril(X, -1) == 0.0)
+        assert np.linalg.norm(T @ X - np.eye(n)) <= bound
+        assert np.linalg.norm(X - reference) <= bound * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("zero_at", [3, 60], ids=["first-half", "second-half"])
+    def test_zero_diagonal_entry_raises(self, zero_at):
+        T = upper_triangular(70, 2)
+        T[zero_at, zero_at] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _triangular_inverse(T)
+
+
+def graded_matrix(m, n, kappa, seed):
+    """m x n with singular values spaced logarithmically from 1 to 1/kappa."""
+    rng = np.random.default_rng(seed)
+    U = householder_qr(rng.standard_normal((m, n)))[0]
+    V = householder_qr(rng.standard_normal((n, n)))[0]
+    return (U * np.geomspace(1.0, 1.0 / kappa, n)) @ V.T
+
+
+class TestCholeskyQR2:
+    @staticmethod
+    def assert_sign_fixed_thin_qr(A, Q, R_inv, tol, residual_tol):
+        # The kernel forms no R; R = Q^T A is the R of A = QR when Q's
+        # columns are orthonormal and span A's.
+        n = A.shape[1]
+        R = Q.T @ A
+        scale = np.linalg.norm(A)
+        assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= tol
+        assert np.linalg.norm(A - Q @ R) <= residual_tol * scale
+        assert np.max(np.abs(np.tril(R, -1))) <= residual_tol * scale
+        assert np.all(np.diagonal(R) > 0.0)
+        assert np.all(np.tril(R_inv, -1) == 0.0)
+        assert np.linalg.norm(np.triu(R) @ R_inv - np.eye(n)) <= residual_tol * np.linalg.cond(R)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tall_matrices())
+    @example(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+    # Rank 5: every entry of Q1^T Q1 - I is at most 0.39, its norm is 1.
+    @example(
+        np.array(
+            [
+                [0.0, 0.0, 0.0, 0.25, 0.25, 0.25],
+                [0.25, 0.25, 0.25, 0.25, 0.25, 0.25],
+                [0.75, 0.25, 0.25, 0.25, 0.0, 0.25],
+                [0.25, 0.25, 0.25, 0.25, 0.25, 0.25],
+                [0.25, 0.25, 0.25, 0.25, 0.25, 0.25],
+                [0.0, 0.25, 0.25, 0.0, 0.25, 0.25],
+                [0.25, 0.0, 1e-8, 0.25, 0.25, 0.25],
+            ]
+        )
+    )
+    def test_accepts_a_thin_qr_or_signals_the_fallback(self, A):
+        out = _cholesky_qr2(A, want_inverse=True)
+        if out is None:
+            # Past kappa ~ 1e6 the Gram matrix may lose its Cholesky factor
+            # (below it the first pass is orthonormal to about 1e-4), and
+            # so it may when A^T A underflows or overflows.
+            norm = np.linalg.norm(A)
+            assert np.linalg.cond(A) > 1e6 or not 1e-150 < norm < 1e150
+        else:
+            # Q1 = A R1^-1 is a product with an explicit inverse, so the
+            # residual grows with kappa(A); orthogonality does not.
+            kappa = np.linalg.cond(A)
+            self.assert_sign_fixed_thin_qr(A, *out, tol=1e-12, residual_tol=1e-14 * kappa)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e2, 1e4, 1e6, 1e8])
+    def test_kappa_sweep_is_accepted_at_network_shape(self, kappa):
+        A = graded_matrix(514, 128, kappa, seed=20)
+        out = _cholesky_qr2(A, want_inverse=True)
+        assert out is not None
+        self.assert_sign_fixed_thin_qr(A, *out, tol=1e-14, residual_tol=1e-14)
+        assert np.array_equal(pi_orth(A), out[0])
+
+    def test_kappa_1e10_falls_back_to_householder(self):
+        A = graded_matrix(514, 128, 1e10, seed=20)
+        assert _cholesky_qr2(A, want_inverse=True) is None
+        assert np.array_equal(pi_orth(A), householder_qr(A)[0])
+
+    # pytest turns a RuntimeWarning into an error, so these also check that
+    # the refused attempt warns of nothing.
+    @pytest.mark.parametrize("bad", ["zero-column", "nan", "inf", "-inf"])
+    def test_bad_input_gives_what_householder_gives(self, bad):
+        A = np.random.default_rng(21).standard_normal((514, 128))
+        if bad == "zero-column":
+            A[:, 7] = 0.0
+        else:
+            A[3, 5] = float(bad)
+        assert _cholesky_qr2(A, want_inverse=True) is None
+        np.testing.assert_array_equal(pi_orth(A), householder_qr(A)[0])
 
 
 class TestCovarianceSpectrum:

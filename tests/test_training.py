@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _util import random_theta
+from symae import linalg
 from symae.activations import HypAct, Identity, LeakyReLU
 from symae.architecture import Skeleton, assemble
 from symae.bounds import empirical_mse, linear_lower_bound, pod
@@ -19,6 +20,21 @@ from symae.training import (
     train,
     undo_minmax,
 )
+
+
+def spy_on_cholesky_qr2(monkeypatch):
+    """Record the shape of every input ``pi_orth``'s CholeskyQR2 route accepts."""
+    accepted = []
+    kernel = linalg._cholesky_qr2
+
+    def spy(A, want_inverse):
+        out = kernel(A, want_inverse)
+        if out is not None:
+            accepted.append(A.shape)
+        return out
+
+    monkeypatch.setattr(linalg, "_cholesky_qr2", spy)
+    return accepted
 
 
 class TestMinMax:
@@ -161,14 +177,21 @@ class TestTrain:
         _theta, hist = train(theta0, u, u, cfg)
         assert hist.records[-1].train_loss <= 1e-6
 
-    def test_biorthogonal_constraint_holds_every_epoch(self):
+    def test_biorthogonal_constraint_holds_every_epoch(self, monkeypatch):
+        # On 514 rows the level-1 factor X is 514x64, past pi_orth's
+        # CholeskyQR2 crossover; the 10-row network stays on Householder.
+        accepted = spy_on_cholesky_qr2(monkeypatch)
         rng = np.random.default_rng(4)
-        U = rng.uniform(0, 1, (10, 16))
-        theta0 = lift(eys_init(U, Skeleton((10, 4, 2)), LeakyReLU(5 / 6, 5 / 4)), "SBAE")
-        cfg = TrainConfig(epochs=25, patience=25, learning_rate=1e-3, batch_size=4, seed=1)
-        _theta, hist = train(theta0, U, U, cfg)
-        assert len(hist.records) == 25
-        assert all(r.constraint_residual <= 1e-8 for r in hist.records)
+        for dims, samples, epochs in [((10, 4, 2), 16, 25), ((514, 32, 3), 40, 4)]:
+            U = rng.uniform(0, 1, (dims[0], samples))
+            theta0 = lift(eys_init(U, Skeleton(dims), LeakyReLU(5 / 6, 5 / 4)), "SBAE")
+            cfg = TrainConfig(
+                epochs=epochs, patience=epochs, learning_rate=1e-3, batch_size=4, seed=1
+            )
+            _theta, hist = train(theta0, U, U, cfg)
+            assert len(hist.records) == epochs
+            assert all(r.constraint_residual <= 1e-8 for r in hist.records)
+        assert accepted and all(m == 514 for m, _ in accepted)
 
     def test_identity_single_level_converges_to_optimal_linear_error(self):
         rng = np.random.default_rng(5)
@@ -179,17 +202,24 @@ class TestTrain:
         _theta, hist = train(theta0, U, U, cfg)
         assert hist.records[-1].train_loss <= tail * 1.05
 
-    def test_bitwise_deterministic(self):
+    def test_bitwise_deterministic(self, monkeypatch):
+        # The 514-row SBAE run orthonormalizes a 514x64 factor by CholeskyQR2.
+        accepted = spy_on_cholesky_qr2(monkeypatch)
         rng = np.random.default_rng(6)
-        U = rng.uniform(0, 1, (8, 12))
-        theta0 = lift(eys_init(U, Skeleton((8, 3)), HypAct.from_sharpness(0.5)), "SOAE")
-        cfg = TrainConfig(epochs=10, patience=10, learning_rate=1e-3, batch_size=4, seed=7)
-        t1, h1 = train(theta0, U, U[:, :4], cfg)
-        t2, h2 = train(theta0, U, U[:, :4], cfg)
-        for p1, p2 in zip(t1.layers, t2.layers):
-            for key in p1:
-                assert np.array_equal(p1[key], p2[key])
-        assert [r.train_loss for r in h1.records] == [r.train_loss for r in h2.records]
+        cases = [((8, 3), 12, "SOAE", 10), ((514, 32, 3), 40, "SBAE", 3)]
+        for dims, samples, class_tag, epochs in cases:
+            U = rng.uniform(0, 1, (dims[0], samples))
+            theta0 = lift(eys_init(U, Skeleton(dims), HypAct.from_sharpness(0.5)), class_tag)
+            cfg = TrainConfig(
+                epochs=epochs, patience=epochs, learning_rate=1e-3, batch_size=4, seed=7
+            )
+            t1, h1 = train(theta0, U, U[:, :4], cfg)
+            t2, h2 = train(theta0, U, U[:, :4], cfg)
+            for p1, p2 in zip(t1.layers, t2.layers):
+                for key in p1:
+                    assert np.array_equal(p1[key], p2[key])
+            assert [r.train_loss for r in h1.records] == [r.train_loss for r in h2.records]
+        assert accepted
 
     def test_returns_best_validation_parameters(self):
         rng = np.random.default_rng(8)
