@@ -237,30 +237,30 @@ def check_class_invariants(class_tag: str, layers) -> float:
 
     SBAE and SOAE need ``E_j D_j = I`` and ``E_j d_j = -e_j`` at every level,
     and SOAE also ``E_j = D_j^T``, each to ``BIORTH_TOL`` in the max norm.
-    Raises ``ValueError`` naming the first violated invariant.  Returns
-    ``max_j ||E_j D_j - I||_max``, or 0 for the unconstrained classes.
+    A gap that is NaN (non-finite weights, or products that overflow)
+    violates its invariant.  Raises ``ValueError`` naming the first violated
+    invariant.  Returns ``max_j ||E_j D_j - I||_max``, or 0 for the
+    unconstrained classes.
     """
     if class_tag not in ("SBAE", "SOAE"):
         return 0.0
     worst = 0.0
     for j, layer in enumerate(layers, start=1):
         r = layer.E.shape[0]
-        gap = float(np.max(np.abs(layer.E @ layer.D - np.eye(r))))
-        if gap > BIORTH_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = float(np.max(np.abs(layer.E @ layer.D - np.eye(r))))
+            bias_gap = np.max(np.abs(layer.E @ layer.d + layer.e))
+            sym_gap = np.max(np.abs(layer.E - layer.D.T)) if class_tag == "SOAE" else 0.0
+        if not gap <= BIORTH_TOL:
             raise ValueError(
                 f"{class_tag} layer {j} violates E D = I (max gap {gap:.3e})"
             )
-        bias_gap = np.max(np.abs(layer.E @ layer.d + layer.e))
-        if bias_gap > BIORTH_TOL:
+        if not bias_gap <= BIORTH_TOL:
             raise ValueError(
                 f"{class_tag} layer {j} violates E d = -e (max gap {bias_gap:.3e})"
             )
-        if class_tag == "SOAE":
-            sym_gap = np.max(np.abs(layer.E - layer.D.T))
-            if sym_gap > BIORTH_TOL:
-                raise ValueError(
-                    f"SOAE layer {j} violates E = D^T (max gap {sym_gap:.3e})"
-                )
+        if not sym_gap <= BIORTH_TOL:
+            raise ValueError(f"SOAE layer {j} violates E = D^T (max gap {sym_gap:.3e})")
         worst = max(worst, gap)
     return worst
 

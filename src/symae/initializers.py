@@ -16,10 +16,11 @@ parameter vector of any hypothesis class so training can start from it.
 :func:`init_study` scores the iterated-SVD start against the best of many
 random orthogonal starts over a family of skeletons.  Both sides share work
 by width prefix: :class:`EysCache` holds the iterated-SVD levels, and within
-one trial the random levels of a common prefix are drawn, orthonormalized
-and applied to the test split once.  The draw order is kept, so every row
-is bitwise the one :func:`orthogonal_random_init` gives skeleton by
-skeleton.
+one trial the random levels of a common prefix are drawn, orthonormalized,
+validated and applied to the test split once.  The draw order is kept and
+every candidate is scored by the operations of
+:func:`~symae.architecture.empirical_mse`, so every row is bitwise the one
+:func:`orthogonal_random_init` gives skeleton by skeleton.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .architecture import (
     SymmetricAutoencoder,
     Layer,
     check_class_invariants,
+    decode_columns,
     encode_columns,
     spare_dim,
 )
@@ -265,9 +267,11 @@ def init_study(U, act, skeletons, trials, seed):
     with a common width prefix share that prefix's levels: within a trial
     each prefix is drawn, orthonormalized and applied to the test split
     once, and a skeleton draws only the levels past its longest shared
-    prefix, from the generator state saved after it.  The draws keep their
-    order and every candidate is still built as a validated network, so
-    each baseline is bitwise the minimum over trials of
+    prefix, from the generator state saved after it.  Each random level is
+    validated once, when it is drawn, against the SOAE invariants.  Every
+    candidate is scored in one reused buffer by the same operations, in the
+    same order, as :func:`~symae.architecture.empirical_mse`, so each
+    baseline is bitwise the minimum over trials of
     ``empirical_mse(orthogonal_random_init(skeleton, act, rng_t), test)``.
     The iterated-SVD levels are shared the same way (:class:`EysCache`).
     Returns a list of ``(skeleton, eys_mse, baseline_best_mse)`` rows.
@@ -277,16 +281,23 @@ def init_study(U, act, skeletons, trials, seed):
     train_U, _val, test_U = split(U, seed)
     train_norm, lo, hi = minmax_normalize(train_U)
     test_norm = require_matrix(apply_minmax(test_U, lo, hi), "snapshot matrix")
+    resid = np.empty_like(test_norm)
 
-    def test_mse(recon):  # empirical_mse on the validated test split
-        resid = test_norm - recon
-        return float(np.sum(resid * resid)) / test_norm.shape[1]
+    def test_mse(layers, H):
+        """``empirical_mse`` of ``layers`` on the test split, given its encoding ``H``."""
+        outer = layers[0]
+        G = act.apply_inverse(decode_columns(layers[1:], act, H, "SOAE"))
+        np.matmul(outer.D, G, out=resid)
+        np.add(resid, outer.d, out=resid)
+        np.subtract(test_norm, resid, out=resid)
+        np.multiply(resid, resid, out=resid)
+        return float(np.sum(resid)) / test_norm.shape[1]
 
     cache = EysCache(train_norm, act)
-    eys = [
-        test_mse(eys_init(train_norm, skeleton, act, cache=cache).reconstruct(test_norm))
-        for skeleton in skeletons
-    ]
+    eys = []
+    for skeleton in skeletons:
+        layers = eys_init(train_norm, skeleton, act, cache=cache).layers
+        eys.append(test_mse(layers, encode_columns(layers, act, test_norm, "SOAE")))
     best = [np.inf] * len(skeletons)
     for trial in range(trials):
         rng = np.random.default_rng(derive_seed(seed, trial))
@@ -299,9 +310,9 @@ def init_study(U, act, skeletons, trials, seed):
             rng.bit_generator.state = state
             for j in range(shared + 1, skeleton.depth + 1):
                 level = _random_level(rng, *skeleton.layer_shape(j))
+                check_class_invariants("SOAE", (level,))
                 layers += (level,)
                 H = encode_columns((level,), act, H, "SOAE")
                 memo[dims[: j + 1]] = (rng.bit_generator.state, layers, H)
-            candidate = SymmetricAutoencoder(skeleton, act, layers, "SOAE")
-            best[i] = min(best[i], test_mse(candidate.decode(H)))
+            best[i] = min(best[i], test_mse(layers, H))
     return [(skeleton, eys_mse, float(b)) for skeleton, eys_mse, b in zip(skeletons, eys, best)]

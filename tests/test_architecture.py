@@ -15,6 +15,7 @@ from symae.architecture import (
     Skeleton,
     SymmetricAutoencoder,
     assemble,
+    check_class_invariants,
     load_model,
     save_model,
     spare_dim,
@@ -118,6 +119,22 @@ class TestAssemble:
         )
         with pytest.raises(ValueError, match="E D = I"):
             SymmetricAutoencoder(Skeleton((4, 2)), Identity(), (bad,), "SBAE")
+
+    @pytest.mark.parametrize(
+        "class_tag, E, D, match",
+        [
+            # E D overflows to inf - inf = NaN, a gap no comparison with > catches.
+            ("SBAE", np.full((1, 16), 1e200), np.tile([[1e200], [-1e200]], (8, 1)), "E D = I"),
+            ("SOAE", np.eye(2, 4), np.where(np.eye(4, 2), np.nan, 0.0), "E D = I"),
+            ("SOAE", np.full((2, 4), np.inf), np.full((4, 2), np.inf), "E D = I"),
+        ],
+        ids=["overflowing-product", "nan-decoder", "infinite-weights"],
+    )
+    def test_nan_gap_violates_the_invariant(self, class_tag, E, D, match):
+        q, r = D.shape
+        layer = Layer(E=E, D=D, e=np.zeros((r, 1)), d=np.zeros((q, 1)))
+        with pytest.raises(ValueError, match=match):
+            check_class_invariants(class_tag, (layer,))
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["SBAE", "SOAE"]), small_skeletons(), st.integers(0, 2**32 - 1))

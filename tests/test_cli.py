@@ -53,6 +53,28 @@ def _sbae_checkpoint(theta_shift=0.0):
     return json.dumps(doc)
 
 
+def _overflowing_sbae_checkpoint():
+    """An SBAE checkpoint text for skeleton 20,1 whose ``E D`` overflows to NaN.
+
+    ``E`` is a row of ``1e200`` and ``D`` alternates ``+-1e200``, so every
+    weight is finite but the invariant gap ``E D - I`` is ``inf - inf``.
+    """
+    doc = {
+        "format_version": 2,
+        "class_tag": "SBAE",
+        "skeleton": [20, 1],
+        "activation_spec": "identity",
+        "normalization": {"lo": 0.0, "hi": 1.0},
+        "layers": [{
+            "E": np.full((1, 20), 1e200).tolist(),
+            "D": np.tile([[1e200], [-1e200]], (10, 1)).tolist(),
+            "e": np.zeros((1, 1)).tolist(),
+            "d": np.zeros((20, 1)).tolist(),
+        }],
+    }
+    return json.dumps(doc)
+
+
 @pytest.fixture()
 def small_data(tmp_path):
     """A 20-dimensional, 40-sample dataset cheap enough for CLI runs."""
@@ -510,11 +532,12 @@ class TestExitCodes:
             _sae_checkpoint(normalization=(1.0, 1.0)),
             _sae_checkpoint(normalization=(0.0, float("inf"))),
             _sae_checkpoint(skeleton=(20.4, 3.2)),
+            _overflowing_sbae_checkpoint(),
         ],
         ids=[
             "wrong-version", "invalid-json", "missing-key", "bad-shape", "bad-theta-layer",
             "tampered-sbae-theta", "missing-normalization", "empty-normalization",
-            "infinite-normalization", "non-integer-skeleton",
+            "infinite-normalization", "non-integer-skeleton", "nan-invariant-gap",
         ],
     )
     def test_malformed_checkpoint_is_data_error(self, capsys, small_data, tmp_path, content):

@@ -7,6 +7,7 @@ from _util import low_rank_snapshots, small_skeletons
 from symae.activations import HypAct, Identity, LeakyReLU
 from symae.architecture import Layer, Skeleton, SymmetricAutoencoder, assemble
 from symae.bounds import empirical_mse, greedy_upper_bound, pod
+from symae import initializers
 from symae.initializers import (
     EysCache,
     derive_seed,
@@ -258,20 +259,53 @@ class TestInitStudy:
         return rows
 
     @pytest.mark.parametrize(
-        "dims",
+        "dims, act",
         [
-            [(24, 8, w) for w in range(1, 8)],
-            [(24, 12, 3), (24, 12, 5, 3), (24, 12, 9, 5, 3), (24, 12, 3)],
-            [(24, 8, 3), (24, 10, 3), (24, 8, 3), (24, 8, 3, 2), (24, 8), (24, 10, 3)],
+            # HypAct cases carry the bare family name, so their ids stay stable.
+            pytest.param(dims, act, id=family if act_id == "hypact" else f"{act_id}-{family}")
+            for act_id, act in [
+                ("identity", Identity()),
+                ("leakyrelu", LeakyReLU(5 / 6, 5 / 4)),
+                ("hypact", HypAct.from_sharpness(0.5)),
+            ]
+            for family, dims in [
+                ("width-sweep", [(24, 8, w) for w in range(1, 8)]),
+                ("depth-ladder", [(24, 12, 3), (24, 12, 5, 3), (24, 12, 9, 5, 3), (24, 12, 3)]),
+                (
+                    "mixed-n1-with-repeat",
+                    [(24, 8, 3), (24, 10, 3), (24, 8, 3), (24, 8, 3, 2), (24, 8), (24, 10, 3)],
+                ),
+            ]
         ],
-        ids=["width-sweep", "depth-ladder", "mixed-n1-with-repeat"],
     )
-    def test_rows_equal_the_direct_definition(self, dims):
+    def test_rows_equal_the_direct_definition(self, dims, act):
         U = np.random.default_rng(11).uniform(0.0, 1.0, (24, 60))
-        act = HypAct.from_sharpness(0.5)
         skeletons = [Skeleton(d) for d in dims]
         rows = init_study(U, act, skeletons, trials=4, seed=5)
         assert rows == self.direct_rows(U, act, skeletons, trials=4, seed=5)
+
+    @pytest.mark.parametrize("broken_draw", [0, 2], ids=["shared-first-level", "later-level"])
+    @pytest.mark.parametrize(
+        "breakage",
+        [lambda V: 2.0 * V, lambda V: np.where(np.eye(*V.shape, dtype=bool), np.nan, V)],
+        ids=["scaled", "nan"],
+    )
+    def test_every_drawn_level_is_validated(self, monkeypatch, broken_draw, breakage):
+        # Trial 0 draws the shared 8-wide level, then the second level of
+        # each skeleton: draws 0, 1, 2.
+        draws = []
+
+        def faulty_pi_orth(A):
+            V = pi_orth(A)
+            draws.append(None)
+            return breakage(V) if len(draws) - 1 == broken_draw else V
+
+        monkeypatch.setattr(initializers, "pi_orth", faulty_pi_orth)
+        U = np.random.default_rng(13).uniform(0.0, 1.0, (24, 60))
+        skeletons = [Skeleton((24, 8, 3)), Skeleton((24, 8, 5))]
+        with pytest.raises(ValueError, match="violates"):
+            init_study(U, Identity(), skeletons, trials=2, seed=5)
+        assert len(draws) == broken_draw + 1
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_needs_at_least_one_trial(self, trials):
