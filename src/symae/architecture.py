@@ -60,6 +60,7 @@ __all__ = [
     "spare_dim",
     "assemble",
     "check_class_invariants",
+    "invariant_gaps",
     "encode_columns",
     "decode_columns",
     "reconstruct_columns",
@@ -246,23 +247,36 @@ def check_class_invariants(class_tag: str, layers) -> float:
         return 0.0
     worst = 0.0
     for j, layer in enumerate(layers, start=1):
-        r = layer.E.shape[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            gap = float(np.max(np.abs(layer.E @ layer.D - np.eye(r))))
-            bias_gap = np.max(np.abs(layer.E @ layer.d + layer.e))
-            sym_gap = np.max(np.abs(layer.E - layer.D.T)) if class_tag == "SOAE" else 0.0
-        if not gap <= BIORTH_TOL:
-            raise ValueError(
-                f"{class_tag} layer {j} violates E D = I (max gap {gap:.3e})"
-            )
-        if not bias_gap <= BIORTH_TOL:
-            raise ValueError(
-                f"{class_tag} layer {j} violates E d = -e (max gap {bias_gap:.3e})"
-            )
-        if not sym_gap <= BIORTH_TOL:
-            raise ValueError(f"SOAE layer {j} violates E = D^T (max gap {sym_gap:.3e})")
-        worst = max(worst, gap)
+        gaps = invariant_gaps(class_tag, layer)
+        for rule, gap in gaps.items():
+            if not gap <= BIORTH_TOL:
+                raise ValueError(f"{class_tag} layer {j} violates {rule} (max gap {gap:.3e})")
+        worst = max(worst, float(gaps["E D = I"]))
     return worst
+
+
+def invariant_gaps(class_tag: str, layer: Layer) -> dict[str, np.ndarray]:
+    """Max-norm gap of each invariant of a constrained class at one level.
+
+    Keys name the invariants in the order :func:`check_class_invariants`
+    checks them.  A level stacked over leading axes (``E`` of shape
+    ``(..., r, q)``) gets one gap per slice.  A gap is NaN when the weights
+    are non-finite or their products overflow.
+    """
+    r = layer.E.shape[-2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = {
+            "E D = I": _max_abs(layer.E @ layer.D - np.eye(r)),
+            "E d = -e": _max_abs(layer.E @ layer.d + layer.e),
+        }
+        if class_tag == "SOAE":
+            gaps["E = D^T"] = _max_abs(layer.E - np.swapaxes(layer.D, -1, -2))
+    return gaps
+
+
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    """``max |a|`` over the last two axes (NaN if any entry is NaN)."""
+    return np.max(np.abs(a), axis=(-2, -1))
 
 
 # -- unconstrained parametrizations --------------------------------------

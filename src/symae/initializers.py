@@ -15,10 +15,12 @@ Three schemes are provided:
 parameter vector of any hypothesis class so training can start from it.
 :func:`init_study` scores the iterated-SVD start against the best of many
 random orthogonal starts over a family of skeletons.  Both sides share work
-by width prefix: :class:`EysCache` holds the iterated-SVD levels, and within
-one trial the random levels of a common prefix are drawn, orthonormalized,
-validated and applied to the test split once.  The draw order is kept and
-every candidate is scored by the operations of
+by width prefix: :class:`EysCache` holds the iterated-SVD levels, and the
+random trials run in blocks, within which each random level of a common
+prefix is drawn once per trial and then orthonormalized, validated and
+applied to the test split once for the whole block, as one stack.  Each
+trial keeps its own draw order, each slice of a stacked call is bitwise its
+2-D call, and every candidate is scored by the operations of
 :func:`~symae.architecture.empirical_mse`, so every row is bitwise the one
 :func:`orthogonal_random_init` gives skeleton by skeleton.
 """
@@ -31,6 +33,7 @@ import numpy as np
 
 from .activations import Activation
 from .architecture import (
+    BIORTH_TOL,
     CLASS_TAGS,
     ParamVector,
     Skeleton,
@@ -39,9 +42,11 @@ from .architecture import (
     check_class_invariants,
     decode_columns,
     encode_columns,
+    invariant_gaps,
     spare_dim,
 )
 from .linalg import (
+    NumericalError,
     covariance_spectrum,
     leading_basis,
     orthonormal_completion,
@@ -60,6 +65,13 @@ __all__ = [
     "EysCache",
     "init_study",
 ]
+
+# init_study runs its random trials this many at a time, as stacks.  Larger
+# blocks buy little speed and cost memory: on pga400 with widths 1-20 behind
+# a first width of 20 and 100 trials, the traced peak allocation was 6.3 MB
+# one trial at a time, 7.9 MB in blocks of 10 and 47 MB with every trial
+# stacked at once.
+_TRIAL_BLOCK = 10
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -198,15 +210,23 @@ def orthogonal_random_init(
     if class_tag not in ("SBAE", "SOAE"):
         raise ValueError("orthogonal random init applies to SBAE or SOAE")
     layers = tuple(
-        _random_level(rng, *skeleton.layer_shape(j)) for j in range(1, skeleton.depth + 1)
+        _orthogonal_level(rng.standard_normal(skeleton.layer_shape(j)))
+        for j in range(1, skeleton.depth + 1)
     )
     return SymmetricAutoencoder(skeleton, act, layers, class_tag)
 
 
-def _random_level(rng: np.random.Generator, q: int, r: int) -> Layer:
-    """One random orthogonal level: ``D = pi_orth(N(0, 1)^{q x r})``, ``E = D^T``, zero biases."""
-    V = pi_orth(rng.standard_normal((q, r)))
-    return Layer(E=V.T, D=V, e=np.zeros((r, 1)), d=np.zeros((q, 1)))
+def _orthogonal_level(draw: np.ndarray) -> Layer:
+    """A random orthogonal level from a gaussian ``draw``: ``D = pi_orth(draw)``,
+    ``E = D^T`` and zero biases.
+
+    A ``(..., q, r)`` stack of draws gives a stacked level (``E`` and ``D``
+    stacked, the ``(r, 1)`` and ``(q, 1)`` zero biases shared), which the
+    :class:`~symae.architecture.Layer` arithmetic broadcasts.
+    """
+    V = pi_orth(draw)
+    q, r = draw.shape[-2:]
+    return Layer(E=np.swapaxes(V, -1, -2), D=V, e=np.zeros((r, 1)), d=np.zeros((q, 1)))
 
 
 def lift(psi: SymmetricAutoencoder, class_tag: str) -> ParamVector:
@@ -264,17 +284,24 @@ def init_study(U, act, skeletons, trials, seed):
     Shares the standardized split/normalization pipeline and validates the
     test split once.  Random trial ``t`` draws from
     ``default_rng(derive_seed(seed, t))`` for every skeleton, so skeletons
-    with a common width prefix share that prefix's levels: within a trial
-    each prefix is drawn, orthonormalized and applied to the test split
-    once, and a skeleton draws only the levels past its longest shared
-    prefix, from the generator state saved after it.  Each random level is
-    validated once, when it is drawn, against the SOAE invariants.  Every
+    with a common width prefix share that prefix's levels.  Trials run in
+    blocks of ``_TRIAL_BLOCK``; within a block each prefix is drawn once per
+    trial, and a skeleton draws only the levels past its longest shared
+    prefix, each trial from its own generator state saved after that
+    prefix.  The block's draws of a level are then orthonormalized by one
+    stacked :func:`~symae.linalg.pi_orth` call, validated against the SOAE
+    invariants by one stacked check, and applied to the test split, encoded
+    and decoded, as one stack; only the outer decode is per trial.  Every
     candidate is scored in one reused buffer by the same operations, in the
-    same order, as :func:`~symae.architecture.empirical_mse`, so each
-    baseline is bitwise the minimum over trials of
+    same order, as :func:`~symae.architecture.empirical_mse`, and each slice
+    of a stacked call is bitwise its 2-D call, so each baseline is bitwise
+    the minimum over trials of
     ``empirical_mse(orthogonal_random_init(skeleton, act, rng_t), test)``.
     The iterated-SVD levels are shared the same way (:class:`EysCache`).
     Returns a list of ``(skeleton, eys_mse, baseline_best_mse)`` rows.
+
+    Raises :class:`~symae.linalg.NumericalError` naming the trial and the
+    level of a draw that breaks the SOAE invariants.
     """
     if trials < 1:
         raise ValueError(f"init study needs at least one random trial, got {trials}")
@@ -283,12 +310,15 @@ def init_study(U, act, skeletons, trials, seed):
     test_norm = require_matrix(apply_minmax(test_U, lo, hi), "snapshot matrix")
     resid = np.empty_like(test_norm)
 
-    def test_mse(layers, H):
-        """``empirical_mse`` of ``layers`` on the test split, given its encoding ``H``."""
-        outer = layers[0]
-        G = act.apply_inverse(decode_columns(layers[1:], act, H, "SOAE"))
-        np.matmul(outer.D, G, out=resid)
-        np.add(resid, outer.d, out=resid)
+    def outer_input(layers, H):
+        """The outer level's input when the test split's encoding ``H`` is decoded."""
+        return act.apply_inverse(decode_columns(layers[1:], act, H, "SOAE"))
+
+    def test_mse(D, d, G):
+        """``empirical_mse`` on the test split, given the outer level's ``D``,
+        ``d`` and input ``G``."""
+        np.matmul(D, G, out=resid)
+        np.add(resid, d, out=resid)
         np.subtract(test_norm, resid, out=resid)
         np.multiply(resid, resid, out=resid)
         return float(np.sum(resid)) / test_norm.shape[1]
@@ -297,22 +327,49 @@ def init_study(U, act, skeletons, trials, seed):
     eys = []
     for skeleton in skeletons:
         layers = eys_init(train_norm, skeleton, act, cache=cache).layers
-        eys.append(test_mse(layers, encode_columns(layers, act, test_norm, "SOAE")))
+        H = encode_columns(layers, act, test_norm, "SOAE")
+        eys.append(test_mse(layers[0].D, layers[0].d, outer_input(layers, H)))
     best = [np.inf] * len(skeletons)
-    for trial in range(trials):
-        rng = np.random.default_rng(derive_seed(seed, trial))
-        # dims[:j+1] -> (generator state after its draws, its levels, test encoding)
-        memo = {test_norm.shape[:1]: (rng.bit_generator.state, (), test_norm)}
+    for first in range(0, trials, _TRIAL_BLOCK):
+        rngs = [
+            np.random.default_rng(derive_seed(seed, t))
+            for t in range(first, min(first + _TRIAL_BLOCK, trials))
+        ]
+        # dims[:j+1] -> (each trial's generator state after its draws,
+        #                its stacked levels, the stacked test encoding)
+        memo = {test_norm.shape[:1]: ([rng.bit_generator.state for rng in rngs], (), test_norm)}
         for i, skeleton in enumerate(skeletons):
             dims = skeleton.dims
             shared = max(j for j in range(skeleton.depth + 1) if dims[: j + 1] in memo)
-            state, layers, H = memo[dims[: shared + 1]]
-            rng.bit_generator.state = state
+            states, layers, H = memo[dims[: shared + 1]]
+            for rng, state in zip(rngs, states):
+                rng.bit_generator.state = state
             for j in range(shared + 1, skeleton.depth + 1):
-                level = _random_level(rng, *skeleton.layer_shape(j))
-                check_class_invariants("SOAE", (level,))
+                shape = skeleton.layer_shape(j)
+                level = _orthogonal_level(np.stack([rng.standard_normal(shape) for rng in rngs]))
+                _check_drawn(level, first, j)
                 layers += (level,)
                 H = encode_columns((level,), act, H, "SOAE")
-                memo[dims[: j + 1]] = (rng.bit_generator.state, layers, H)
-            best[i] = min(best[i], test_mse(layers, H))
+                memo[dims[: j + 1]] = ([rng.bit_generator.state for rng in rngs], layers, H)
+            G = outer_input(layers, H)
+            D, d = layers[0].D, layers[0].d
+            for k in range(len(rngs)):
+                best[i] = min(best[i], test_mse(D[k], d, G[k]))
     return [(skeleton, eys_mse, float(b)) for skeleton, eys_mse, b in zip(skeletons, eys, best)]
+
+
+def _check_drawn(level: Layer, first: int, j: int) -> None:
+    """Check a stack of drawn levels ``j`` of trials ``first, first + 1, ...``.
+
+    Raises :class:`NumericalError` naming the first trial that breaks an
+    SOAE invariant, its level and the invariant.
+    """
+    gaps = invariant_gaps("SOAE", level)
+    bad = ~(np.stack(list(gaps.values())) <= BIORTH_TOL)
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=0)))
+        rule = list(gaps)[int(np.argmax(bad[:, k]))]
+        raise NumericalError(
+            f"random trial {first + k}, level {j}: the drawn level violates {rule} "
+            f"(max gap {gaps[rule][k]:.3e})"
+        )

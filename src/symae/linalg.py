@@ -16,6 +16,11 @@ pass is close to orthonormal; an ill-conditioned, rank-deficient or
 non-finite input is refused and takes the Householder route.  Triangular
 factors are inverted by recursive 2x2 blocks, three times faster than
 ``np.linalg.inv`` (an LU factorization of a general matrix) at n = 128.
+Untaped, :func:`pi_orth` and the kernels under it also take a
+``(..., m, n)`` stack of matrices; numpy's matmul and LAPACK loops run
+each slice as a 2-D call would, so each slice of the result is bitwise a
+2-D call's, and the per-call overhead is paid once per stack.  A stack
+takes the route its slices would; CholeskyQR2 refuses slice by slice.
 
 One one-sided Jacobi kernel serves two routines.  Its sweeps follow the
 round-robin order of Brent and Luk: each round rotates ``n/2`` disjoint
@@ -129,34 +134,42 @@ def householder_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     LAPACK's Householder factorization plus a sign fix that makes it unique
     for full-rank input.  Returns ``(Q, R)`` where ``Q`` is m-by-n with
-    orthonormal columns and ``R`` is n-by-n upper triangular.
+    orthonormal columns and ``R`` is n-by-n upper triangular.  A stack of
+    shape ``(..., m, n)`` is factored slice by slice in one LAPACK loop, and
+    each slice is bitwise what a 2-D call on it gives.
     """
     A = np.asarray(A, dtype=np.float64)
-    m, n = A.shape
+    m, n = A.shape[-2:]
     if m < n:
         raise ValueError(f"householder_qr needs m >= n, got {m}x{n}")
     Q, R = np.linalg.qr(A)
-    flips = np.where(np.diagonal(R) >= 0.0, 1.0, -1.0)
-    return Q * flips, R * flips[:, None]
+    flips = np.where(np.diagonal(R, axis1=-2, axis2=-1) >= 0.0, 1.0, -1.0)
+    return Q * flips[..., None, :], R * flips[..., :, None]
+
+
+def _transpose(a: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a ``(..., m, n)`` stack, as a view."""
+    return np.swapaxes(a, -1, -2)
 
 
 def _triangular_inverse(R: np.ndarray) -> np.ndarray:
-    """Inverse of an upper-triangular matrix by recursive 2x2 blocks.
+    """Inverse of an upper-triangular matrix (or ``(..., n, n)`` stack) by
+    recursive 2x2 blocks.
 
     ``[[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]]``, halving
     until a block has at most ``_TRIANGULAR_LEAF`` rows, which
     ``np.linalg.inv`` inverts.  An LU factorization of a triangular block
     needs no row exchange, so an exactly zero diagonal entry meets a zero
-    pivot and raises ``np.linalg.LinAlgError``.
+    pivot and raises ``np.linalg.LinAlgError`` (for a stack: in any slice).
     """
-    n = len(R)
+    n = R.shape[-1]
     if n <= _TRIANGULAR_LEAF:
         return np.linalg.inv(R)
     k = n // 2
-    out = np.zeros((n, n))
-    out[:k, :k] = A_inv = _triangular_inverse(R[:k, :k])
-    out[k:, k:] = C_inv = _triangular_inverse(R[k:, k:])
-    out[:k, k:] = -(A_inv @ R[:k, k:]) @ C_inv
+    out = np.zeros(R.shape)
+    out[..., :k, :k] = A_inv = _triangular_inverse(R[..., :k, :k])
+    out[..., k:, k:] = C_inv = _triangular_inverse(R[..., k:, k:])
+    out[..., :k, k:] = -(A_inv @ R[..., :k, k:]) @ C_inv
     return out
 
 
@@ -171,16 +184,22 @@ def _cholesky_qr2(A: np.ndarray, want_inverse: bool):
     ``kappa(A) <~ eps^-1/2`` (Yamamoto et al., ETNA 44, 2015); the result
     is refused when either factorization fails or when the Frobenius norm
     of ``Q1^T Q1 - I`` exceeds ``_CHOLQR2_MAX_GAP`` (NaN included).
+
+    A ``(..., m, n)`` stack runs every product and factorization once for
+    all slices and is refused as a whole when any slice is; the gap of each
+    slice is the norm a 2-D call takes, so an accepted stack holds bitwise
+    the 2-D results.
     """
     try:
-        R1_inv = _triangular_inverse(np.linalg.cholesky(A.T @ A).T)
+        R1_inv = _triangular_inverse(_transpose(np.linalg.cholesky(_transpose(A) @ A)))
         Q1 = A @ R1_inv
-        G = Q1.T @ Q1
+        G = _transpose(Q1) @ Q1
+        n = G.shape[-1]
         with np.errstate(over="ignore"):
-            gap = np.linalg.norm(G - np.eye(len(G)))
-        if not gap <= _CHOLQR2_MAX_GAP:
+            gaps = [np.linalg.norm(g) for g in (G - np.eye(n)).reshape(-1, n, n)]
+        if not all(gap <= _CHOLQR2_MAX_GAP for gap in gaps):
             return None
-        R2_inv = _triangular_inverse(np.linalg.cholesky(G).T)
+        R2_inv = _triangular_inverse(_transpose(np.linalg.cholesky(G)))
     except np.linalg.LinAlgError:
         return None
     return Q1 @ R2_inv, (R1_inv @ R2_inv if want_inverse else None)
@@ -203,6 +222,12 @@ def pi_orth(A):
     roundoff, and taped and untaped calls take the same route, so their
     values are bitwise equal.
 
+    An untaped ``(..., m, n)`` stack is orthonormalized slice by slice in
+    one call, and each slice is bitwise what a 2-D call on it gives, on the
+    same route: below the crossover one stacked Householder call; above it
+    one stacked CholeskyQR2 attempt, and when any slice is refused, each
+    slice on its own route.
+
     On an autodiff ``Var`` the result is one tape node with a single edge to
     ``A``, the same forward value and the closed-form thin-QR adjoint (with
     ``R_bar = 0``):
@@ -214,10 +239,15 @@ def pi_orth(A):
     """
     taped = isinstance(A, Var)
     a = np.asarray(A.value if taped else A, dtype=np.float64)
-    m, n = a.shape
+    m, n = a.shape[-2:]
+    if taped and a.ndim != 2:
+        raise ValueError(f"a taped pi_orth input must be 2-D, got shape {a.shape}")
     fast = None
     if (m - 2 * n) * n * n >= _CHOLQR2_MIN_WORK:
         fast = _cholesky_qr2(a, want_inverse=taped)
+        if fast is None and a.ndim > 2:
+            # A slice was refused: each slice takes the route of a 2-D call.
+            return np.stack([pi_orth(s) for s in a.reshape(-1, m, n)]).reshape(a.shape)
     if fast is None:
         Q, R = householder_qr(a)
     else:

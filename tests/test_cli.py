@@ -565,6 +565,22 @@ class TestExitCodes:
         ])
         assert rc == 4
 
+    def test_broken_init_study_draw_is_numerical_failure(
+        self, capsys, small_data, tmp_path, monkeypatch
+    ):
+        import symae.initializers as initializers
+        from symae.linalg import pi_orth
+
+        monkeypatch.setattr(initializers, "pi_orth", lambda A: 2.0 * pi_orth(A))
+        rc = main([
+            "init-study", "--data", str(small_data), "--widths", "2,4", "--n1", "8",
+            "--trials", "3", "--out", str(tmp_path / "study.csv"),
+        ])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: random trial 0, level 1:")
+        assert "Traceback" not in err
+
     def test_unwritable_model_path_is_io_error(self, capsys, small_data, tmp_path):
         rc = main([
             "train", "--data", str(small_data), "--class", "sae",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from symae.initializers import (
     lift,
     orthogonal_random_init,
 )
-from symae.linalg import orthonormal_completion, pi_orth
+from symae.linalg import NumericalError, orthonormal_completion, pi_orth
 from symae.training import apply_minmax, minmax_normalize, split
 
 
@@ -259,10 +261,12 @@ class TestInitStudy:
         return rows
 
     @pytest.mark.parametrize(
-        "dims, act",
+        "dims, act, trials",
         [
             # HypAct cases carry the bare family name, so their ids stay stable.
-            pytest.param(dims, act, id=family if act_id == "hypact" else f"{act_id}-{family}")
+            pytest.param(
+                dims, act, 4, id=family if act_id == "hypact" else f"{act_id}-{family}"
+            )
             for act_id, act in [
                 ("identity", Identity()),
                 ("leakyrelu", LeakyReLU(5 / 6, 5 / 4)),
@@ -276,36 +280,78 @@ class TestInitStudy:
                     [(24, 8, 3), (24, 10, 3), (24, 8, 3), (24, 8, 3, 2), (24, 8), (24, 10, 3)],
                 ),
             ]
+        ]
+        + [
+            # A first level past pi_orth's CholeskyQR2 crossover.
+            pytest.param(
+                [(600, 40, w) for w in (1, 3, 8)], HypAct.from_sharpness(0.5), 4,
+                id="cholqr2-first-level",
+            ),
+            # A full block of trials and a short last one.
+            pytest.param(
+                [(24, 12, 3), (24, 12, 5, 3), (24, 8, 3)], HypAct.from_sharpness(0.5),
+                initializers._TRIAL_BLOCK + 3, id="short-last-block",
+            ),
         ],
     )
-    def test_rows_equal_the_direct_definition(self, dims, act):
-        U = np.random.default_rng(11).uniform(0.0, 1.0, (24, 60))
+    def test_rows_equal_the_direct_definition(self, dims, act, trials):
+        U = np.random.default_rng(11).uniform(0.0, 1.0, (dims[0][0], max(60, 3 * dims[0][1])))
         skeletons = [Skeleton(d) for d in dims]
-        rows = init_study(U, act, skeletons, trials=4, seed=5)
-        assert rows == self.direct_rows(U, act, skeletons, trials=4, seed=5)
+        rows = init_study(U, act, skeletons, trials=trials, seed=5)
+        assert rows == self.direct_rows(U, act, skeletons, trials=trials, seed=5)
 
-    @pytest.mark.parametrize("broken_draw", [0, 2], ids=["shared-first-level", "later-level"])
+    @pytest.mark.parametrize(
+        "broken_level, broken_trial",
+        [(1, 3), (2, initializers._TRIAL_BLOCK + 1)],
+        ids=["shared-first-level", "later-level"],
+    )
     @pytest.mark.parametrize(
         "breakage",
         [lambda V: 2.0 * V, lambda V: np.where(np.eye(*V.shape, dtype=bool), np.nan, V)],
         ids=["scaled", "nan"],
     )
-    def test_every_drawn_level_is_validated(self, monkeypatch, broken_draw, breakage):
-        # Trial 0 draws the shared 8-wide level, then the second level of
-        # each skeleton: draws 0, 1, 2.
-        draws = []
+    def test_every_drawn_level_is_validated(
+        self, monkeypatch, broken_level, broken_trial, breakage
+    ):
+        # Each block of trials draws the shared 24x8 level, then the 8x3 and
+        # 8x5 levels, as one stacked pi_orth call each; break one slice of
+        # the 8x5 call (level 2) or of the shared call (level 1).
+        shape = {1: (24, 8), 2: (8, 5)}[broken_level]
+        block, index = divmod(broken_trial, initializers._TRIAL_BLOCK)
+        calls = []
 
         def faulty_pi_orth(A):
             V = pi_orth(A)
-            draws.append(None)
-            return breakage(V) if len(draws) - 1 == broken_draw else V
+            calls.append(A.shape[-2:])
+            if calls.count(shape) == block + 1 and calls[-1] == shape:
+                V = V.copy()
+                V[index] = breakage(V[index])
+                broken.append(len(calls))
+            return V
 
+        broken = []
         monkeypatch.setattr(initializers, "pi_orth", faulty_pi_orth)
         U = np.random.default_rng(13).uniform(0.0, 1.0, (24, 60))
         skeletons = [Skeleton((24, 8, 3)), Skeleton((24, 8, 5))]
-        with pytest.raises(ValueError, match="violates"):
-            init_study(U, Identity(), skeletons, trials=2, seed=5)
-        assert len(draws) == broken_draw + 1
+        with pytest.raises(
+            NumericalError, match=rf"random trial {broken_trial}, level {broken_level}: "
+        ):
+            init_study(U, Identity(), skeletons, trials=2 * initializers._TRIAL_BLOCK, seed=5)
+        # The broken stack is the last one drawn: it is checked before any other draw.
+        assert broken == [len(calls)]
+
+    def test_peak_memory_stays_within_a_block_of_trials(self, pga400):
+        # Traced peaks on this study: the iterated-SVD side alone about
+        # 6.3 MB, with blocks of 10 trials 7.9 MB, and with all 30 trials
+        # stacked at once 16.5 MB.
+        skeletons = [Skeleton((514, 20, w)) for w in range(1, 21)]
+        tracemalloc.start()
+        try:
+            init_study(pga400, HypAct.from_sharpness(0.5), skeletons, trials=30, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_needs_at_least_one_trial(self, trials):

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _util import low_rank_snapshots
+from symae.autodiff import Var
 from symae.linalg import (
+    _CHOLQR2_MIN_WORK,
     NumericalError,
     _cholesky_qr2,
     _next_round,
@@ -364,6 +366,68 @@ class TestCholeskyQR2:
             A[3, 5] = float(bad)
         assert _cholesky_qr2(A, want_inverse=True) is None
         np.testing.assert_array_equal(pi_orth(A), householder_qr(A)[0])
+
+
+def assert_slices_are_2d_calls(stack, call):
+    """``call(stack)[t]`` holds the bits of ``call(stack[t])`` for every ``t``."""
+    out = call(stack)
+    assert out.shape[:-2] == stack.shape[:-2]
+    for t in range(len(stack)):
+        single = call(stack[t])
+        assert out[t].shape == single.shape and out[t].tobytes() == single.tobytes()
+
+
+class TestStackedPiOrth:
+    """A ``(k, m, n)`` stack takes one call, and each slice gets the bits
+    of a 2-D call on it, by the same route: Householder below the
+    CholeskyQR2 crossover (514x20 is the init-study's first level) and
+    CholeskyQR2 above it (600x40)."""
+
+    @pytest.mark.parametrize(
+        "shape, cholesky",
+        [((6, 514, 20), False), ((3, 24, 8), False), ((4, 600, 40), True), ((2, 514, 128), True)],
+        ids=["householder-514x20", "householder-24x8", "cholqr2-600x40", "cholqr2-514x128"],
+    )
+    def test_each_slice_is_its_2d_call(self, shape, cholesky):
+        m, n = shape[-2:]
+        assert ((m - 2 * n) * n * n >= _CHOLQR2_MIN_WORK) == cholesky
+        stack = np.random.default_rng(30).standard_normal(shape)
+        if cholesky:
+            assert all(_cholesky_qr2(a, False) is not None for a in stack)
+        assert_slices_are_2d_calls(stack, pi_orth)
+        assert_slices_are_2d_calls(stack, lambda a: householder_qr(a)[0])
+        assert_slices_are_2d_calls(stack, lambda a: householder_qr(a)[1])
+
+    @pytest.mark.parametrize("bad", ["zero-column", "duplicate-column", "nan"])
+    def test_a_refused_slice_falls_back_alone(self, bad):
+        stack = np.random.default_rng(31).standard_normal((4, 600, 40))
+        if bad == "zero-column":
+            stack[2, :, 7] = 0.0
+        elif bad == "duplicate-column":
+            stack[2, :, 7] = stack[2, :, 3]
+        else:
+            stack[2, 5, 7] = np.nan
+        refused = [_cholesky_qr2(a, False) is None for a in stack]
+        assert refused == [False, False, True, False]
+        assert _cholesky_qr2(stack, False) is None
+        assert_slices_are_2d_calls(stack, pi_orth)
+
+    @pytest.mark.parametrize("shape", [(1, 514, 20), (1, 600, 40)], ids=["householder", "cholqr2"])
+    def test_one_slice_stack(self, shape):
+        stack = np.random.default_rng(32).standard_normal(shape)
+        assert_slices_are_2d_calls(stack, pi_orth)
+
+    def test_cholesky_qr2_and_triangular_inverse_stacks(self):
+        rng = np.random.default_rng(33)
+        tall = rng.standard_normal((3, 600, 40))
+        assert_slices_are_2d_calls(tall, lambda a: _cholesky_qr2(a, True)[0])
+        assert_slices_are_2d_calls(tall, lambda a: _cholesky_qr2(a, True)[1])
+        triangles = np.stack([upper_triangular(70, seed) for seed in range(3)])
+        assert_slices_are_2d_calls(triangles, _triangular_inverse)
+
+    def test_taped_input_must_be_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            pi_orth(Var(np.ones((2, 5, 3))))
 
 
 class TestCovarianceSpectrum:
