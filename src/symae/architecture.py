@@ -21,10 +21,13 @@ so the same execution functions serve networks and taped losses.
 their leaf order and their shapes, checked by ``_check_layout`` for both
 parameters and dense layers (which have the SAE layout).  A level
 is a ``Layer`` except in the training loss of an SBAE network: there each
-level stays in the factored form ``E^T = X K_E``, ``D = X K_D`` and is
-applied to the batch as ``K_E^T (X^T (h - b))`` and ``X (K_D g) + b``,
-which never forms the ``n_{j-1} x n_j`` matrices.  :func:`assemble` forms
-``E`` and ``D`` from the same factors.
+level stays in the factored form ``E^T = X K_E``, ``D = X K_D + (I - X X^T) W``
+and is applied to the batch as ``K_E^T (X^T (h - b))`` and
+``X (K_D g - X^T (W g)) + W g + b``, which never forms the
+``n_{j-1} x n_j`` matrices.  :func:`assemble` forms ``E`` and ``D`` from the
+same factors.  This SBAE factorization, one orthonormal ``n_{j-1} x n_j``
+frame per level plus a free block projected off its span, is the code's
+own; the paper's abstract states only the constraint ``E_j D_j = I``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ import numpy as np
 from .activations import Activation, parse_activation
 from .autodiff import (
     apply_activation,
-    concat_rows,
     reciprocal,
     square,
     sum_sq,
@@ -57,7 +59,6 @@ __all__ = [
     "Layer",
     "SymmetricAutoencoder",
     "ParamVector",
-    "spare_dim",
     "assemble",
     "check_class_invariants",
     "invariant_gaps",
@@ -73,7 +74,7 @@ __all__ = [
 CLASS_TAGS = ("SAE", "SBAE", "SOAE", "PlainAE")
 
 BIORTH_TOL = 1e-9
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -113,11 +114,6 @@ class Skeleton:
         return self.dims[j - 1], self.dims[j]
 
 
-def spare_dim(n_prev: int, n: int) -> int:
-    """Width of the free block in a biorthogonal layer: ``min(n, n_prev - n)``."""
-    return min(n, n_prev - n)
-
-
 class Layer(NamedTuple):
     """One level ``(E, D, e, d)``: encoder ``rho(E h + e)``, decoder ``D rho_inv(h) + d``.
 
@@ -143,28 +139,33 @@ class Layer(NamedTuple):
 
 
 class _BiorthogonalLevel(NamedTuple):
-    """An SBAE level in factored form: ``E^T = X K_E``, ``D = X K_D``, ``d = b``.
+    """An SBAE level in factored form: ``E^T = X K_E``,
+    ``D = X K_D + (I - X X^T) W`` and ``d = b``.
 
     With ``e = -E b`` the affine maps act on a batch without forming the
     ``n_{j-1} x n_j`` matrices ``E`` and ``D``:
-    ``E H + e = K_E^T (X^T (H - b))`` and ``D G + d = X (K_D G) + b``.
+    ``E H + e = K_E^T (X^T (H - b))`` and
+    ``D G + d = X (K_D G - X^T (W G)) + W G + b``.
     """
 
     X: np.ndarray
     K_E: np.ndarray
     K_D: np.ndarray
+    W: np.ndarray
     b: np.ndarray
 
     def encode_affine(self, H):
         return self.K_E.T @ (self.X.T @ (H - self.b))
 
     def decode_affine(self, G):
-        return self.X @ (self.K_D @ G) + self.b
+        WG = self.W @ G
+        return self.X @ (self.K_D @ G - self.X.T @ WG) + WG + self.b
 
     def as_layer(self) -> Layer:
         """The dense :class:`Layer` ``(E, D, -E b, b)``."""
         E = (self.X @ self.K_E).T
-        return Layer(E, self.X @ self.K_D, -(E @ self.b), self.b)
+        D = self.X @ (self.K_D - self.X.T @ self.W) + self.W
+        return Layer(E, D, -(E @ self.b), self.b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,9 +174,6 @@ class SymmetricAutoencoder:
     act: Activation
     layers: tuple[Layer, ...]
     class_tag: str
-    # Orthonormal directions spanning part of the complement of each D_j,
-    # kept by the iterated-SVD initializer to seed biorthogonal lifting.
-    complements: tuple[np.ndarray, ...] | None = field(default=None, compare=False)
     _residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -288,8 +286,10 @@ class ParamVector:
 
     ``layers[j]`` maps the canonical parameter names of ``class_tag`` to
     arrays: raw ``(E, D, e, d)`` for SAE/PlainAE; ``(A, b)`` for SOAE where
-    the decoder matrix is ``pi_orth(A)``; ``(X, Y, Z, Q, s, b)`` for SBAE
-    feeding the biorthogonal product construction.
+    the decoder matrix is ``pi_orth(A)``; ``(X, Z, W, s, b)`` for SBAE,
+    where ``pi_orth(X)`` is the level's ``n_{j-1} x n_j`` orthonormal frame,
+    ``pi_orth(Z)`` an ``n_j x n_j`` rotation, ``s`` the square roots of the
+    scales and ``W`` the free decoder block (see :func:`_level`).
     """
 
     class_tag: str
@@ -319,15 +319,7 @@ def _param_shapes(class_tag: str, skeleton: Skeleton, j: int) -> dict[str, tuple
         return {"E": (r, q), "D": (q, r), "e": (r, 1), "d": (q, 1)}
     if class_tag == "SOAE":
         return {"A": (q, r), "b": (q, 1)}
-    d = spare_dim(q, r)
-    return {
-        "X": (q, r + d),
-        "Y": (r, r),
-        "Z": (r, r),
-        "Q": (d, r),
-        "s": (r, 1),
-        "b": (q, 1),
-    }
+    return {"X": (q, r), "Z": (r, r), "W": (q, r), "s": (r, 1), "b": (q, 1)}
 
 
 def _check_layout(class_tag: str, skeleton: Skeleton, layers) -> list[dict]:
@@ -354,14 +346,17 @@ def _level(class_tag: str, params: dict):
 
     Works on arrays or ``Var`` leaves.  SAE/PlainAE: the raw
     :class:`Layer`.  SOAE: ``D = pi_orth(A)``, ``E = D^T``, ``d = b``,
-    ``e = -E b``.  SBAE: with ``X = pi_orth(X~)`` (q x (r+d)),
-    ``Y = pi_orth(Y~)``, ``Z = pi_orth(Z~)`` (r x r) and ``S = diag(s^2)``,
+    ``e = -E b``.  SBAE: with ``X = pi_orth(X~)`` (q x r),
+    ``Z = pi_orth(Z~)`` (r x r) and ``S = diag(s^2)``,
 
-        E^T = X K_E,  K_E = [Y S Z^T; 0],     D = X K_D,  K_D = [Y S^-1 Z^T; Q],
+        E = Z S X^T = K_E^T X^T,  K_E = S Z^T,
+        D = X S^-1 Z^T + (I - X X^T) W = X K_D + (I - X X^T) W,  K_D = S^-1 Z^T,
 
-    which gives ``E D = I`` identically; biases ``d = b``, ``e = -E b``.
-    The SBAE level stays factored (:class:`_BiorthogonalLevel`); its
-    ``as_layer`` forms ``E`` and ``D``.
+    which gives ``E D = I`` identically, since ``X^T (I - X X^T) = 0``;
+    biases ``d = b``, ``e = -E b``.  ``(I - X X^T) W`` ranges over every
+    q x r block whose columns are orthogonal to ``span X``; when q = r it
+    is zero and ``W`` has no effect.  The SBAE level stays factored
+    (:class:`_BiorthogonalLevel`); its ``as_layer`` forms ``E`` and ``D``.
     """
     if class_tag in ("SAE", "PlainAE"):
         return Layer(params["E"], params["D"], params["e"], params["d"])
@@ -374,14 +369,9 @@ def _level(class_tag: str, params: dict):
     if not np.all(value_of(s)):
         raise ValueError("SBAE scale vector must have no zero entries")
     X = pi_orth(params["X"])
-    Y = pi_orth(params["Y"])
     Zt = pi_orth(params["Z"]).T
-    s2 = square(s).T
-    r = value_of(s).shape[0]
-    d = value_of(params["Q"]).shape[0]
-    K_E = concat_rows([(Y * s2) @ Zt, np.zeros((d, r))])
-    K_D = concat_rows([(Y * reciprocal(s2)) @ Zt, params["Q"]])
-    return _BiorthogonalLevel(X, K_E, K_D, params["b"])
+    s2 = square(s)
+    return _BiorthogonalLevel(X, s2 * Zt, reciprocal(s2) * Zt, params["W"], params["b"])
 
 
 def assemble(theta: ParamVector) -> SymmetricAutoencoder:
@@ -479,7 +469,9 @@ def load_model(
     Returns ``(psi, theta, (lo, hi))``, where ``theta`` is ``None`` when the
     file stores none and ``(lo, hi)`` is the min-max range the network was
     fitted on.  A version-1 file, which stores no range, loads with the
-    identity range ``(0, 1)`` and a warning.
+    identity range ``(0, 1)`` and a warning.  Versions 1 and 2 store an SBAE
+    ``theta`` in the older layout ``(X, Y, Z, Q, s, b)``, which loads folded
+    into today's (:func:`_fold_sbae_theta`).
 
     Raises :class:`DataFormatError` when the file is not JSON, carries
     another format version, lacks a key or holds a value that does not
@@ -492,10 +484,10 @@ def load_model(
     except ValueError as exc:
         raise DataFormatError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version not in (1, CHECKPOINT_VERSION):
+    if version not in (1, 2, CHECKPOINT_VERSION):
         raise DataFormatError(f"unsupported checkpoint version {version!r} in {path}")
     try:
-        psi, theta = _model_from_doc(doc)
+        psi, theta = _model_from_doc(doc, version)
         if version == 1:
             warnings.warn(
                 f"checkpoint {path} is format version 1, which stores no normalization; "
@@ -518,7 +510,7 @@ def _checked_normalization(lo, hi) -> tuple[float, float]:
     return lo, hi
 
 
-def _model_from_doc(doc: dict) -> tuple[SymmetricAutoencoder, ParamVector | None]:
+def _model_from_doc(doc: dict, version: int) -> tuple[SymmetricAutoencoder, ParamVector | None]:
     skeleton = Skeleton(tuple(doc["skeleton"]))
     act = parse_activation(doc["activation_spec"])
     layers = tuple(
@@ -533,15 +525,33 @@ def _model_from_doc(doc: dict) -> tuple[SymmetricAutoencoder, ParamVector | None
             {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
             for params in block["layers"]
         ]
-        # JSON stores a 0-row block (SBAE's Q when n_j = n_{j-1}) as [],
-        # which loses its column count; restore the shape the class expects.
-        for j, params in enumerate(theta_layers[: skeleton.depth], start=1):
-            for k, want in _param_shapes(block["class_tag"], skeleton, j).items():
-                if k in params and params[k].size == 0:
-                    params[k] = params[k].reshape(want)
+        if block["class_tag"] == "SBAE" and version < 3:
+            theta_layers = [_fold_sbae_theta(params) for params in theta_layers]
         theta = ParamVector(block["class_tag"], skeleton, act, theta_layers)
         _check_theta_realizes(theta, psi)
     return psi, theta
+
+
+def _fold_sbae_theta(old: dict) -> dict:
+    """An SBAE level of the version-1/2 layout in today's layout.
+
+    The old level had ``X = pi_orth(X~) = [X_1 X_2]`` (``q x (r + d)``),
+    ``Y = pi_orth(Y~)`` and a ``d x r`` block ``Q``, with
+    ``E^T = X_1 Y S Z^T`` and ``D = X_1 Y S^-1 Z^T + X_2 Q``.  ``X_1 Y`` is
+    an orthonormal frame and ``X_2 Q`` is orthogonal to it, so
+    ``X~ = X_1 Y`` and ``W = X_2 Q`` give the same ``E`` and ``D``; ``Z``,
+    ``s`` and ``b`` carry over.  A ``Q`` stored as ``[]`` (``d = 0``) is
+    read as ``0 x r``.
+    """
+    r = len(old["s"])
+    X = pi_orth(old["X"])
+    return {
+        "X": X[:, :r] @ pi_orth(old["Y"]),
+        "Z": old["Z"],
+        "W": X[:, r:] @ old["Q"].reshape(-1, r),
+        "s": old["s"],
+        "b": old["b"],
+    }
 
 
 def _check_theta_realizes(theta: ParamVector, psi: SymmetricAutoencoder):

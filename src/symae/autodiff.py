@@ -10,7 +10,7 @@ scalar root walks the graph once in reverse topological order and
 accumulates adjoints into ``Var.grad``.
 
 Every operation is one function over operands that may be plain or taped
-(:func:`sum_sq`, :func:`square`, :func:`concat_rows`, ...): on plain
+(:func:`sum_sq`, :func:`square`, :func:`reciprocal`, ...): on plain
 operands it is the plain evaluator, so taped forward values match the
 untaped arithmetic bit for bit.  Linear-algebra operations with a
 closed-form adjoint are primitives instead: :func:`symae.linalg.pi_orth`
@@ -31,7 +31,6 @@ __all__ = [
     "square",
     "reciprocal",
     "sum_sq",
-    "concat_rows",
     "apply_activation",
 ]
 
@@ -195,22 +194,6 @@ def sum_sq(x):
     if not isinstance(x, Var):
         return float(np.sum(x * x))
     return Var._node(np.sum(x.value * x.value), (x, lambda g: g * (2.0 * x.value)))
-
-
-def concat_rows(parts):
-    """Stack arrays or ``Var`` blocks vertically."""
-    parts = list(parts)
-    if not any(isinstance(p, Var) for p in parts):
-        return np.concatenate(parts, axis=0)
-    values = [value_of(p) for p in parts]
-    offsets = np.cumsum([0] + [v.shape[0] for v in values])
-    return Var._node(
-        np.concatenate(values, axis=0),
-        *(
-            (p, lambda g, lo=lo, hi=hi: g[lo:hi])
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])
-        ),
-    )
 
 
 def apply_activation(act, x, inverse: bool = False):

@@ -9,7 +9,9 @@ Subcommands
 ``bounds``      per-layer error-bound report for a model checkpoint.
 
 Every command is reproducible from its flags and seed.  Exit codes:
-0 success, 2 usage error, 3 data error, 4 numerical failure.
+0 success, 2 usage error, 3 data error, 4 numerical failure.  A warning
+raised while a command runs is printed as one ``warning: ...`` line on
+standard error.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -82,10 +85,17 @@ def _positive(zero_ok=False):
     return parse
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """``warnings.showwarning`` for the command line: the message alone, no source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return args.handler(args)
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

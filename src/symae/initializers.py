@@ -43,13 +43,11 @@ from .architecture import (
     decode_columns,
     encode_columns,
     invariant_gaps,
-    spare_dim,
 )
 from .linalg import (
     NumericalError,
     covariance_spectrum,
     leading_basis,
-    orthonormal_completion,
     pi_orth,
     require_matrix,
 )
@@ -123,13 +121,12 @@ def eys_init(
     Level by level: the bias is the sample mean of the current hidden
     representation, the basis is the leading left singular vectors of the
     centered representation, and the data is pushed through the finished
-    layer.  The result carries spare orthonormal directions (the next
-    singular vectors) used when lifting into the biorthogonal class.
+    layer.
 
     Entirely deterministic: no randomness enters, and directions past the
-    numerical rank of the centered data (spares included) are the
-    orthonormal completion of :func:`~symae.linalg.leading_basis`; a level
-    wider than that rank is reported via ``warnings.warn``.
+    numerical rank of the centered data are the orthonormal completion of
+    :func:`~symae.linalg.leading_basis`; a level wider than that rank is
+    reported via ``warnings.warn``.
     """
     U = require_matrix(U, "snapshot matrix")
     if U.shape[1] < 2:
@@ -141,10 +138,9 @@ def eys_init(
     if cache is None:
         cache = EysCache(U, act)
     layers = []
-    spares = []
     prefix: tuple[int, ...] = ()
     for j in range(1, skeleton.depth + 1):
-        n_prev, n_j = skeleton.layer_shape(j)
+        n_j = skeleton.dims[j]
         mean, eigvecs, eigvals = cache.level(prefix)
         if len(eigvals) < n_j:
             warnings.warn(
@@ -152,14 +148,10 @@ def eys_init(
                 "padding with an orthonormal completion",
                 stacklevel=2,
             )
-        basis = leading_basis(eigvecs, n_j + spare_dim(n_prev, n_j))
-        V = basis[:, :n_j]
+        V = leading_basis(eigvecs, n_j)
         layers.append(Layer(E=V.T, D=V, e=-(V.T @ mean), d=mean))
-        spares.append(basis[:, n_j:].copy())
         prefix = prefix + (n_j,)
-    return SymmetricAutoencoder(
-        skeleton, act, tuple(layers), "SOAE", complements=tuple(spares)
-    )
+    return SymmetricAutoencoder(skeleton, act, tuple(layers), "SOAE")
 
 
 def he_variance(act: Activation, fan_in: int) -> float:
@@ -232,13 +224,12 @@ def _orthogonal_level(draw: np.ndarray) -> Layer:
 def lift(psi: SymmetricAutoencoder, class_tag: str) -> ParamVector:
     """Express a network as unconstrained parameters of ``class_tag``.
 
-    SAE/PlainAE take the weights verbatim.  SOAE requires an
+    SAE/PlainAE take the weights verbatim.  SOAE and SBAE require an
     orthogonal-form network, one that passes the SOAE invariant check
-    whatever its class tag, and keeps ``(D_j, d_j)`` as coordinates.  SBAE
-    additionally needs orthonormal directions outside ``span(D_j)``; these
-    come from the network's stored complements (iterated-SVD spares) or,
-    failing that, a deterministic completion.  In every case assembling the
-    lifted parameters reproduces the original reconstruction map.
+    whatever its class tag.  SOAE keeps ``(D_j, d_j)`` as coordinates; SBAE
+    takes the frame ``X = D_j``, the rotation ``Z = I``, unit scales, a zero
+    free block ``W`` and ``b = d_j``.  In every case assembling the lifted
+    parameters reproduces the original reconstruction map.
     """
     if class_tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {class_tag!r}")
@@ -254,28 +245,21 @@ def lift(psi: SymmetricAutoencoder, class_tag: str) -> ParamVector:
         raise ValueError(
             f"network is not in orthogonal form, cannot lift into {class_tag}: {exc}"
         ) from None
-    if class_tag == "SOAE":
-        for layer in psi.layers:
+    for layer in psi.layers:
+        q, r = layer.D.shape
+        if class_tag == "SOAE":
             layers.append({"A": layer.D.copy(), "b": layer.d.copy()})
-        return ParamVector("SOAE", psi.skeleton, psi.act, layers)
-
-    for j, layer in enumerate(psi.layers, start=1):
-        q, r = psi.skeleton.layer_shape(j)
-        d = spare_dim(q, r)
-        spare = psi.complements[j - 1] if psi.complements is not None else None
-        if spare is None or spare.shape[1] < d:
-            spare = orthonormal_completion(layer.D, r + d)[:, r:]
-        layers.append(
-            {
-                "X": np.concatenate([layer.D, spare[:, :d]], axis=1),
-                "Y": np.eye(r),
-                "Z": np.eye(r),
-                "Q": np.zeros((d, r)),
-                "s": np.ones((r, 1)),
-                "b": layer.d.copy(),
-            }
-        )
-    return ParamVector("SBAE", psi.skeleton, psi.act, layers)
+        else:
+            layers.append(
+                {
+                    "X": layer.D.copy(),
+                    "Z": np.eye(r),
+                    "W": np.zeros((q, r)),
+                    "s": np.ones((r, 1)),
+                    "b": layer.d.copy(),
+                }
+            )
+    return ParamVector(class_tag, psi.skeleton, psi.act, layers)
 
 
 def init_study(U, act, skeletons, trials, seed):

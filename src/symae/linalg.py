@@ -89,7 +89,7 @@ _COMPLETION_SEED = 0x5D32C1
 #   at/above: 225x100 1004 / 906   514x25   252 /  218    400x30   249 /  199
 #             2600x10  432 / 175   514x32   456 /  230    514x64  1298 /  725
 #             384x128 4028 / 2015  514x128 6627 / 3170
-# So the network's level-1 factor 514x128 (skeleton 514,64,...) and the
+# So the network's level-1 frame 514x64 (skeleton 514,64,...) and the
 # 514x64 draws take CholeskyQR2, and the init-study's 514x20 does not.
 _CHOLQR2_MIN_WORK = 2.5e5
 # CholeskyQR2's first pass is kept only while ||Q1^T Q1 - I||_F is at most
@@ -235,7 +235,10 @@ def pi_orth(A):
     ``copyltu(M) = tril(M) + tril(M, -1)^T``, applied as ``B @ R_inv.T``.
     CholeskyQR2 hands ``R^-1`` over from the forward pass; after Householder
     the adjoint inverts ``R`` with :func:`_triangular_inverse`.  An exactly
-    singular ``R`` raises :class:`NumericalError`.
+    singular ``R`` raises :class:`NumericalError`.  A square ``Q`` does not
+    depend on the last column of ``A`` (its last column is fixed by the
+    others), so ``B[:, -1]``, zero in exact arithmetic, is set to exactly
+    zero, and so is the gradient with respect to that column.
     """
     taped = isinstance(A, Var)
     a = np.asarray(A.value if taped else A, dtype=np.float64)
@@ -258,6 +261,8 @@ def pi_orth(A):
     def vjp(g):
         M = -(g.T @ Q)
         B = g + Q @ (np.tril(M) + np.tril(M, -1).T)
+        if m == n:
+            B[:, -1] = 0.0
         if fast is not None:
             return B @ R_inv.T
         try:

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from symae.architecture import ParamVector, Skeleton, spare_dim
+from symae.architecture import ParamVector, Skeleton
 from symae.autodiff import gradient, value_of
 
 
@@ -46,19 +46,17 @@ def random_theta(class_tag, skeleton, act, rng, well_conditioned=False):
                 }
             )
         else:
-            d = spare_dim(q, r)
             if well_conditioned:
                 s = rng.uniform(0.8, 1.25, (r, 1))
-                Q = 0.3 * rng.standard_normal((d, r))
+                W = 0.3 * rng.standard_normal((q, r))
             else:
                 s = rng.uniform(0.5, 2.0, (r, 1))
-                Q = rng.standard_normal((d, r))
+                W = rng.standard_normal((q, r))
             layers.append(
                 {
-                    "X": rng.standard_normal((q, r + d)),
-                    "Y": rng.standard_normal((r, r)),
+                    "X": rng.standard_normal((q, r)),
                     "Z": rng.standard_normal((r, r)),
-                    "Q": Q,
+                    "W": W,
                     "s": s,
                     "b": rng.standard_normal((q, 1)),
                 }

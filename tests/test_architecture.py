@@ -18,7 +18,6 @@ from symae.architecture import (
     check_class_invariants,
     load_model,
     save_model,
-    spare_dim,
 )
 from symae.data_io import DataFormatError
 from symae.initializers import lift
@@ -51,11 +50,6 @@ class TestSkeleton:
         with pytest.raises(ValueError):
             Skeleton(dims)
 
-    def test_spare_dim(self):
-        assert spare_dim(5, 3) == 2
-        assert spare_dim(20, 8) == 8
-        assert spare_dim(4, 4) == 0
-
 
 class TestAssemble:
     def test_biorthogonal_layer_satisfies_constraint(self):
@@ -67,10 +61,10 @@ class TestAssemble:
         assert np.max(np.abs(E @ D - np.eye(3))) <= 1e-10
 
     def test_biorthogonal_reduces_to_orthogonal_on_neutral_factors(self):
-        # Identity rotations, unit scales, zero free block: the layer is the
-        # transpose pair built from the leading orthonormalized columns.
+        # Identity rotation, unit scales, zero free block: the layer is the
+        # transpose pair built from the orthonormal frame.
         rng = np.random.default_rng(1)
-        X = pi_orth(rng.standard_normal((7, 6)))
+        X = pi_orth(rng.standard_normal((7, 3)))
         theta = ParamVector(
             "SBAE",
             Skeleton((7, 3)),
@@ -78,16 +72,15 @@ class TestAssemble:
             [
                 {
                     "X": X,
-                    "Y": np.eye(3),
                     "Z": np.eye(3),
-                    "Q": np.zeros((3, 3)),
+                    "W": np.zeros((7, 3)),
                     "s": np.ones((3, 1)),
                     "b": np.zeros((7, 1)),
                 }
             ],
         )
         psi = assemble(theta)
-        np.testing.assert_allclose(psi.layers[0].E, X[:, :3].T, atol=1e-12)
+        np.testing.assert_allclose(psi.layers[0].E, X.T, atol=1e-12)
         np.testing.assert_allclose(psi.layers[0].D, psi.layers[0].E.T, atol=1e-12)
 
     def test_orthogonal_fixed_point(self):
@@ -107,10 +100,15 @@ class TestAssemble:
             assemble(theta)
 
     def test_degenerate_free_block_when_widths_match(self):
+        # With n_j = n_{j-1} the frame X is square, so (I - X X^T) W = 0:
+        # the free block of level 2 has no effect.
         rng = np.random.default_rng(4)
         theta = random_theta("SBAE", Skeleton((6, 3, 3)), Identity(), rng)
-        assert theta.layers[1]["Q"].shape == (0, 3)
         psi = assemble(theta)
+        theta.layers[1]["W"] = np.zeros((3, 3))
+        without = assemble(theta)
+        for a, b in zip(psi.layers[1], without.layers[1]):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
         assert np.max(np.abs(psi.layers[1].E @ psi.layers[1].D - np.eye(3))) <= 1e-10
 
     def test_class_invariants_enforced(self):
@@ -144,6 +142,23 @@ class TestAssemble:
             float(np.max(np.abs(l.E @ l.D - np.eye(l.E.shape[0])))) for l in psi.layers
         )
         assert psi.constraint_residual() == direct
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_skeletons(), st.integers(0, 2**32 - 1))
+    def test_free_block_counts_only_off_the_frame(self, skeleton, seed):
+        # D = X K_D + (I - X X^T) W: moving W along the frame, W -> W + X C,
+        # leaves every assembled layer unchanged, and E D = I either way.
+        rng = np.random.default_rng(seed)
+        theta = random_theta("SBAE", skeleton, Identity(), rng)
+        psi = assemble(theta)
+        for params in theta.layers:
+            X, W = pi_orth(params["X"]), params["W"]
+            params["W"] = W + X @ rng.standard_normal((X.shape[1], X.shape[1]))
+        moved = assemble(theta)
+        for a, b in zip(psi.layers, moved.layers):
+            for x, y in zip(a, b):
+                np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
+        assert moved.constraint_residual() <= 1e-10
 
 
 class TestExecution:
@@ -323,7 +338,7 @@ class TestCheckpoint:
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2,
                  unique=True).map(sorted),
     )
-    # An SBAE level with n_j = n_{j-1} has a 0-row Q block, which JSON stores as [].
+    # An SBAE level with n_j = n_{j-1} has a square frame.
     @example("SBAE", Skeleton((2, 1, 1)), Identity(), 0, True, [0.0, 1.0])
     def test_roundtrip_is_bit_exact(self, class_tag, skeleton, act, seed, with_theta, lo_hi):
         rng = np.random.default_rng(seed)
@@ -382,6 +397,57 @@ class TestCheckpoint:
         with pytest.warns(UserWarning, match="format version 1.*identity range lo=0, hi=1"):
             _psi, theta2, normalization = load_model(path)
         assert normalization == (0.0, 1.0) and theta2 is not None
+
+    def test_version_2_sbae_theta_loads_folded(self, tmp_path):
+        # Version 2 stored an SBAE level as X~ (q x (r + d)), Y~, Z~, Q (d x r),
+        # s and b, with d = min(r, q - r), E^T = X_1 Y S Z^T and
+        # D = X_1 Y S^-1 Z^T + X_2 Q.  Level 3 has n_j = n_{j-1}: d = 0, and
+        # JSON holds its Q as [].
+        skeleton = Skeleton((9, 4, 2, 2))
+        rng = np.random.default_rng(37)
+        old_levels, layers = [], []
+        for j in range(1, skeleton.depth + 1):
+            q, r = skeleton.layer_shape(j)
+            d = min(r, q - r)
+            old = {
+                "X": rng.standard_normal((q, r + d)),
+                "Y": rng.standard_normal((r, r)),
+                "Z": rng.standard_normal((r, r)),
+                "Q": rng.standard_normal((d, r)),
+                "s": rng.uniform(0.5, 2.0, (r, 1)),
+                "b": rng.standard_normal((q, 1)),
+            }
+            X, Y, Z = pi_orth(old["X"]), pi_orth(old["Y"]), pi_orth(old["Z"])
+            s2 = old["s"].T ** 2
+            E = (X[:, :r] @ ((Y * s2) @ Z.T)).T
+            D = X[:, :r] @ ((Y / s2) @ Z.T) + X[:, r:] @ old["Q"]
+            old_levels.append({k: v.tolist() for k, v in old.items()})
+            layers.append({"E": E, "D": D, "e": -(E @ old["b"]), "d": old["b"]})
+        assert old_levels[2]["Q"] == []
+        doc = {
+            "format_version": 2,
+            "class_tag": "SBAE",
+            "skeleton": list(skeleton.dims),
+            "activation_spec": "identity",
+            "normalization": {"lo": 0.0, "hi": 1.0},
+            "layers": [{k: v.tolist() for k, v in l.items()} for l in layers],
+            "theta": {"class_tag": "SBAE", "layers": old_levels},
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        psi, theta, _normalization = load_model(path)
+        assert [list(p) for p in theta.layers] == [["X", "Z", "W", "s", "b"]] * 3
+        for params, old in zip(theta.layers, old_levels):
+            for k in ("Z", "s", "b"):
+                assert params[k].tolist() == old[k]
+        for got, want in zip(assemble(theta).layers, psi.layers):
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+        # Saved again, the file is version 3 and holds the folded theta.
+        save_model(psi, path, theta=theta)
+        assert json.loads(path.read_text())["format_version"] == 3
+        _psi, again, _normalization = load_model(path)
+        assert all(np.array_equal(a, b) for a, b in zip(again.leaves(), theta.leaves()))
 
     @pytest.mark.parametrize(
         "block, message",
@@ -469,9 +535,9 @@ def _network_missing_a_level(skeleton):
     return SymmetricAutoencoder(skeleton, Identity(), tuple(_dense_layers(skeleton, 42)[:1]), "SAE")
 
 
-def _theta_with_bad_Y(skeleton):
+def _theta_with_bad_W(skeleton):
     theta = random_theta("SBAE", skeleton, Identity(), np.random.default_rng(43))
-    theta.layers[1]["Y"] = np.zeros((3, 2))
+    theta.layers[1]["W"] = np.zeros((2, 5))
     return ParamVector("SBAE", skeleton, Identity(), theta.layers)
 
 
@@ -489,7 +555,7 @@ class TestLayoutCheck:
             (_network_with_bad_E, r"layer 2 parameter E has shape \(3, 5\), expected \(2, 5\)"),
             (_network_with_nan_D, "layer 2 weight D has non-finite entries"),
             (_network_missing_a_level, "skeleton depth 2 != layer count 1"),
-            (_theta_with_bad_Y, r"layer 2 parameter Y has shape \(3, 2\), expected \(2, 2\)"),
+            (_theta_with_bad_W, r"layer 2 parameter W has shape \(2, 5\), expected \(5, 2\)"),
             (_theta_missing_a_level, "skeleton depth 2 != layer count 1"),
         ],
         ids=["network-shape", "network-nan", "network-level", "theta-shape", "theta-level"],

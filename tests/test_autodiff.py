@@ -8,7 +8,6 @@ from symae.autodiff import (
     Var,
     apply_activation,
     backward,
-    concat_rows,
     gradient,
     reciprocal,
     square,
@@ -51,9 +50,8 @@ class TestPrimitives:
             lambda v, c: sum_sq(square(v)),
             lambda v, c: sum_sq(reciprocal(v)),
             lambda v, c: sum_sq(v * c.T),
-            lambda v, c: sum_sq(concat_rows([v, 2.0 * v])),
         ],
-        ids=["square", "reciprocal", "broadcast_mul", "rows"],
+        ids=["square", "reciprocal", "broadcast_mul"],
     )
     def test_primitive_vjps_match_finite_differences(self, op):
         rng = np.random.default_rng(3)
@@ -148,7 +146,7 @@ class TestTapedLossMatchesPlainEvaluation:
 
 
 class TestTapeInvariant:
-    # Constants (the batch, the SBAE zero block, scalars) are plain arrays:
+    # Constants (the batch, scalars) are plain arrays:
     # every node built while taping a loss is a leaf or has an edge to a Var.
     @pytest.mark.parametrize("class_tag", ["SAE", "SBAE", "SOAE", "PlainAE"])
     def test_only_leaves_lack_edges(self, monkeypatch, class_tag):
@@ -209,6 +207,17 @@ class TestPiOrthPrimitive:
         down = sum_sq(pi_orth(A - step * dA) - T)
         fd = (up - down) / (2.0 * step)
         assert abs(np.sum(v.grad * dA) - fd) <= 1e-7 * np.linalg.norm(v.grad)
+
+    @pytest.mark.parametrize("n", [1, 3, 15, 64])
+    def test_square_input_last_column_gets_exactly_zero_gradient(self, n):
+        # A square Q's last column is fixed, up to the sign R makes positive,
+        # by the columns before it, so Q does not depend on A's last column.
+        rng = np.random.default_rng(19)
+        v = Var(rng.standard_normal((n, n)))
+        backward(sum_sq(pi_orth(v) - rng.standard_normal((n, n))))
+        assert np.all(v.grad[:, -1] == 0.0)
+        if n > 1:
+            assert np.all(np.abs(v.grad[:, :-1]).max(axis=0) > 0.0)
 
     def test_singular_r_raises_numerical_error(self):
         # 514x128 is past the CholeskyQR2 crossover; its zero column makes

@@ -265,6 +265,37 @@ class TestInitStudy:
         assert configs[0] == "100-65-3"
         assert configs[-1] == "100-65-33-17-9-5-3"
 
+    @pytest.mark.parametrize(
+        "flags, first",
+        [
+            (("--widths", "2", "--n1", "18"), "18 exceeds numerical rank 17"),
+            (("--depth-pattern",), "65 exceeds numerical rank 11"),
+        ],
+        ids=["widths", "depth-pattern"],
+    )
+    def test_width_past_the_rank_warns_in_one_line(
+        self, capsys, small_data, tmp_path, flags, first
+    ):
+        # small_data has 20 rows and a training split of rank 17, too few rows
+        # for the depth ladder's first width of 65: that case widens the data
+        # as test_depth_pattern_configs does (100 rows, rank 11).
+        data = small_data
+        if "--depth-pattern" in flags:
+            data = tmp_path / "wide.csv"
+            rng = np.random.default_rng(1)
+            save_snapshots(SnapshotSet(U=rng.uniform(0, 1, (100, 24))), data)
+        rc = main([
+            "init-study", "--data", str(data), *flags,
+            "--trials", "1", "--out", str(tmp_path / "study.csv"),
+        ])
+        assert rc == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == (
+            f"warning: level 1: requested width {first}; padding with an orthonormal completion"
+        )
+        assert all(line.startswith("warning: level ") for line in lines)
+        assert not any(".py" in line or "Warning" in line for line in lines)
+
 
 class TestBounds:
     def _train_model(self, small_data, tmp_path, model_class, act="identity"):

@@ -187,11 +187,19 @@ class TestLift:
         )
 
     def test_biorthogonal_lift_without_stored_spares(self):
+        # A lift reads only the layers: the frame is D itself, the rotation
+        # the identity, the scales one and the free block zero.
         psi = orthogonal_random_init(
             Skeleton((10, 4, 2)), Identity(), np.random.default_rng(11), "SBAE"
         )
-        assert psi.complements is None
         theta = lift(psi, "SBAE")
+        for params, layer in zip(theta.layers, psi.layers):
+            q, r = layer.D.shape
+            assert np.array_equal(params["X"], layer.D)
+            assert np.array_equal(params["Z"], np.eye(r))
+            assert np.array_equal(params["W"], np.zeros((q, r)))
+            assert np.array_equal(params["s"], np.ones((r, 1)))
+            assert np.array_equal(params["b"], layer.d)
         built = assemble(theta)
         u = np.random.default_rng(12).standard_normal((10, 6))
         np.testing.assert_allclose(built.reconstruct(u), psi.reconstruct(u), atol=1e-10)
