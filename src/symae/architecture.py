@@ -145,26 +145,32 @@ class _BiorthogonalLevel(NamedTuple):
     With ``e = -E b`` the affine maps act on a batch without forming the
     ``n_{j-1} x n_j`` matrices ``E`` and ``D``:
     ``E H + e = K_E^T (X^T (H - b))`` and
-    ``D G + d = X (K_D G - X^T (W G)) + W G + b``.
+    ``D G + d = X (K_D G - X^T (W G)) + W G + b``.  ``W`` is None on a
+    square level, where ``D = X K_D``.
     """
 
     X: np.ndarray
     K_E: np.ndarray
     K_D: np.ndarray
-    W: np.ndarray
+    W: np.ndarray | None
     b: np.ndarray
 
     def encode_affine(self, H):
         return self.K_E.T @ (self.X.T @ (H - self.b))
 
     def decode_affine(self, G):
+        if self.W is None:
+            return self.X @ (self.K_D @ G) + self.b
         WG = self.W @ G
         return self.X @ (self.K_D @ G - self.X.T @ WG) + WG + self.b
 
     def as_layer(self) -> Layer:
         """The dense :class:`Layer` ``(E, D, -E b, b)``."""
         E = (self.X @ self.K_E).T
-        D = self.X @ (self.K_D - self.X.T @ self.W) + self.W
+        if self.W is None:
+            D = self.X @ self.K_D
+        else:
+            D = self.X @ (self.K_D - self.X.T @ self.W) + self.W
         return Layer(E, D, -(E @ self.b), self.b)
 
 
@@ -355,7 +361,8 @@ def _level(class_tag: str, params: dict):
     which gives ``E D = I`` identically, since ``X^T (I - X X^T) = 0``;
     biases ``d = b``, ``e = -E b``.  ``(I - X X^T) W`` ranges over every
     q x r block whose columns are orthogonal to ``span X``; when q = r it
-    is zero and ``W`` has no effect.  The SBAE level stays factored
+    is zero, so a square level is built without ``W`` (``D = X K_D``) and
+    the gradient of its ``W`` is exactly 0.  The SBAE level stays factored
     (:class:`_BiorthogonalLevel`); its ``as_layer`` forms ``E`` and ``D``.
     """
     if class_tag in ("SAE", "PlainAE"):
@@ -371,7 +378,9 @@ def _level(class_tag: str, params: dict):
     X = pi_orth(params["X"])
     Zt = pi_orth(params["Z"]).T
     s2 = square(s)
-    return _BiorthogonalLevel(X, s2 * Zt, reciprocal(s2) * Zt, params["W"], params["b"])
+    q, r = value_of(params["X"]).shape
+    W = params["W"] if q > r else None
+    return _BiorthogonalLevel(X, s2 * Zt, reciprocal(s2) * Zt, W, params["b"])
 
 
 def assemble(theta: ParamVector) -> SymmetricAutoencoder:

@@ -28,6 +28,9 @@ __all__ = [
 PGA_GRID_POINTS = 514  # uniform grid i/513, i = 0..513, on [0, 1]
 _PGA_MU_RANGE = (0.3, 0.7)
 _HEADER_RE = re.compile(r"^# n0=(\d+) S=(\d+)\s*$")
+# ASCII control bytes other than tab, \n and \r: str.splitlines breaks lines
+# at some of them, and np.loadtxt strips some that float() does not
+_CONTROL_BYTES = bytes(sorted(set(range(32)) - {9, 10, 13})) + b"\x7f"
 
 
 class DataFormatError(ValueError):
@@ -86,6 +89,45 @@ def save_snapshots(snapshots: SnapshotSet, path):
 
 
 def _read_matrix(path: Path) -> np.ndarray:
+    """The snapshot matrix in ``path``; raises :class:`DataFormatError`."""
+    fast = _read_plain_matrix(path)
+    return fast if fast is not None else _parse_lines(path)
+
+
+def _read_plain_matrix(path: Path) -> np.ndarray | None:
+    """``np.loadtxt``'s reading of a plain file, or None to parse it line by line.
+
+    A plain file holds printable ASCII, tabs and ``\\n``/``\\r`` line
+    breaks only, so ``np.loadtxt`` and ``str.splitlines`` see the same lines
+    and the same spaces, and starts with a valid header.  The result is
+    kept only when it has the header's shape and finite values; numpy's
+    float parsing is correctly rounded and accepts no plain cell that
+    ``float`` rejects, so whatever passes is bitwise what
+    :func:`_parse_lines` returns.  Everything else, errors included, goes
+    to :func:`_parse_lines`.
+    """
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        return None
+    end = raw.find(b"\n")
+    if end < 0 or not raw.isascii() or any(c in raw for c in _CONTROL_BYTES):
+        return None
+    header = _HEADER_RE.match(raw[:end].decode("ascii"))
+    del raw
+    if header is None:
+        return None
+    n0, S = int(header.group(1)), int(header.group(2))
+    if n0 == 0:  # np.loadtxt warns on a file without data
+        return None
+    try:
+        M = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except (ValueError, OSError):
+        return None
+    return M if M.shape == (n0, S) and np.all(np.isfinite(M)) else None
+
+
+def _parse_lines(path: Path) -> np.ndarray:
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:

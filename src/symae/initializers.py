@@ -23,6 +23,16 @@ trial keeps its own draw order, each slice of a stacked call is bitwise its
 2-D call, and every candidate is scored by the operations of
 :func:`~symae.architecture.empirical_mse`, so every row is bitwise the one
 :func:`orthogonal_random_init` gives skeleton by skeleton.
+
+Only a random candidate that can beat the best score so far is scored that
+way.  For an orthonormal outer frame ``D`` with zero bias, the test split
+``T`` and ``C = D^T T`` split every reconstruction error exactly:
+``||T - D G||^2 = ||T - D C||^2 + ||C - G||^2``, a projection residual
+shared by every skeleton on that first level plus the inner map's error in
+level-1 coordinates.  The projection residual is computed once per trial,
+so a candidate's surrogate costs an ``n1 x n_test`` pass; a candidate whose
+surrogate exceeds the best score by more than its roundoff allowance
+(:data:`_SPLIT_SLACK`) provably scores above it and is skipped.
 """
 
 from __future__ import annotations
@@ -70,6 +80,32 @@ __all__ = [
 # one trial at a time, 7.9 MB in blocks of 10 and 47 MB with every trial
 # stacked at once.
 _TRIAL_BLOCK = 10
+
+# Roundoff allowance of init_study's split, relative to ||T||^2 + ||G||^2.
+# With Delta = D^T D - I, C = D^T T and outer input G, exact arithmetic gives
+#   ||T - D G||^2 - (||T - D C||^2 + ||C - G||^2) = <G, Delta G> - <C, Delta C>,
+# at most ||Delta||_2 (1 + ||Delta||_2)(||T||^2 + ||G||^2).  Three sources
+# separate the computed score from the computed surrogate (u = 2^-53):
+#   * D's orthonormality error: ||Delta||_2 <= n1 (gap + n0 u), where gap is
+#     the checked max-norm gap of D^T D = I and n0 u bounds that product's
+#     own roundoff.  Householder and CholeskyQR2 frames leave gaps of a few
+#     u, and a frame the check lets through may leave up to BIORTH_TOL, so
+#     this term is added per trial, from the measured gap, on top of the
+#     constant below;
+#   * the inner dimensions: D G, D^T T and D C round each entry within
+#     n1 u |D| |G|, n0 u |D^T| |T| and n1 u |D| |C| in any summation order,
+#     which moves the score by at most about 3 n1^1.5 u and the surrogate by
+#     about 3 n0 n1^0.5 u + 6 n1^1.5 u, relative;
+#   * the sums: numpy's pairwise summation of the squares errs by about
+#     (log2(N / 128) + 16) u relative per sum of N terms, on three sums that
+#     are each at most about twice ||T||^2 + ||G||^2.
+# At the study's outer level (n0 = 514, n1 = 20, 100 test columns) the last
+# two add up to at most about 9e-13, so the constant below leaves 10^3 of
+# headroom, and it covers their worst case while n0 n1^0.5 stays below
+# about 3e6.  It bounds roundoff, it does not trade speed for accuracy: a
+# candidate within the allowance is always scored exactly.
+_SPLIT_SLACK = 1e-9
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -275,11 +311,25 @@ def init_study(U, act, skeletons, trials, seed):
     prefix.  The block's draws of a level are then orthonormalized by one
     stacked :func:`~symae.linalg.pi_orth` call, validated against the SOAE
     invariants by one stacked check, and applied to the test split, encoded
-    and decoded, as one stack; only the outer decode is per trial.  Every
-    candidate is scored in one reused buffer by the same operations, in the
-    same order, as :func:`~symae.architecture.empirical_mse`, and each slice
-    of a stacked call is bitwise its 2-D call, so each baseline is bitwise
-    the minimum over trials of
+    and decoded, as one stack; only the outer decode is per trial.
+
+    A random candidate is scored exactly only if it can win.  Random levels
+    have zero biases, so for each first level ``dims[:2]`` and trial ``k``,
+    ``C_k = D_k^T T`` (the test split's level-1 pre-activation) and the
+    projection residual ``P_k = ||T - D_k C_k||^2`` are computed once.  A
+    candidate with outer input ``G`` then gets the surrogate
+    ``s = (P_k + ||C_k - G||^2) / n_test``, which equals its score up to
+    roundoff (the level-1 split, :data:`_SPLIT_SLACK`), and is scored
+    exactly only when ``s - best <= allowance``, where the allowance is
+    ``(_SPLIT_SLACK + n1 (gap_k + n0 u)) (||T||^2 + ||G||^2) / n_test`` for
+    trial ``k``'s checked orthonormality gap and ``u = 2^-53``; a NaN
+    surrogate is scored.  A
+    skipped candidate scores above the best so far, so skipping it leaves
+    the minimum unchanged.  Scored candidates go through one reused buffer
+    by the same operations, in the same order, as
+    :func:`~symae.architecture.empirical_mse`, and each slice of a stacked
+    call is bitwise its 2-D call, so each baseline is bitwise the minimum
+    over trials of
     ``empirical_mse(orthogonal_random_init(skeleton, act, rng_t), test)``.
     The iterated-SVD levels are shared the same way (:class:`EysCache`).
     Returns a list of ``(skeleton, eys_mse, baseline_best_mse)`` rows.
@@ -292,6 +342,8 @@ def init_study(U, act, skeletons, trials, seed):
     train_U, _val, test_U = split(U, seed)
     train_norm, lo, hi = minmax_normalize(train_U)
     test_norm = require_matrix(apply_minmax(test_U, lo, hi), "snapshot matrix")
+    n_test = test_norm.shape[1]
+    test_sq = float(np.sum(test_norm * test_norm))
     resid = np.empty_like(test_norm)
 
     def outer_input(layers, H):
@@ -301,11 +353,7 @@ def init_study(U, act, skeletons, trials, seed):
     def test_mse(D, d, G):
         """``empirical_mse`` on the test split, given the outer level's ``D``,
         ``d`` and input ``G``."""
-        np.matmul(D, G, out=resid)
-        np.add(resid, d, out=resid)
-        np.subtract(test_norm, resid, out=resid)
-        np.multiply(resid, resid, out=resid)
-        return float(np.sum(resid)) / test_norm.shape[1]
+        return _squared_error(test_norm, D, d, G, resid) / n_test
 
     cache = EysCache(train_norm, act)
     eys = []
@@ -322,6 +370,9 @@ def init_study(U, act, skeletons, trials, seed):
         # dims[:j+1] -> (each trial's generator state after its draws,
         #                its stacked levels, the stacked test encoding)
         memo = {test_norm.shape[:1]: ([rng.bit_generator.state for rng in rngs], (), test_norm)}
+        # dims[:2] -> (each trial's C = D^T T, ||T - D C||^2 and the
+        #              slack factor of its split)
+        splits = {}
         for i, skeleton in enumerate(skeletons):
             dims = skeleton.dims
             shared = max(j for j in range(skeleton.depth + 1) if dims[: j + 1] in memo)
@@ -331,22 +382,49 @@ def init_study(U, act, skeletons, trials, seed):
             for j in range(shared + 1, skeleton.depth + 1):
                 shape = skeleton.layer_shape(j)
                 level = _orthogonal_level(np.stack([rng.standard_normal(shape) for rng in rngs]))
-                _check_drawn(level, first, j)
+                gap = _check_drawn(level, first, j)
+                if j == 1:
+                    C = level.E @ test_norm
+                    P = [_squared_error(test_norm, V, level.d, c, resid) for V, c in zip(level.D, C)]
+                    n0, n1 = shape
+                    slack = _SPLIT_SLACK + n1 * (gap + n0 * _UNIT_ROUNDOFF)
+                    splits[dims[:2]] = (C, np.array(P), slack)
                 layers += (level,)
                 H = encode_columns((level,), act, H, "SOAE")
                 memo[dims[: j + 1]] = ([rng.bit_generator.state for rng in rngs], layers, H)
             G = outer_input(layers, H)
             D, d = layers[0].D, layers[0].d
+            C, P, slack = splits[dims[:2]]
+            surrogate = (P + np.sum(np.square(C - G), axis=(1, 2))) / n_test
+            allowance = slack * (test_sq + np.sum(np.square(G), axis=(1, 2))) / n_test
             for k in range(len(rngs)):
-                best[i] = min(best[i], test_mse(D[k], d, G[k]))
+                if _may_win(surrogate[k], allowance[k], best[i]):
+                    best[i] = min(best[i], test_mse(D[k], d, G[k]))
     return [(skeleton, eys_mse, float(b)) for skeleton, eys_mse, b in zip(skeletons, eys, best)]
 
 
-def _check_drawn(level: Layer, first: int, j: int) -> None:
+def _may_win(surrogate: float, allowance: float, best: float) -> bool:
+    """Whether a candidate whose score is within ``allowance`` of ``surrogate``
+    may score at most ``best``; a NaN surrogate may."""
+    return not surrogate - best > allowance
+
+
+def _squared_error(T, D, d, G, out) -> float:
+    """``sum((T - (D G + d))^2)``, formed in ``out`` by the operations of
+    :func:`~symae.architecture.empirical_mse`."""
+    np.matmul(D, G, out=out)
+    np.add(out, d, out=out)
+    np.subtract(T, out, out=out)
+    np.multiply(out, out, out=out)
+    return float(np.sum(out))
+
+
+def _check_drawn(level: Layer, first: int, j: int) -> np.ndarray:
     """Check a stack of drawn levels ``j`` of trials ``first, first + 1, ...``.
 
     Raises :class:`NumericalError` naming the first trial that breaks an
-    SOAE invariant, its level and the invariant.
+    SOAE invariant, its level and the invariant.  Returns each trial's
+    max-norm gap of ``E D = I``.
     """
     gaps = invariant_gaps("SOAE", level)
     bad = ~(np.stack(list(gaps.values())) <= BIORTH_TOL)
@@ -357,3 +435,4 @@ def _check_drawn(level: Layer, first: int, j: int) -> None:
             f"random trial {first + k}, level {j}: the drawn level violates {rule} "
             f"(max gap {gaps[rule][k]:.3e})"
         )
+    return gaps["E D = I"]

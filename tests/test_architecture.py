@@ -17,11 +17,14 @@ from symae.architecture import (
     assemble,
     check_class_invariants,
     load_model,
+    loss_on_batch,
     save_model,
 )
+from symae.autodiff import gradient
 from symae.data_io import DataFormatError
 from symae.initializers import lift
 from symae.linalg import pi_orth
+from symae.training import AdamState, adam_step
 
 
 def random_network(class_tag, skeleton, act, seed):
@@ -101,15 +104,38 @@ class TestAssemble:
 
     def test_degenerate_free_block_when_widths_match(self):
         # With n_j = n_{j-1} the frame X is square, so (I - X X^T) W = 0:
-        # the free block of level 2 has no effect.
+        # level 2 is built without its free block, which has no effect.
         rng = np.random.default_rng(4)
         theta = random_theta("SBAE", Skeleton((6, 3, 3)), Identity(), rng)
         psi = assemble(theta)
         theta.layers[1]["W"] = np.zeros((3, 3))
         without = assemble(theta)
         for a, b in zip(psi.layers[1], without.layers[1]):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            assert np.array_equal(a, b)
         assert np.max(np.abs(psi.layers[1].E @ psi.layers[1].D - np.eye(3))) <= 1e-10
+
+    def test_square_level_free_block_is_dead(self):
+        # Level 2 of 8,4,4,2 is square: its W gets an exactly zero gradient,
+        # so Adam leaves it as it is, and any W assembles as W = 0 does.
+        skeleton, act = Skeleton((8, 4, 4, 2)), LeakyReLU(5 / 6, 5 / 4)
+        theta = random_theta("SBAE", skeleton, act, np.random.default_rng(0), well_conditioned=True)
+        batch = np.random.default_rng(1).uniform(0.0, 1.0, (8, 5))
+
+        def loss(leaves, batch):
+            return loss_on_batch("SBAE", act, theta.with_leaves(leaves), batch)
+
+        _, grads = gradient(loss, theta.leaves(), batch)
+        W_grads = [level["W"] for level in theta.with_leaves(grads)]
+        assert not np.any(W_grads[1])
+        assert np.any(W_grads[0]) and np.any(W_grads[2])
+        state = AdamState(theta.leaves())
+        W_before = theta.with_leaves(state.leaves)[1]["W"].copy()
+        adam_step(grads, state, lr=1e-2)
+        assert np.array_equal(theta.with_leaves(state.leaves)[1]["W"], W_before)
+        psi = assemble(theta)
+        theta.layers[1]["W"] = np.zeros((4, 4))
+        for a, b in zip(psi.layers, assemble(theta).layers):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_class_invariants_enforced(self):
         bad = Layer(

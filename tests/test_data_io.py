@@ -1,8 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symae import data_io
 from symae.data_io import (
     DataFormatError,
     SnapshotSet,
@@ -125,3 +129,91 @@ class TestSnapshotFiles:
         path.write_text("")
         with pytest.raises(DataFormatError, match="empty"):
             load_snapshots(path)
+
+
+def _outcome(read, path):
+    """What ``read(path)`` gives: the matrix's shape and bits, or the error message."""
+    try:
+        M = read(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return M.shape, M.tobytes()
+
+
+def _bits_to_double(bits):
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+# Subnormals, signed zeros, 17-digit values and raw bit patterns.
+awkward_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.5e-308, max_value=2.5e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]),
+    st.integers(0, 2**64 - 1).map(_bits_to_double).filter(math.isfinite),
+)
+
+
+class TestSnapshotReader:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n0: st.integers(1, 5).flatmap(
+                lambda S: st.lists(
+                    st.lists(awkward_doubles, min_size=S, max_size=S), min_size=n0, max_size=n0
+                )
+            )
+        )
+    )
+    def test_round_trip_is_bitwise_on_awkward_doubles(self, tmp_path_factory, rows):
+        U = np.array(rows, dtype=np.float64)
+        path = tmp_path_factory.mktemp("roundtrip") / "u.csv"
+        save_snapshots(SnapshotSet(U=U), path)
+        # The written file is plain, so np.loadtxt reads it.
+        fast = data_io._read_plain_matrix(path)
+        assert fast is not None and fast.tobytes() == U.tobytes()
+        assert load_snapshots(path).U.tobytes() == U.tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# n0=2 S=2\n1.5,-0.0\n2e-310,3\n",
+            "# n0=2 S=2  \n1,2\n\n\n3,4\n\n",
+            "# n0=2 S=2\n1,2\n \t \n3,4\n",
+            "# n0=2 S=2\r\n1,2\r\n3,4\r\n",
+            "# n0=2 S=2\r1,2\r3,4\r",
+            "# n0=2 S=2\n 1 , +2 \n3.,.5E+1\n",
+            "# n0=2 S=2\n1,2,3\n3,4\n",
+            "# n0=2 S=2\n1\n3,4\n",
+            "# n0=2 S=2\n1,2\n",
+            "# n0=1 S=2\n1,2\n3,4\n",
+            "# n0=2 S=2\nnan,2\n3,4\n",
+            "# n0=2 S=2\n1,2\n-inf,4\n",
+            "# n0=2 S=2\n1,2\n1e400,4\n",
+            "# n0=2 S=2\n1,2,\n3,4\n",
+            "# n0=2 S=2\n1,,2\n3,4\n",
+            "# n0=2 S=2\n1_0,2\n3,4\n",
+            "# n0=2 S=2\n\u0661,2\n3,\u0664\n",
+            "# n0=2 S=2\n1,2 # note\n3,4\n",
+            "# n0=2 S=2\n# note\n1,2\n3,4\n",
+            '# n0=2 S=2\n"1",2\n3,4\n',
+            "# n0=2 S=2\n0x1p3,2\n3,4\n",
+            "# n0=2 S=2\n1,2\x0c3,4\n",
+            "# n0=1 S=2\n1\x0c,2\n",
+            "# n0=1 S=2\n1\x1f,2\n",
+            "# n0=1 S=2\n1\x00,2\n",
+            "# n0=1 S=2\n1,2\x00\n",
+            "# n0=1 S=2\n1\x7f,2\n",
+            "# n0=1 S=2\n1\u2028,2\n",
+            "# n0=0 S=2\n",
+            "# n0=0 S=2\n\n",
+            "# n0=1 S=1\n7",
+            "# n0=1 S=2 extra\n1,2\n",
+            "1,2\n3,4\n",
+            "# n0=2 S=2",
+            "\n",
+        ],
+    )
+    def test_reader_agrees_with_the_line_parser(self, tmp_path, text):
+        path = tmp_path / "u.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(data_io._read_matrix, path) == _outcome(data_io._parse_lines, path)

@@ -249,6 +249,28 @@ class TestLiftProperties:
         np.testing.assert_allclose(built.reconstruct(u), psi.reconstruct(u), atol=1e-10)
 
 
+# init-study skeleton families on uniform random data (see study_data).
+STUDY_FAMILIES = [
+    ("width-sweep", [(24, 8, w) for w in range(1, 8)]),
+    ("depth-ladder", [(24, 12, 3), (24, 12, 5, 3), (24, 12, 9, 5, 3), (24, 12, 3)]),
+    (
+        "mixed-n1-with-repeat",
+        [(24, 8, 3), (24, 10, 3), (24, 8, 3), (24, 8, 3, 2), (24, 8), (24, 10, 3)],
+    ),
+]
+# A first level past pi_orth's CholeskyQR2 crossover.
+CHOLQR2_FAMILY = ("cholqr2-first-level", [(600, 40, w) for w in (1, 3, 8)])
+STUDY_ACTS = [
+    ("identity", Identity()),
+    ("leakyrelu", LeakyReLU(5 / 6, 5 / 4)),
+    ("hypact", HypAct.from_sharpness(0.5)),
+]
+
+
+def study_data(dims):
+    return np.random.default_rng(11).uniform(0.0, 1.0, (dims[0][0], max(60, 3 * dims[0][1])))
+
+
 class TestInitStudy:
     @staticmethod
     def direct_rows(U, act, skeletons, trials, seed):
@@ -275,26 +297,16 @@ class TestInitStudy:
             pytest.param(
                 dims, act, 4, id=family if act_id == "hypact" else f"{act_id}-{family}"
             )
-            for act_id, act in [
-                ("identity", Identity()),
-                ("leakyrelu", LeakyReLU(5 / 6, 5 / 4)),
-                ("hypact", HypAct.from_sharpness(0.5)),
-            ]
-            for family, dims in [
-                ("width-sweep", [(24, 8, w) for w in range(1, 8)]),
-                ("depth-ladder", [(24, 12, 3), (24, 12, 5, 3), (24, 12, 9, 5, 3), (24, 12, 3)]),
-                (
-                    "mixed-n1-with-repeat",
-                    [(24, 8, 3), (24, 10, 3), (24, 8, 3), (24, 8, 3, 2), (24, 8), (24, 10, 3)],
-                ),
-            ]
+            for act_id, act in STUDY_ACTS
+            for family, dims in STUDY_FAMILIES
         ]
         + [
-            # A first level past pi_orth's CholeskyQR2 crossover.
-            pytest.param(
-                [(600, 40, w) for w in (1, 3, 8)], HypAct.from_sharpness(0.5), 4,
-                id="cholqr2-first-level",
-            ),
+            # Three blocks of trials, so pruning carries the best across blocks.
+            pytest.param(dims, HypAct.from_sharpness(0.5), 25, id=f"{family}-25-trials")
+            for family, dims in STUDY_FAMILIES[:2]
+        ]
+        + [
+            pytest.param(CHOLQR2_FAMILY[1], HypAct.from_sharpness(0.5), 4, id=CHOLQR2_FAMILY[0]),
             # A full block of trials and a short last one.
             pytest.param(
                 [(24, 12, 3), (24, 12, 5, 3), (24, 8, 3)], HypAct.from_sharpness(0.5),
@@ -303,10 +315,85 @@ class TestInitStudy:
         ],
     )
     def test_rows_equal_the_direct_definition(self, dims, act, trials):
-        U = np.random.default_rng(11).uniform(0.0, 1.0, (dims[0][0], max(60, 3 * dims[0][1])))
+        U = study_data(dims)
         skeletons = [Skeleton(d) for d in dims]
         rows = init_study(U, act, skeletons, trials=trials, seed=5)
         assert rows == self.direct_rows(U, act, skeletons, trials=trials, seed=5)
+
+    def test_pga400_rows_equal_the_direct_definition(self, pga400):
+        act = HypAct.from_sharpness(0.5)
+        skeletons = [Skeleton((514, 20, w)) for w in range(1, 21)]
+        rows = init_study(pga400, act, skeletons, trials=30, seed=0)
+        assert rows == self.direct_rows(pga400, act, skeletons, trials=30, seed=0)
+
+    @staticmethod
+    def scored_candidates(monkeypatch, U, act, skeletons, trials, seed):
+        """Run the study scoring every random candidate exactly; return each
+        candidate's (surrogate, allowance, exact score)."""
+        out, pending = [], []
+
+        def may_win(surrogate, allowance, best):
+            pending.append((surrogate, allowance))
+            return True
+
+        def squared_error(T, D, d, G, buf):
+            value = squared_error_of(T, D, d, G, buf)
+            if pending:
+                out.append(pending.pop() + (value / T.shape[1],))
+            return value
+
+        squared_error_of = initializers._squared_error
+        monkeypatch.setattr(initializers, "_may_win", may_win)
+        monkeypatch.setattr(initializers, "_squared_error", squared_error)
+        init_study(U, act, skeletons, trials=trials, seed=seed)
+        return out
+
+    @pytest.mark.parametrize(
+        "family, dims",
+        [
+            pytest.param(family, dims, id=family)
+            for family, dims in [("pga400", [(514, 20, w) for w in range(1, 21)])]
+            + STUDY_FAMILIES
+            + [CHOLQR2_FAMILY]
+        ],
+    )
+    @pytest.mark.parametrize("act", [act for _, act in STUDY_ACTS], ids=[i for i, _ in STUDY_ACTS])
+    def test_surrogate_is_the_score_well_within_its_allowance(
+        self, monkeypatch, request, family, dims, act
+    ):
+        # The level-1 split is exact up to roundoff; the allowance must
+        # cover that roundoff a thousand times over.
+        U = request.getfixturevalue("pga400") if family == "pga400" else study_data(dims)
+        skeletons = [Skeleton(d) for d in dims]
+        trials = 12
+        scored = self.scored_candidates(monkeypatch, U, act, skeletons, trials, seed=5)
+        assert len(scored) == trials * len(skeletons)
+        for surrogate, allowance, exact in scored:
+            assert abs(exact - surrogate) <= 1e-3 * allowance, (exact, surrogate, allowance)
+
+    def test_only_the_candidates_that_can_win_are_scored_exactly(self, monkeypatch, pga400):
+        # Exact 514-row scores on pga400 (seed 0, 30 trials, widths 1-20
+        # behind a first width of 20): one per iterated-SVD row, one
+        # projection residual per trial, and the random candidates that can
+        # still win; every other candidate is settled by its surrogate.
+        calls = []
+        squared_error = initializers._squared_error
+
+        def counting(*args):
+            calls.append(None)
+            return squared_error(*args)
+
+        monkeypatch.setattr(initializers, "_squared_error", counting)
+        act = HypAct.from_sharpness(0.5)
+        skeletons = [Skeleton((514, 20, w)) for w in range(1, 21)]
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            init_study(pga400, act, skeletons, trials=30, seed=0)
+            counts.append(len(calls))
+        candidates = counts[0] - len(skeletons) - 30
+        assert counts == [136, 136]
+        assert candidates < 30 * len(skeletons) / 5
 
     @pytest.mark.parametrize(
         "broken_level, broken_trial",
