@@ -154,6 +154,11 @@ class HypAct(Activation):
     No constant exceeds 2 whatever theta and the root is taken without
     overflow, so the map is finite wherever its value is and accurate over
     the whole angle range; the closed form needs no Newton polish.
+
+    ``apply`` and ``apply_inverse`` evaluate both lines everywhere, into a
+    few work arrays, and give each element its own side by a branch-free
+    bit blend; the result is bitwise that of the plain expressions selected
+    with ``np.where(x >= c0, ...)``, for every float64 input.
     """
 
     def __init__(self, theta: float):
@@ -184,16 +189,60 @@ class HypAct(Activation):
 
     def apply(self, x):
         x = np.asarray(x, dtype=np.float64)
-        _, root = self._branch(x)
-        scaled = self._sin_cos * root
-        right = (x - self._c0 + scaled) / self._k
-        # Each branch is evaluated everywhere; only its own side is kept.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            left = x * ((2.0 * self._c0 - self._k * x) / (scaled + self._c0 - x))
-        return _float_if_scalar(np.where(x >= self._c0, right, left))
+        return _float_if_scalar(self._apply_into(x, np.empty_like(x), np.empty((2,) + x.shape)))
 
     def apply_inverse(self, y):
-        return -self.apply(-np.asarray(y, dtype=np.float64))
+        # f_inverse(y) = -f(-y), with -y in a third work array rather than a copy.
+        y = np.asarray(y, dtype=np.float64)
+        work = np.empty((3,) + y.shape)
+        out = self._apply_into(np.negative(y, work[2, ...]), np.empty_like(y), work)
+        return _float_if_scalar(np.negative(out, out))
+
+    def _apply_into(self, x, out, work):
+        """``f(x)`` into ``out``, with ``work[0]`` and ``work[1]`` as scratch.
+
+        The two formulas of the class docstring, ufunc by ufunc in the order
+        and with the constants of the plain expressions, each written into
+        a work array rather than a fresh one.  Both branches are evaluated
+        everywhere, and each element takes its own side by the bit blend
+        ``(right ^ left) * m ^ left`` with ``m = (x >= c0)`` as 0 or 1 on
+        int64 views, which is bitwise ``np.where(x >= c0, right, left)``
+        without a branch per element: on sign-mixed inputs such a branch
+        mispredicts about half the time.  The result is returned only as
+        ``out``, so it holds no work array alive.
+        """
+        c0, k = self._c0, self._k
+        right, left, spare = out, work[0, ...], work[1, ...]
+        # u = 2 x - kink in left, |u| in spare, then the root of _branch and
+        # scaled = sin cos root in left
+        np.multiply(2.0, x, left)
+        np.subtract(left, self._kink, left)
+        np.abs(left, spare)
+        np.minimum(spare, 1e150, out=left)
+        np.multiply(left, left, left)
+        np.add(left, 2.0 * k, left)
+        np.sqrt(left, left)
+        np.maximum(left, spare, out=left)
+        np.multiply(self._sin_cos, left, left)
+        # right = (x - c0 + scaled) / k
+        np.subtract(x, c0, right)
+        np.add(right, left, right)
+        np.divide(right, k, right)
+        # left = x ((2 c0 - k x) / (scaled + c0 - x)), the numerator in spare
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(k, x, spare)
+            np.subtract(2.0 * c0, spare, spare)
+            np.add(left, c0, left)
+            np.subtract(left, x, left)
+            np.divide(spare, left, left)
+            np.multiply(x, left, left)
+        bits, ints = right.view(np.int64), work.view(np.int64)
+        other, mask = ints[0, ...], ints[1, ...]
+        np.greater_equal(x, c0, mask)
+        np.bitwise_xor(bits, other, bits)
+        np.multiply(bits, mask, bits)
+        np.bitwise_xor(bits, other, bits)
+        return out
 
     def derivative(self, x):
         # f' = (1 + 2 sin cos u / R) / k; for u < 0 the sum cancels and is

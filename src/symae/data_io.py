@@ -129,9 +129,13 @@ def _read_plain_matrix(path: Path) -> np.ndarray | None:
 
 def _parse_lines(path: Path) -> np.ndarray:
     try:
-        lines = path.read_text().splitlines()
+        raw = path.read_bytes()
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: byte {exc.start}: not UTF-8 text ({exc.reason})") from None
     if not lines:
         raise DataFormatError(f"{path}: empty file")
     header = _HEADER_RE.match(lines[0])

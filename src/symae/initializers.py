@@ -27,12 +27,14 @@ trial keeps its own draw order, each slice of a stacked call is bitwise its
 Only a random candidate that can beat the best score so far is scored that
 way.  For an orthonormal outer frame ``D`` with zero bias, the test split
 ``T`` and ``C = D^T T`` split every reconstruction error exactly:
-``||T - D G||^2 = ||T - D C||^2 + ||C - G||^2``, a projection residual
-shared by every skeleton on that first level plus the inner map's error in
-level-1 coordinates.  The projection residual is computed once per trial,
-so a candidate's surrogate costs an ``n1 x n_test`` pass; a candidate whose
-surrogate exceeds the best score by more than its roundoff allowance
-(:data:`_SPLIT_SLACK`) provably scores above it and is skipped.
+``||T - D G||^2 = (||T||^2 - ||C||^2) + ||C - G||^2``, a projection
+residual shared by every skeleton on that first level plus the inner map's
+error in level-1 coordinates.  The projection residual comes from two sums
+once per trial, so a candidate's surrogate costs an ``n1 x n_test`` pass; a
+candidate whose surrogate exceeds the best score by more than its roundoff
+allowance (:data:`_SPLIT_SLACK`) provably scores above it and is skipped,
+and a trial whose projection residual alone settles every candidate that
+way is not decoded at all.
 """
 
 from __future__ import annotations
@@ -82,28 +84,44 @@ __all__ = [
 _TRIAL_BLOCK = 10
 
 # Roundoff allowance of init_study's split, relative to ||T||^2 + ||G||^2.
-# With Delta = D^T D - I, C = D^T T and outer input G, exact arithmetic gives
-#   ||T - D G||^2 - (||T - D C||^2 + ||C - G||^2) = <G, Delta G> - <C, Delta C>,
-# at most ||Delta||_2 (1 + ||Delta||_2)(||T||^2 + ||G||^2).  Three sources
-# separate the computed score from the computed surrogate (u = 2^-53):
+# With Delta = D^T D - I, C = D^T T, outer input G and the projection
+# residual taken as P = ||T||^2 - ||C||^2 (Pythagoras for an orthonormal D),
+# exact arithmetic gives
+#   ||T - D G||^2 - (P + ||C - G||^2) = <G, Delta G>,
+# at most ||Delta||_2 ||G||^2: the <C, Delta C> term of ||T - D C||^2 cancels.
+# Three sources separate the computed score from the computed surrogate
+# (u = 2^-53):
 #   * D's orthonormality error: ||Delta||_2 <= n1 (gap + n0 u), where gap is
 #     the checked max-norm gap of D^T D = I and n0 u bounds that product's
 #     own roundoff.  Householder and CholeskyQR2 frames leave gaps of a few
 #     u, and a frame the check lets through may leave up to BIORTH_TOL, so
 #     this term is added per trial, from the measured gap, on top of the
 #     constant below;
-#   * the inner dimensions: D G, D^T T and D C round each entry within
-#     n1 u |D| |G|, n0 u |D^T| |T| and n1 u |D| |C| in any summation order,
-#     which moves the score by at most about 3 n1^1.5 u and the surrogate by
-#     about 3 n0 n1^0.5 u + 6 n1^1.5 u, relative;
+#   * the inner dimensions: D G and D^T T round each entry within
+#     n1 u |D| |G| and n0 u |D^T| |T| in any summation order.  The first
+#     moves the score by at most about 3 n1^1.5 u, relative.  An error dC
+#     in C moves P by -2 <C, dC> and ||C - G||^2 by 2 <C - G, dC>, so the
+#     surrogate moves by -2 <G, dC>, at most about n0 n1^0.5 u;
 #   * the sums: numpy's pairwise summation of the squares errs by about
-#     (log2(N / 128) + 16) u relative per sum of N terms, on three sums that
-#     are each at most about twice ||T||^2 + ||G||^2.
+#     (log2(N / 128) + 16) u relative per sum of N terms, on four sums
+#     (||T||^2, ||C||^2, ||C - G||^2 and the score's) that are each at most
+#     about twice ||T||^2 + ||G||^2.  This includes the cancellation in
+#     ||T||^2 - ||C||^2, whose error is relative to ||T||^2, not to P.
 # At the study's outer level (n0 = 514, n1 = 20, 100 test columns) the last
-# two add up to at most about 9e-13, so the constant below leaves 10^3 of
+# two add up to at most about 3e-13, so the constant below leaves 3 10^3 of
 # headroom, and it covers their worst case while n0 n1^0.5 stays below
-# about 3e6.  It bounds roundoff, it does not trade speed for accuracy: a
+# about 8e6.  It bounds roundoff, it does not trade speed for accuracy: a
 # candidate within the allowance is always scored exactly.
+#
+# The same allowance bounds a whole trial before its outer decode.  Every
+# G has ||G||^2 <= 2 ||C||^2 + 2 ||C - G||^2, so a trial with
+#   P / n - best > slack (2 ||T||^2 + 3 ||C||^2) / n
+# has surrogate - best > allowance for each of its candidates whatever G
+# is, since 2 slack < 1: the ||C - G||^2 the surrogate adds outgrows the
+# 2 slack ||C - G||^2 the allowance can.  The spare slack (||T||^2 +
+# ||C||^2) covers the rounding of the few scalar operations of both tests,
+# also when C is about 0, so the computed per-candidate test fails too for
+# any summation order of G's sums.
 _SPLIT_SLACK = 1e-9
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -315,19 +333,22 @@ def init_study(U, act, skeletons, trials, seed):
 
     A random candidate is scored exactly only if it can win.  Random levels
     have zero biases, so for each first level ``dims[:2]`` and trial ``k``,
-    ``C_k = D_k^T T`` (the test split's level-1 pre-activation) and the
-    projection residual ``P_k = ||T - D_k C_k||^2`` are computed once.  A
-    candidate with outer input ``G`` then gets the surrogate
-    ``s = (P_k + ||C_k - G||^2) / n_test``, which equals its score up to
-    roundoff (the level-1 split, :data:`_SPLIT_SLACK`), and is scored
-    exactly only when ``s - best <= allowance``, where the allowance is
+    ``C_k = D_k^T T`` (the test split's level-1 pre-activation, which the
+    level-1 encoding reuses) and the projection residual
+    ``P_k = ||T||^2 - ||C_k||^2`` are computed once.  A candidate with outer
+    input ``G`` then gets the surrogate ``s = (P_k + ||C_k - G||^2) / n_test``,
+    which equals its score up to roundoff (the level-1 split,
+    :data:`_SPLIT_SLACK`), and is scored exactly only when
+    ``s - best <= allowance``, where the allowance is
     ``(_SPLIT_SLACK + n1 (gap_k + n0 u)) (||T||^2 + ||G||^2) / n_test`` for
     trial ``k``'s checked orthonormality gap and ``u = 2^-53``; a NaN
-    surrogate is scored.  A
-    skipped candidate scores above the best so far, so skipping it leaves
-    the minimum unchanged.  Scored candidates go through one reused buffer
-    by the same operations, in the same order, as
-    :func:`~symae.architecture.empirical_mse`, and each slice of a stacked
+    surrogate is scored.  A skipped candidate scores above the best so far,
+    so skipping it leaves the minimum unchanged.  Before a skeleton's outer
+    decode, a trial whose ``P_k`` alone puts every candidate past that
+    allowance, whatever ``G`` is, is dropped (see :data:`_SPLIT_SLACK`), and
+    only the other trials are decoded, as a sub-stack.  Scored candidates
+    go through one reused buffer by the same operations, in the same order,
+    as :func:`~symae.architecture.empirical_mse`, and each slice of a stacked
     call is bitwise its 2-D call, so each baseline is bitwise the minimum
     over trials of
     ``empirical_mse(orthogonal_random_init(skeleton, act, rng_t), test)``.
@@ -370,8 +391,8 @@ def init_study(U, act, skeletons, trials, seed):
         # dims[:j+1] -> (each trial's generator state after its draws,
         #                its stacked levels, the stacked test encoding)
         memo = {test_norm.shape[:1]: ([rng.bit_generator.state for rng in rngs], (), test_norm)}
-        # dims[:2] -> (each trial's C = D^T T, ||T - D C||^2 and the
-        #              slack factor of its split)
+        # dims[:2] -> (each trial's C = D^T T, P = ||T||^2 - ||C||^2,
+        #              ||C||^2 and the slack factor of its split)
         splits = {}
         for i, skeleton in enumerate(skeletons):
             dims = skeleton.dims
@@ -385,28 +406,40 @@ def init_study(U, act, skeletons, trials, seed):
                 gap = _check_drawn(level, first, j)
                 if j == 1:
                     C = level.E @ test_norm
-                    P = [_squared_error(test_norm, V, level.d, c, resid) for V, c in zip(level.D, C)]
+                    C_sq = np.sum(np.square(C), axis=(1, 2))
                     n0, n1 = shape
                     slack = _SPLIT_SLACK + n1 * (gap + n0 * _UNIT_ROUNDOFF)
-                    splits[dims[:2]] = (C, np.array(P), slack)
+                    splits[dims[:2]] = (C, test_sq - C_sq, C_sq, slack)
+                    H = act.apply(C + level.e)
+                else:
+                    H = encode_columns((level,), act, H, "SOAE")
                 layers += (level,)
-                H = encode_columns((level,), act, H, "SOAE")
                 memo[dims[: j + 1]] = ([rng.bit_generator.state for rng in rngs], layers, H)
+            C, P, C_sq, slack = splits[dims[:2]]
+            # Trials whose every candidate would fail the test below, whatever
+            # its outer input, are not decoded (see _SPLIT_SLACK).
+            keep = np.flatnonzero(
+                _may_win(P / n_test, slack * (2 * test_sq + 3 * C_sq) / n_test, best[i])
+            )
+            if not keep.size:
+                continue
+            if keep.size < len(rngs):
+                layers = tuple(lv._replace(E=lv.E[keep], D=lv.D[keep]) for lv in layers)
+                H, C, P, slack = H[keep], C[keep], P[keep], slack[keep]
             G = outer_input(layers, H)
             D, d = layers[0].D, layers[0].d
-            C, P, slack = splits[dims[:2]]
             surrogate = (P + np.sum(np.square(C - G), axis=(1, 2))) / n_test
             allowance = slack * (test_sq + np.sum(np.square(G), axis=(1, 2))) / n_test
-            for k in range(len(rngs)):
+            for k in range(keep.size):
                 if _may_win(surrogate[k], allowance[k], best[i]):
                     best[i] = min(best[i], test_mse(D[k], d, G[k]))
     return [(skeleton, eys_mse, float(b)) for skeleton, eys_mse, b in zip(skeletons, eys, best)]
 
 
-def _may_win(surrogate: float, allowance: float, best: float) -> bool:
+def _may_win(surrogate, allowance, best):
     """Whether a candidate whose score is within ``allowance`` of ``surrogate``
-    may score at most ``best``; a NaN surrogate may."""
-    return not surrogate - best > allowance
+    may score at most ``best``, elementwise; a NaN surrogate may."""
+    return np.logical_not(surrogate - best > allowance)
 
 
 def _squared_error(T, D, d, G, out) -> float:

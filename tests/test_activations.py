@@ -1,9 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from symae.activations import HypAct, Identity, LeakyReLU, parse_activation
 
@@ -244,3 +246,76 @@ class TestHypActProperties:
         x = act.apply_inverse(y)
         assert np.all(np.isfinite(x))
         assert np.all(np.diff(x) >= 0.0)
+
+
+def reference_apply(act, x):
+    """``HypAct.apply`` as plain expressions and ``np.where``: the formulas
+    its kernel must reproduce bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    u = 2.0 * x - act._kink
+    size = np.abs(u)
+    capped = np.minimum(size, 1e150)
+    root = np.maximum(np.sqrt(capped * capped + 2.0 * act._k), size)
+    scaled = act._sin_cos * root
+    right = (x - act._c0 + scaled) / act._k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left = x * ((2.0 * act._c0 - act._k * x) / (scaled + act._c0 - x))
+    out = np.where(x >= act._c0, right, left)
+    return out if out.ndim else float(out)
+
+
+def reference_apply_inverse(act, y):
+    return -reference_apply(act, -np.asarray(y, dtype=np.float64))
+
+
+def _bits(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+def _ulps_from(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+@st.composite
+def hypact_cases(draw):
+    """An angle, near 0 and pi/4 among others, and a 0-d, 2-D or 3-D input
+    of raw float64 bit patterns (NaN payloads, signed zeros, infinities,
+    subnormals), ordinary values, and values within a few ulps of 0 and of
+    the branch points c0 (apply) and -c0 (apply_inverse)."""
+    theta = draw(
+        st.one_of(
+            ANGLES,
+            st.floats(1e-300, 1e-6),
+            st.floats(math.pi / 4 - 1e-6, math.pi / 4, exclude_max=True),
+        )
+    )
+    act = HypAct(theta)
+    near = st.builds(_ulps_from, st.sampled_from([act._c0, -act._c0, 0.0]), st.integers(-3, 3))
+    element = st.one_of(
+        st.integers(0, 2**64 - 1),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324]).map(_bits),
+        st.floats(-8.0, 8.0).map(_bits),
+        near.map(_bits),
+    )
+    shape = draw(st.one_of(st.just(()), array_shapes(min_dims=2, max_dims=3, max_side=5)))
+    return act, draw(arrays(np.uint64, shape, elements=element)).view(np.float64)
+
+
+class TestHypActKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(hypact_cases())
+    @example((HypAct(math.pi / 8), np.array([[math.inf, -math.inf], [math.nan, -math.nan]])))
+    def test_apply_and_inverse_are_bitwise_the_where_formulas(self, case):
+        act, x = case
+        inputs = [x, float(x)] if x.ndim == 0 else [x]
+        with np.errstate(all="ignore"):
+            for value in inputs:
+                for got, want in [
+                    (act.apply(value), reference_apply(act, value)),
+                    (act.apply_inverse(value), reference_apply_inverse(act, value)),
+                ]:
+                    assert type(got) is type(want)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                    assert np.shape(got) == np.shape(x)

@@ -532,6 +532,21 @@ class TestExitCodes:
         assert main([command, "--data", str(data), *extra]) == 3
         assert "at least 4 snapshots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "init-study"])
+    def test_non_utf8_data_is_data_error(self, capsys, tmp_path, command):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"# n0=3 S=2\n1,2\n3,4\n5,\x856\n")
+        out = tmp_path / "s.csv"
+        extra = (
+            ["--class", "sae", "--skeleton", "3,2,1", "--epochs", "2"]
+            if command == "train"
+            else ["--widths", "1", "--n1", "2", "--trials", "1", "--out", str(out)]
+        )
+        assert main([command, "--data", str(data), *extra]) == 3
+        err = capsys.readouterr().err
+        assert "latin1.csv: byte 21: not UTF-8" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -120,6 +120,12 @@ class TestSnapshotFiles:
         with pytest.raises(DataFormatError, match=f"bad.csv:5: {message}"):
             load_snapshots(path)
 
+    def test_non_utf8_bytes_name_the_byte_offset(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"# n0=3 S=2\n1,2\n3,4\n5,\x856\n")
+        with pytest.raises(DataFormatError, match=r"bad.csv: byte 21: not UTF-8"):
+            load_snapshots(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_snapshots(tmp_path / "nope.csv")

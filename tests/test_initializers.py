@@ -327,28 +327,39 @@ class TestInitStudy:
         assert rows == self.direct_rows(pga400, act, skeletons, trials=30, seed=0)
 
     @staticmethod
-    def scored_candidates(monkeypatch, U, act, skeletons, trials, seed):
-        """Run the study scoring every random candidate exactly; return each
-        candidate's (surrogate, allowance, exact score)."""
-        out, pending = [], []
+    def forced_open(monkeypatch, U, act, skeletons, trials, seed):
+        """Run the study with every trial decoded and every random candidate
+        scored exactly.
+
+        Returns the trial bounds, each ``(P/n, bound, best, verdict)`` with
+        the study's own ``_may_win`` verdict, one entry per trial of a block;
+        and the candidates, each ``(surrogate, allowance, best, exact score)``,
+        in the order the study met them.
+        """
+        bounds, candidates, pending = [], [], []
 
         def may_win(surrogate, allowance, best):
-            pending.append((surrogate, allowance))
-            return True
+            verdict = may_win_of(surrogate, allowance, best)
+            if np.ndim(surrogate):
+                bounds.extend(zip(surrogate, allowance, [best] * len(surrogate), verdict))
+            else:
+                pending.append((surrogate, allowance, best))
+            return np.full(np.shape(surrogate), True)
 
         def squared_error(T, D, d, G, buf):
             value = squared_error_of(T, D, d, G, buf)
             if pending:
-                out.append(pending.pop() + (value / T.shape[1],))
+                candidates.append(pending.pop() + (value / T.shape[1],))
             return value
 
+        may_win_of = initializers._may_win
         squared_error_of = initializers._squared_error
         monkeypatch.setattr(initializers, "_may_win", may_win)
         monkeypatch.setattr(initializers, "_squared_error", squared_error)
         init_study(U, act, skeletons, trials=trials, seed=seed)
-        return out
+        return bounds, candidates
 
-    @pytest.mark.parametrize(
+    STUDY_CASES = pytest.mark.parametrize(
         "family, dims",
         [
             pytest.param(family, dims, id=family)
@@ -357,7 +368,12 @@ class TestInitStudy:
             + [CHOLQR2_FAMILY]
         ],
     )
-    @pytest.mark.parametrize("act", [act for _, act in STUDY_ACTS], ids=[i for i, _ in STUDY_ACTS])
+    STUDY_ACT_CASES = pytest.mark.parametrize(
+        "act", [act for _, act in STUDY_ACTS], ids=[i for i, _ in STUDY_ACTS]
+    )
+
+    @STUDY_CASES
+    @STUDY_ACT_CASES
     def test_surrogate_is_the_score_well_within_its_allowance(
         self, monkeypatch, request, family, dims, act
     ):
@@ -366,16 +382,41 @@ class TestInitStudy:
         U = request.getfixturevalue("pga400") if family == "pga400" else study_data(dims)
         skeletons = [Skeleton(d) for d in dims]
         trials = 12
-        scored = self.scored_candidates(monkeypatch, U, act, skeletons, trials, seed=5)
+        _, scored = self.forced_open(monkeypatch, U, act, skeletons, trials, seed=5)
         assert len(scored) == trials * len(skeletons)
-        for surrogate, allowance, exact in scored:
+        for surrogate, allowance, _, exact in scored:
             assert abs(exact - surrogate) <= 1e-3 * allowance, (exact, surrogate, allowance)
+
+    @STUDY_CASES
+    @STUDY_ACT_CASES
+    def test_a_dropped_trial_has_no_candidate_that_can_win(
+        self, monkeypatch, request, family, dims, act
+    ):
+        # The per-trial bound drops a trial before its outer decode only when
+        # the per-candidate test would skip every candidate of it, at the
+        # best the bound saw, whatever the candidate's outer input.
+        U = request.getfixturevalue("pga400") if family == "pga400" else study_data(dims)
+        skeletons = [Skeleton(d) for d in dims]
+        trials = 3 * initializers._TRIAL_BLOCK
+        may_win = initializers._may_win
+        bounds, scored = self.forced_open(monkeypatch, U, act, skeletons, trials, seed=5)
+        assert len(bounds) == len(scored) == trials * len(skeletons)
+        dropped = 0
+        for (_, _, best, verdict), (surrogate, allowance, _, _) in zip(bounds, scored):
+            if not verdict:
+                dropped += 1
+                assert not may_win(surrogate, allowance, best)
+        # The first block meets no best score yet; later ones drop trials
+        # on pga400 (66 of 600 with the hypact activation).
+        if family == "pga400":
+            assert dropped > 0
 
     def test_only_the_candidates_that_can_win_are_scored_exactly(self, monkeypatch, pga400):
         # Exact 514-row scores on pga400 (seed 0, 30 trials, widths 1-20
-        # behind a first width of 20): one per iterated-SVD row, one
-        # projection residual per trial, and the random candidates that can
-        # still win; every other candidate is settled by its surrogate.
+        # behind a first width of 20): one per iterated-SVD row and one per
+        # random candidate that can still win; every other candidate is
+        # settled by its surrogate, and the projection residual comes from
+        # two sums.
         calls = []
         squared_error = initializers._squared_error
 
@@ -391,8 +432,8 @@ class TestInitStudy:
             calls.clear()
             init_study(pga400, act, skeletons, trials=30, seed=0)
             counts.append(len(calls))
-        candidates = counts[0] - len(skeletons) - 30
-        assert counts == [136, 136]
+        candidates = counts[0] - len(skeletons)
+        assert counts == [106, 106]
         assert candidates < 30 * len(skeletons) / 5
 
     @pytest.mark.parametrize(
