@@ -156,9 +156,9 @@ class HypAct(Activation):
     the whole angle range; the closed form needs no Newton polish.
 
     ``apply`` and ``apply_inverse`` evaluate both lines everywhere, into a
-    few work arrays, and give each element its own side by a branch-free
-    bit blend; the result is bitwise that of the plain expressions selected
-    with ``np.where(x >= c0, ...)``, for every float64 input.
+    few work arrays, and give each element its own side by a masked copy;
+    the result is bitwise that of the plain expressions selected with
+    ``np.where(x >= c0, ...)``, for every float64 input.
     """
 
     def __init__(self, theta: float):
@@ -179,13 +179,23 @@ class HypAct(Activation):
             raise ValueError("sharpness must be positive")
         return cls(math.atan(math.sqrt(1.0 + sharpness)) - math.pi / 4.0)
 
-    def _branch(self, x):
-        u = 2.0 * x - self._kink
+    def _branch(self, x, u, root, size=None):
+        """``u = 2 x - kink`` into ``u`` and ``R = sqrt(u^2 + 2k)`` into ``root``.
+
+        ``root`` may be ``u`` itself when ``u`` is not needed afterwards, and
+        ``size`` (``|u|``) may be a work array too.  Returns ``(u, root)``.
+        """
+        np.multiply(2.0, x, u)
+        np.subtract(u, self._kink, u)
         # Past |u| = 1e150 the root rounds to |u|; capping |u| there before
         # squaring keeps it finite for every finite u.
-        size = np.abs(u)
-        capped = np.minimum(size, 1e150)
-        return u, np.maximum(np.sqrt(capped * capped + 2.0 * self._k), size)
+        size = np.abs(u, size)
+        np.minimum(size, 1e150, out=root)
+        np.multiply(root, root, root)
+        np.add(root, 2.0 * self._k, root)
+        np.sqrt(root, root)
+        np.maximum(root, size, out=root)
+        return u, root
 
     def apply(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -203,52 +213,36 @@ class HypAct(Activation):
 
         The two formulas of the class docstring, ufunc by ufunc in the order
         and with the constants of the plain expressions, each written into
-        a work array rather than a fresh one.  Both branches are evaluated
-        everywhere, and each element takes its own side by the bit blend
-        ``(right ^ left) * m ^ left`` with ``m = (x >= c0)`` as 0 or 1 on
-        int64 views, which is bitwise ``np.where(x >= c0, right, left)``
-        without a branch per element: on sign-mixed inputs such a branch
-        mispredicts about half the time.  The result is returned only as
-        ``out``, so it holds no work array alive.
+        a work array rather than a fresh one: the left line into ``out``,
+        over which the right line is copied where ``x >= c0``.  That is
+        bitwise ``np.where(x >= c0, right, left)``, NaN included.  The
+        result is returned only as ``out``, so it holds no work array alive.
         """
         c0, k = self._c0, self._k
-        right, left, spare = out, work[0, ...], work[1, ...]
-        # u = 2 x - kink in left, |u| in spare, then the root of _branch and
-        # scaled = sin cos root in left
-        np.multiply(2.0, x, left)
-        np.subtract(left, self._kink, left)
-        np.abs(left, spare)
-        np.minimum(spare, 1e150, out=left)
-        np.multiply(left, left, left)
-        np.add(left, 2.0 * k, left)
-        np.sqrt(left, left)
-        np.maximum(left, spare, out=left)
-        np.multiply(self._sin_cos, left, left)
+        scaled, right = work[0, ...], work[1, ...]
+        # scaled = sin cos R, with |u| in right
+        self._branch(x, scaled, scaled, right)
+        np.multiply(self._sin_cos, scaled, scaled)
         # right = (x - c0 + scaled) / k
         np.subtract(x, c0, right)
-        np.add(right, left, right)
+        np.add(right, scaled, right)
         np.divide(right, k, right)
-        # left = x ((2 c0 - k x) / (scaled + c0 - x)), the numerator in spare
+        # out = x ((2 c0 - k x) / (scaled + c0 - x)), the left line
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(k, x, spare)
-            np.subtract(2.0 * c0, spare, spare)
-            np.add(left, c0, left)
-            np.subtract(left, x, left)
-            np.divide(spare, left, left)
-            np.multiply(x, left, left)
-        bits, ints = right.view(np.int64), work.view(np.int64)
-        other, mask = ints[0, ...], ints[1, ...]
-        np.greater_equal(x, c0, mask)
-        np.bitwise_xor(bits, other, bits)
-        np.multiply(bits, mask, bits)
-        np.bitwise_xor(bits, other, bits)
+            np.multiply(k, x, out)
+            np.subtract(2.0 * c0, out, out)
+            np.add(scaled, c0, scaled)
+            np.subtract(scaled, x, scaled)
+            np.divide(out, scaled, out)
+            np.multiply(x, out, out)
+        np.copyto(out, right, where=x >= c0)
         return out
 
     def derivative(self, x):
         # f' = (1 + 2 sin cos u / R) / k; for u < 0 the sum cancels and is
         # rationalized with R^2 - (2 sin cos u)^2 = k (k u^2 + 2).
         x = np.asarray(x, dtype=np.float64)
-        u, root = self._branch(x)
+        u, root = self._branch(x, np.empty_like(x), np.empty_like(x))
         ratio = u / root
         right = (1.0 + 2.0 * self._sin_cos * ratio) / self._k
         gap = root - 2.0 * self._sin_cos * u

@@ -424,7 +424,8 @@ def init_study(U, act, skeletons, trials, seed):
             if not keep.size:
                 continue
             if keep.size < len(rngs):
-                layers = tuple(lv._replace(E=lv.E[keep], D=lv.D[keep]) for lv in layers)
+                # Only the decoders are read from here on.
+                layers = tuple(lv._replace(D=lv.D[keep]) for lv in layers)
                 H, C, P, slack = H[keep], C[keep], P[keep], slack[keep]
             G = outer_input(layers, H)
             D, d = layers[0].D, layers[0].d

@@ -248,14 +248,18 @@ class TestHypActProperties:
         assert np.all(np.diff(x) >= 0.0)
 
 
+def _reference_root(act, x):
+    u = 2.0 * x - act._kink
+    size = np.abs(u)
+    capped = np.minimum(size, 1e150)
+    return u, np.maximum(np.sqrt(capped * capped + 2.0 * act._k), size)
+
+
 def reference_apply(act, x):
     """``HypAct.apply`` as plain expressions and ``np.where``: the formulas
     its kernel must reproduce bit for bit."""
     x = np.asarray(x, dtype=np.float64)
-    u = 2.0 * x - act._kink
-    size = np.abs(u)
-    capped = np.minimum(size, 1e150)
-    root = np.maximum(np.sqrt(capped * capped + 2.0 * act._k), size)
+    _, root = _reference_root(act, x)
     scaled = act._sin_cos * root
     right = (x - act._c0 + scaled) / act._k
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -266,6 +270,18 @@ def reference_apply(act, x):
 
 def reference_apply_inverse(act, y):
     return -reference_apply(act, -np.asarray(y, dtype=np.float64))
+
+
+def reference_derivative(act, x):
+    x = np.asarray(x, dtype=np.float64)
+    u, root = _reference_root(act, x)
+    ratio = u / root
+    right = (1.0 + 2.0 * act._sin_cos * ratio) / act._k
+    gap = root - 2.0 * act._sin_cos * u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left = ratio * (act._k * u / gap) + (2.0 / root) / gap
+    out = np.where(u >= 0.0, right, left)
+    return out if out.ndim else float(out)
 
 
 def _bits(value: float) -> int:
@@ -283,7 +299,8 @@ def hypact_cases(draw):
     """An angle, near 0 and pi/4 among others, and a 0-d, 2-D or 3-D input
     of raw float64 bit patterns (NaN payloads, signed zeros, infinities,
     subnormals), ordinary values, and values within a few ulps of 0 and of
-    the branch points c0 (apply) and -c0 (apply_inverse)."""
+    the branch points c0 (apply), -c0 (apply_inverse) and kink / 2
+    (derivative)."""
     theta = draw(
         st.one_of(
             ANGLES,
@@ -292,11 +309,13 @@ def hypact_cases(draw):
         )
     )
     act = HypAct(theta)
-    near = st.builds(_ulps_from, st.sampled_from([act._c0, -act._c0, 0.0]), st.integers(-3, 3))
+    points = [act._c0, -act._c0, act._kink / 2, 0.0]
+    near = st.builds(_ulps_from, st.sampled_from(points), st.integers(-3, 3))
     element = st.one_of(
         st.integers(0, 2**64 - 1),
         st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324]).map(_bits),
         st.floats(-8.0, 8.0).map(_bits),
+        st.floats(width=64).map(_bits),
         near.map(_bits),
     )
     shape = draw(st.one_of(st.just(()), array_shapes(min_dims=2, max_dims=3, max_side=5)))
@@ -319,3 +338,14 @@ class TestHypActKernel:
                     assert type(got) is type(want)
                     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
                     assert np.shape(got) == np.shape(x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hypact_cases())
+    def test_derivative_is_bitwise_the_where_formula(self, case):
+        act, x = case
+        inputs = [x, float(x)] if x.ndim == 0 else [x]
+        with np.errstate(all="ignore"):
+            for value in inputs:
+                got, want = act.derivative(value), reference_derivative(act, value)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
