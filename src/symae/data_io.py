@@ -167,9 +167,18 @@ def _parse_lines(path: Path) -> np.ndarray:
 
 
 def load_snapshots(path) -> SnapshotSet:
-    """Read a snapshot CSV; picks up the params sibling when it exists."""
+    """Read a snapshot CSV; picks up the params sibling when it exists.
+
+    Raises :class:`DataFormatError` naming both files when the sibling's
+    column count differs from the snapshot count.
+    """
     path = Path(path)
     U = _read_matrix(path)
     params_file = _params_path(path)
     params = _read_matrix(params_file) if params_file.exists() else None
+    if params is not None and params.shape[1] != U.shape[1]:
+        raise DataFormatError(
+            f"{params_file}: {params.shape[1]} parameter columns, "
+            f"but {path} has {U.shape[1]} snapshots"
+        )
     return SnapshotSet(U=U, param_values=params, source=str(path))

@@ -22,30 +22,21 @@ each slice as a 2-D call would, so each slice of the result is bitwise a
 2-D call's, and the per-call overhead is paid once per stack.  A stack
 takes the route its slices would; CholeskyQR2 refuses slice by slice.
 
-One one-sided Jacobi kernel serves two routines.  Its sweeps follow the
-round-robin order of Brent and Luk: each round rotates ``n/2`` disjoint
-column pairs with one batched 2x2 matrix product, and ``n - 1`` rounds
-(``n`` odd: ``n``) meet every pair.
+The covariance spectra behind the iterated-SVD initializer, POD and the
+bounds, :func:`covariance_spectrum`, come from one LAPACK SVD of the
+centered data (``np.linalg.svd``) and apply the one numerical-rank rule:
+a singular value counts only above ``n0 * eps * s0``.  That is the
+accuracy LAPACK's backward-stable SVD guarantees, and nothing in the
+pipeline reads a direction below it.
 
-* :func:`thin_svd` reduces a tall input by QR (a wide one by transposition)
-  and runs the kernel on the triangular factor until every pair is
-  orthogonal.  It keeps every direction, so it keeps Jacobi's full relative
-  accuracy on strongly graded spectra (Demmel and Veselic, SIAM J. Matrix
-  Anal. Appl. 13, 1992), down to the smallest singular value.
-* :func:`covariance_spectrum` applies the one numerical-rank rule (a
-  singular value of the centered data counts only above ``n0 * eps * s0``)
-  and needs nothing below it.  It takes one QR of the centered data (of
-  its transpose when wide) and runs the kernel on the transposed
-  triangular factor of the data: ``R.T`` when tall, ``R`` when wide.  That
-  converges in far fewer sweeps (Drmac and Veselic, SIAM J. Matrix Anal.
-  Appl. 29, 2008).  After each sweep it retires every row below
-  ``n0 * eps / sqrt(k)`` times the largest live row, ``k`` being the side
-  of the factor; the remaining sweeps pair only the live rows.  Together the retired rows are a backward perturbation of
-  Frobenius norm below ``n0 * eps * s0``, the threshold itself, and the
-  margin of ``1/sqrt(k)`` keeps a direction just above the threshold live.
-  The eigenvectors are the accumulated rotations, orthonormal by
-  construction.  Retirement stays out of :func:`thin_svd`, whose callers
-  may read the directions it would drop.
+:func:`thin_svd` reduces a tall input by QR (a wide one by transposition)
+and runs a one-sided Jacobi kernel on the triangular factor until every
+column pair is orthogonal.  Its sweeps follow the round-robin order of
+Brent and Luk: each round rotates ``n/2`` disjoint column pairs with one
+batched 2x2 matrix product, and ``n - 1`` rounds (``n`` odd: ``n``) meet
+every pair.  It keeps every direction, so it keeps Jacobi's full relative
+accuracy on strongly graded spectra (Demmel and Veselic, SIAM J. Matrix
+Anal. Appl. 13, 1992), down to the smallest singular value.
 
 :func:`leading_basis` completes past the rank, so no basis depends on how
 the SVD treats roundoff.
@@ -316,9 +307,7 @@ def _next_round(src: np.ndarray, dst: np.ndarray) -> None:
     dst[:-1, 1] = src[1:, 1]
 
 
-def _jacobi_orthogonalize(
-    B: np.ndarray, label: str, retire_below: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_orthogonalize(B: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
     """Rotate the columns of ``B`` until they are pairwise orthogonal.
 
     One-sided Jacobi in the round-robin order of Brent and Luk: the rows of
@@ -332,11 +321,7 @@ def _jacobi_orthogonalize(
     accuracy even when column norms span many orders of magnitude, or when
     either column is zero; the iteration stops after a sweep with no
     rotation.  Returns ``(W, Vt)`` with ``W = (B @ V).T`` and ``Vt = V.T``.
-
-    With ``retire_below`` set, each sweep ends by retiring every row whose
-    norm is below ``retire_below`` times the largest live row norm: it is
-    never rotated again and is left out of ``W`` and ``Vt``, and the next
-    sweeps seat only the live rows (kept in their original order).
+    :func:`thin_svd` is its only caller.
     """
     m, n = B.shape
     if n < 2:
@@ -345,14 +330,12 @@ def _jacobi_orthogonalize(
     seats = np.zeros((2 * k, m + n))
     seats[:n, :m] = B.T
     seats[:n, m:] = np.eye(n)
-    live = n
+    pairs = seats.reshape(k, 2, m + n)
+    w = pairs[:, :, :m]
+    rotation = np.empty((k, 2, 2))
+    turned = np.empty((k, 2))
     for _ in range(JACOBI_MAX_SWEEPS):
-        k = (live + 1) // 2
-        pairs = seats[: 2 * k].reshape(k, 2, m + n)
-        w = pairs[:, :, :m]
         norms2 = np.einsum("ijl,ijl->ij", w, w)
-        rotation = np.empty((k, 2, 2))
-        turned = np.empty((k, 2))
         rotated = False
         for _ in range(2 * k - 1):
             dp = norms2[:, 0]
@@ -375,28 +358,12 @@ def _jacobi_orthogonalize(
             np.negative(sn, out=rotation[:, 0, 1])
             _next_round(rotation @ pairs, pairs)
         if not rotated:
-            return seats[:live, :m], seats[:live, m:]
-        if retire_below is not None:
-            live = _retire(seats, live, m, retire_below)
-    worst = _worst_cosine(seats[:live, :m])
+            return seats[:n, :m], seats[:n, m:]
+    worst = _worst_cosine(seats[:n, :m])
     raise NumericalError(
         f"one-sided Jacobi SVD did not converge for a {label} matrix after "
         f"{JACOBI_MAX_SWEEPS} sweeps (worst pairwise cosine {worst:.3e})"
     )
-
-
-def _retire(seats: np.ndarray, live: int, m: int, fraction: float) -> int:
-    """Move the rows of ``seats[:live]`` whose first ``m`` entries have a norm
-    of at least ``fraction`` times the largest such norm to the front, in
-    order, and return their count; an odd count gets a zero pad seat."""
-    w = seats[:live, :m]
-    norms = np.sqrt(np.einsum("ij,ij->i", w, w))
-    keep = np.flatnonzero(norms >= fraction * norms.max())
-    live = len(keep)
-    seats[:live] = seats[keep]
-    if live % 2:
-        seats[live] = 0.0
-    return live
 
 
 def _worst_cosine(W: np.ndarray) -> float:
@@ -464,7 +431,8 @@ def covariance_spectrum(
 
     For ``U`` of shape ``(n0, S)`` the empirical covariance (normalized by
     ``1/S``) has eigenvalues ``s_i^2 / S`` and eigenvectors equal to the
-    left singular vectors of the column-centered snapshot matrix.  Only
+    left singular vectors of the column-centered snapshot matrix, taken
+    from one LAPACK SVD (``np.linalg.svd``).  Only
     ``s_i > n0 * eps * s_0`` counts; the rest is roundoff, not data.
     Signs follow :func:`thin_svd`: the singular vector along the longer
     side of the centered data (the eigenvector itself when ``n0 >= S``,
@@ -474,36 +442,24 @@ def covariance_spectrum(
     Returns ``(mean, eigvecs, eigvals)``: the ``(n0, 1)`` sample mean, the
     ``n0 x rank`` eigenvectors and the ``rank`` nonincreasing eigenvalues.
 
-    Raises :class:`NumericalError` if the Jacobi sweeps fail to converge.
+    Raises :class:`NumericalError` naming the ``n0xS`` shape if LAPACK's
+    SVD fails to converge.
     """
     U = require_matrix(U, "snapshot matrix")
     n0, S = U.shape
     if n0 < 1 or S < 1:
         raise ValueError(f"need at least one snapshot row and column, got {n0}x{S}")
     mean = U.mean(axis=1, keepdims=True)
-    A = U - mean
-    tall = n0 >= S
-    Q, R = householder_qr(A if tall else A.T)
-    # A = Q T (tall, T = R) or A = T Q^T (wide, T = R^T).  Jacobi on T^T
-    # accumulates the left singular vectors V of T; those of A are Q V (tall)
-    # or V (wide).  Rows retire 1/sqrt(k) below the rank threshold.
-    eps = np.finfo(float).eps
-    W, Vt = _jacobi_orthogonalize(
-        R.T if tall else R, f"{n0}x{S}", retire_below=n0 * eps / np.sqrt(len(R))
-    )
-    s = np.sqrt(np.einsum("ij,ij->i", W, W))
-    order = np.argsort(-s, kind="stable")
-    rank = int(np.count_nonzero(s > n0 * eps * s[order[0]]))
-    live = order[:rank]
-    eigvecs = Vt[live].T
-    if tall:
-        eigvecs = Q @ eigvecs
-        longer = eigvecs
-    else:
-        longer = Q @ W[live].T
+    try:
+        left, s, right_t = np.linalg.svd(U - mean, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK SVD did not converge for a {n0}x{S} snapshot matrix") from exc
+    rank = int(np.count_nonzero(s > n0 * np.finfo(float).eps * s[0]))
+    eigvecs = left[:, :rank]
+    longer = eigvecs if n0 >= S else right_t[:rank].T
     idx = np.argmax(np.abs(longer), axis=0)
     signs = np.where(longer[idx, np.arange(rank)] < 0.0, -1.0, 1.0)
-    return mean, eigvecs * signs, s[live] ** 2 / S
+    return mean, eigvecs * signs, s[:rank] ** 2 / S
 
 
 def leading_basis(eigvecs: np.ndarray, width: int) -> np.ndarray:

@@ -547,6 +547,23 @@ class TestExitCodes:
         assert "latin1.csv: byte 21: not UTF-8" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "init-study"])
+    def test_params_sibling_column_mismatch_is_data_error(self, capsys, tmp_path, command):
+        data = tmp_path / "d.csv"
+        save_snapshots(SnapshotSet(U=np.random.default_rng(0).uniform(0, 1, (3, 4))), data)
+        save_snapshots(SnapshotSet(U=np.ones((1, 3))), tmp_path / "d.params.csv")
+        out = tmp_path / "s.csv"
+        extra = (
+            ["--class", "sae", "--skeleton", "3,2,1", "--epochs", "2"]
+            if command == "train"
+            else ["--widths", "1", "--n1", "2", "--trials", "1", "--out", str(out)]
+        )
+        assert main([command, "--data", str(data), *extra]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "d.params.csv" in err and "d.csv has 4" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -626,6 +643,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: random trial 0, level 1:")
         assert "Traceback" not in err
+
+    def test_covariance_svd_failure_in_init_study_is_numerical_failure(
+        self, capsys, small_data, tmp_path, monkeypatch
+    ):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        out = tmp_path / "study.csv"
+        rc = main([
+            "init-study", "--data", str(small_data), "--widths", "2,4", "--n1", "8",
+            "--trials", "3", "--out", str(out),
+        ])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "Traceback" not in err
+        assert not out.exists()
 
     def test_unwritable_model_path_is_io_error(self, capsys, small_data, tmp_path):
         rc = main([

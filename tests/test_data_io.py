@@ -126,6 +126,15 @@ class TestSnapshotFiles:
         with pytest.raises(DataFormatError, match=r"bad.csv: byte 21: not UTF-8"):
             load_snapshots(path)
 
+    def test_params_sibling_column_mismatch_names_both_files(self, tmp_path):
+        path = tmp_path / "d.csv"
+        save_snapshots(SnapshotSet(U=np.ones((2, 4))), path)
+        save_snapshots(SnapshotSet(U=np.ones((1, 3))), tmp_path / "d.params.csv")
+        with pytest.raises(
+            DataFormatError, match=r"d\.params\.csv: 3 parameter columns, but .*d\.csv has 4"
+        ):
+            load_snapshots(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_snapshots(tmp_path / "nope.csv")
