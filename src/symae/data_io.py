@@ -176,9 +176,7 @@ def load_snapshots(path) -> SnapshotSet:
     U = _read_matrix(path)
     params_file = _params_path(path)
     params = _read_matrix(params_file) if params_file.exists() else None
-    if params is not None and params.shape[1] != U.shape[1]:
-        raise DataFormatError(
-            f"{params_file}: {params.shape[1]} parameter columns, "
-            f"but {path} has {U.shape[1]} snapshots"
-        )
-    return SnapshotSet(U=U, param_values=params, source=str(path))
+    try:
+        return SnapshotSet(U=U, param_values=params, source=str(path))
+    except ValueError as exc:
+        raise DataFormatError(f"{params_file} does not match {path}: {exc}") from None

@@ -321,7 +321,6 @@ def _jacobi_orthogonalize(B: np.ndarray, label: str) -> tuple[np.ndarray, np.nda
     accuracy even when column norms span many orders of magnitude, or when
     either column is zero; the iteration stops after a sweep with no
     rotation.  Returns ``(W, Vt)`` with ``W = (B @ V).T`` and ``Vt = V.T``.
-    :func:`thin_svd` is its only caller.
     """
     m, n = B.shape
     if n < 2:
@@ -453,7 +452,9 @@ def covariance_spectrum(
     try:
         left, s, right_t = np.linalg.svd(U - mean, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"LAPACK SVD did not converge for a {n0}x{S} snapshot matrix") from exc
+        raise NumericalError(
+            f"LAPACK SVD did not converge for a {n0}x{S} snapshot matrix"
+        ) from exc
     rank = int(np.count_nonzero(s > n0 * np.finfo(float).eps * s[0]))
     eigvecs = left[:, :rank]
     longer = eigvecs if n0 >= S else right_t[:rank].T

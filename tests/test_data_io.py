@@ -131,7 +131,8 @@ class TestSnapshotFiles:
         save_snapshots(SnapshotSet(U=np.ones((2, 4))), path)
         save_snapshots(SnapshotSet(U=np.ones((1, 3))), tmp_path / "d.params.csv")
         with pytest.raises(
-            DataFormatError, match=r"d\.params\.csv: 3 parameter columns, but .*d\.csv has 4"
+            DataFormatError,
+            match=r"d\.params\.csv does not match .*d\.csv: parameter columns 3 != snapshots 4",
         ):
             load_snapshots(path)
 
