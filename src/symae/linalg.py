@@ -22,21 +22,15 @@ each slice as a 2-D call would, so each slice of the result is bitwise a
 2-D call's, and the per-call overhead is paid once per stack.  A stack
 takes the route its slices would; CholeskyQR2 refuses slice by slice.
 
-The covariance spectra behind the iterated-SVD initializer, POD and the
-bounds, :func:`covariance_spectrum`, come from one LAPACK SVD of the
-centered data (``np.linalg.svd``) and apply the one numerical-rank rule:
-a singular value counts only above ``n0 * eps * s0``.  That is the
-accuracy LAPACK's backward-stable SVD guarantees, and nothing in the
-pipeline reads a direction below it.
-
-:func:`thin_svd` reduces a tall input by QR (a wide one by transposition)
-and runs a one-sided Jacobi kernel on the triangular factor until every
-column pair is orthogonal.  Its sweeps follow the round-robin order of
-Brent and Luk: each round rotates ``n/2`` disjoint column pairs with one
-batched 2x2 matrix product, and ``n - 1`` rounds (``n`` odd: ``n``) meet
-every pair.  It keeps every direction, so it keeps Jacobi's full relative
-accuracy on strongly graded spectra (Demmel and Veselic, SIAM J. Matrix
-Anal. Appl. 13, 1992), down to the smallest singular value.
+The one SVD of the package, :func:`thin_svd`, is one LAPACK call
+(``np.linalg.svd``) plus the sign rule that makes its vectors
+deterministic: the vector along the longer side gets a positive
+largest-magnitude entry.  The covariance spectra behind the iterated-SVD
+initializer, POD and the bounds, :func:`covariance_spectrum`, add the
+centering and the one numerical-rank rule: a singular value of the
+centered data counts only above ``n0 * eps * s0``.  That is the accuracy
+LAPACK's backward-stable SVD guarantees, and nothing in the pipeline reads
+a direction below it.
 
 :func:`leading_basis` completes past the rank, so no basis depends on how
 the SVD treats roundoff.
@@ -61,9 +55,6 @@ __all__ = [
     "leading_basis",
     "orthonormal_completion",
 ]
-
-JACOBI_MAX_SWEEPS = 60
-JACOBI_TOL = 1e-12
 
 # Deterministic source of completion directions for rank-deficient inputs.
 _COMPLETION_SEED = 0x5D32C1
@@ -287,140 +278,31 @@ def orthonormal_completion(B: np.ndarray, total: int) -> np.ndarray:
     return np.concatenate([B, Q[:, r:total]], axis=1)
 
 
-def _next_round(src: np.ndarray, dst: np.ndarray) -> None:
-    """Seat the players of a round-robin round for the next round.
-
-    ``src`` and ``dst`` are ``(k, 2, ...)`` arrays; ``src[i, 0]`` and
-    ``src[i, 1]`` meet in the current round.  Seat ``(0, 0)`` stays put and
-    the other ``2k - 1`` seats form one ring (the tops left to right, then
-    the bottoms right to left) that turns by one seat: the circle method of
-    a chess tournament.  After ``2k - 1`` rounds every two players have met
-    exactly once and each is back in its starting seat.
-    """
-    if len(src) == 1:
-        dst[...] = src
-        return
-    dst[0, 0] = src[0, 0]
-    dst[1, 0] = src[0, 1]
-    dst[2:, 0] = src[1:-1, 0]
-    dst[-1, 1] = src[-1, 0]
-    dst[:-1, 1] = src[1:, 1]
-
-
-def _jacobi_orthogonalize(B: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate the columns of ``B`` until they are pairwise orthogonal.
-
-    One-sided Jacobi in the round-robin order of Brent and Luk: the rows of
-    ``[B.T | I]`` (an odd count padded with one zero row, which never
-    rotates) are seated in pairs, and each round zeroes the Gram entry of
-    all ``k`` disjoint pairs at once with one batched ``(k, 2, 2)`` plane
-    rotation; :func:`_next_round` then reseats the rows, so a sweep of
-    ``2k - 1`` rounds meets every column pair once.  A pair is left alone
-    (an exact identity rotation) when its cosine satisfies
-    ``|b_p . b_q| <= tol * |b_p| * |b_q|``, which keeps full relative
-    accuracy even when column norms span many orders of magnitude, or when
-    either column is zero; the iteration stops after a sweep with no
-    rotation.  Returns ``(W, Vt)`` with ``W = (B @ V).T`` and ``Vt = V.T``.
-    """
-    m, n = B.shape
-    if n < 2:
-        return np.ascontiguousarray(B.T), np.eye(n)
-    k = (n + 1) // 2
-    seats = np.zeros((2 * k, m + n))
-    seats[:n, :m] = B.T
-    seats[:n, m:] = np.eye(n)
-    pairs = seats.reshape(k, 2, m + n)
-    w = pairs[:, :, :m]
-    rotation = np.empty((k, 2, 2))
-    turned = np.empty((k, 2))
-    for _ in range(JACOBI_MAX_SWEEPS):
-        norms2 = np.einsum("ijl,ijl->ij", w, w)
-        rotated = False
-        for _ in range(2 * k - 1):
-            dp = norms2[:, 0]
-            dq = norms2[:, 1]
-            c = np.einsum("il,il->i", w[:, 0], w[:, 1])
-            norms = np.sqrt(norms2)
-            active = np.abs(c) > JACOBI_TOL * norms[:, 0] * norms[:, 1]
-            rotated = rotated or bool(active.any())
-            # Skipped pairs get zeta = inf, hence t = 0: an exact identity.
-            zeta = np.divide(dq - dp, 2.0 * c, out=np.full(k, np.inf), where=active)
-            t = np.copysign(1.0 / (np.abs(zeta) + np.hypot(1.0, zeta)), zeta)
-            cs = 1.0 / np.sqrt(1.0 + t * t)
-            sn = cs * t
-            tc = t * c
-            np.maximum(dp - tc, 0.0, out=turned[:, 0])
-            np.maximum(dq + tc, 0.0, out=turned[:, 1])
-            _next_round(turned, norms2)
-            rotation[:, 0, 0] = rotation[:, 1, 1] = cs
-            rotation[:, 1, 0] = sn
-            np.negative(sn, out=rotation[:, 0, 1])
-            _next_round(rotation @ pairs, pairs)
-        if not rotated:
-            return seats[:n, :m], seats[:n, m:]
-    worst = _worst_cosine(seats[:n, :m])
-    raise NumericalError(
-        f"one-sided Jacobi SVD did not converge for a {label} matrix after "
-        f"{JACOBI_MAX_SWEEPS} sweeps (worst pairwise cosine {worst:.3e})"
-    )
-
-
-def _worst_cosine(W: np.ndarray) -> float:
-    norms = np.sqrt(np.einsum("ij,ij->i", W, W))
-    scale = np.where(norms > 0.0, norms, 1.0)
-    G = (W / scale[:, None]) @ (W / scale[:, None]).T
-    np.fill_diagonal(G, 0.0)
-    return float(np.max(np.abs(G)))
-
-
 def thin_svd(A: np.ndarray) -> ThinSVD:
-    """Thin SVD with deterministic ordering and column signs.
+    """Thin SVD from one LAPACK call, with deterministic column signs.
 
-    Singular values are sorted nonincreasing (stable order on ties).  Each
-    singular vector pair is signed so that the vector along the longer side
-    has a positive largest-magnitude entry: the left vector (a column of
-    ``U``) when ``m >= n``, the right vector (a column of ``V``) when
-    ``m < n``.  Vectors along the longer side whose singular value
-    underflows to exactly zero are replaced by a deterministic orthonormal
-    completion, keeping ``U`` and ``V`` orthonormal even for rank-deficient
-    input.
+    ``np.linalg.svd(A, full_matrices=False)`` on ``A`` itself: singular
+    values nonincreasing, ``U`` and ``V`` orthonormal also where a singular
+    value is zero.  A wide input is not transposed, since LAPACK's result
+    on ``A.T`` is not bitwise its result on ``A``.  Each singular vector
+    pair is signed so that the vector along the longer side has a positive
+    largest-magnitude entry: the left vector (a column of ``U``) when
+    ``m >= n``, the right vector (a column of ``V``) when ``m < n``.
 
-    Raises :class:`NumericalError` if the Jacobi sweeps fail to converge.
+    Raises :class:`NumericalError` naming the ``mxn`` shape if LAPACK's SVD
+    fails to converge.
     """
     A = require_matrix(A, "svd input")
     m, n = A.shape
-    if m < n:
-        flipped = thin_svd(A.T)
-        return ThinSVD(U=flipped.V, s=flipped.s, V=flipped.U)
-
-    if m > n:
-        Q0, core = householder_qr(A)
-    else:
-        Q0 = None
-        core = A.copy()
-
-    W, Vt = _jacobi_orthogonalize(core, f"{m}x{n}")
-    s = np.sqrt(np.einsum("ij,ij->i", W, W))
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    W = W[order]
-    Vt = Vt[order]
-
-    U = np.empty((n, n))
-    nonzero = s > 0.0
-    rank = int(np.count_nonzero(nonzero))
-    U[: len(s)] = np.divide(W, np.where(nonzero, s, 1.0)[:, None])
-    U = U.T
-    if rank < n:
-        U = orthonormal_completion(U[:, :rank], n)
-    if Q0 is not None:
-        U = Q0 @ U
-
-    # Sign convention: dominant entry of each left singular vector positive
-    # (for a wide input this U is returned as V, see the top of the function).
-    idx = np.argmax(np.abs(U), axis=0)
-    signs = np.where(U[idx, np.arange(n)] < 0.0, -1.0, 1.0)
-    return ThinSVD(U=U * signs, s=s, V=Vt.T * signs)
+    try:
+        left, s, right_t = np.linalg.svd(A, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK SVD did not converge for a {m}x{n} matrix") from exc
+    V = right_t.T
+    longer = left if m >= n else V
+    idx = np.argmax(np.abs(longer), axis=0)
+    signs = np.where(longer[idx, np.arange(len(s))] < 0.0, -1.0, 1.0)
+    return ThinSVD(U=left * signs, s=s, V=V * signs)
 
 
 def covariance_spectrum(
@@ -431,36 +313,20 @@ def covariance_spectrum(
     For ``U`` of shape ``(n0, S)`` the empirical covariance (normalized by
     ``1/S``) has eigenvalues ``s_i^2 / S`` and eigenvectors equal to the
     left singular vectors of the column-centered snapshot matrix, taken
-    from one LAPACK SVD (``np.linalg.svd``).  Only
-    ``s_i > n0 * eps * s_0`` counts; the rest is roundoff, not data.
-    Signs follow :func:`thin_svd`: the singular vector along the longer
-    side of the centered data (the eigenvector itself when ``n0 >= S``,
-    the ``S``-vector of snapshot weights when ``n0 < S``) has a positive
-    largest-magnitude entry.
+    from :func:`thin_svd`, signs included.  Only ``s_i > n0 * eps * s_0``
+    counts; the rest is roundoff, not data.
 
     Returns ``(mean, eigvecs, eigvals)``: the ``(n0, 1)`` sample mean, the
     ``n0 x rank`` eigenvectors and the ``rank`` nonincreasing eigenvalues.
-
-    Raises :class:`NumericalError` naming the ``n0xS`` shape if LAPACK's
-    SVD fails to converge.
     """
     U = require_matrix(U, "snapshot matrix")
     n0, S = U.shape
     if n0 < 1 or S < 1:
         raise ValueError(f"need at least one snapshot row and column, got {n0}x{S}")
     mean = U.mean(axis=1, keepdims=True)
-    try:
-        left, s, right_t = np.linalg.svd(U - mean, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"LAPACK SVD did not converge for a {n0}x{S} snapshot matrix"
-        ) from exc
-    rank = int(np.count_nonzero(s > n0 * np.finfo(float).eps * s[0]))
-    eigvecs = left[:, :rank]
-    longer = eigvecs if n0 >= S else right_t[:rank].T
-    idx = np.argmax(np.abs(longer), axis=0)
-    signs = np.where(longer[idx, np.arange(rank)] < 0.0, -1.0, 1.0)
-    return mean, eigvecs * signs, s[:rank] ** 2 / S
+    svd = thin_svd(U - mean)
+    rank = int(np.count_nonzero(svd.s > n0 * np.finfo(float).eps * svd.s[0]))
+    return mean, svd.U[:, :rank], svd.s[:rank] ** 2 / S
 
 
 def leading_basis(eigvecs: np.ndarray, width: int) -> np.ndarray:

@@ -116,11 +116,16 @@ def minmax_normalize(U: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Scale all entries into [0, 1] by the global min and max.
 
     Constant data cannot be scaled; it is returned unchanged with the
-    neutral range ``(0, 1)`` and a warning.
+    neutral range ``(0, 1)`` and a warning.  A range ``hi - lo`` that
+    overflows float64 raises :class:`DataFormatError`.
     """
     U = require_matrix(U, "snapshot matrix")
     lo = float(U.min())
     hi = float(U.max())
+    if not math.isfinite(hi - lo):
+        raise DataFormatError(
+            f"data range overflows float64: hi - lo is not finite for lo = {lo!r}, hi = {hi!r}"
+        )
     if hi == lo:
         warnings.warn("constant data: min-max normalization left input unchanged")
         return U.copy(), 0.0, 1.0

@@ -564,6 +564,23 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "init-study"])
+    def test_data_range_overflowing_float64_is_data_error(self, capsys, tmp_path, command):
+        data = tmp_path / "big.csv"
+        U = np.random.default_rng(0).uniform(-1.0, 1.0, (12, 16)) * 1.7e308
+        save_snapshots(SnapshotSet(U=U), data)
+        out = tmp_path / "s.csv"
+        extra = (
+            ["--class", "sae", "--skeleton", "12,3,2", "--epochs", "2"]
+            if command == "train"
+            else ["--widths", "1-2", "--n1", "3", "--trials", "2", "--out", str(out)]
+        )
+        assert main([command, "--data", str(data), *extra]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "hi - lo is not finite" in err
+        assert "Traceback" not in err and "warning:" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags",
         [

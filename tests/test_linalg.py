@@ -11,7 +11,6 @@ from symae.linalg import (
     _CHOLQR2_MIN_WORK,
     NumericalError,
     _cholesky_qr2,
-    _next_round,
     _triangular_inverse,
     covariance_spectrum,
     householder_qr,
@@ -71,27 +70,15 @@ class TestThinSVD:
         assert np.array_equal(s1.s, s2.s)
         assert np.array_equal(s1.V, s2.V)
 
-    def test_graded_spectrum_keeps_relative_accuracy(self):
-        # Mild grading with a full right rotation: forming the input is
-        # accurate to ~1e-16 absolute, so values down to 1e-6 are testable.
+    def test_mild_grading_to_1e_6_within_rtol_1e_9(self):
+        # A full right rotation: forming the input is accurate to ~1e-16
+        # absolute, so values down to 1e-6 are testable to rtol 1e-9.
         rng = np.random.default_rng(8)
         Q = pi_orth(rng.standard_normal((20, 7)))
         s = 10.0 ** -np.arange(0, 7, 1.0)
         A = Q @ np.diag(s) @ pi_orth(rng.standard_normal((7, 7))).T
         svd = thin_svd(A)
         assert np.max(np.abs(svd.U.T @ svd.U - np.eye(7))) <= 1e-10
-        np.testing.assert_allclose(svd.s, s, rtol=1e-9)
-
-    def test_extreme_grading_via_exact_column_scaling(self):
-        # Column scaling and signed permutation are exact in float64, so the
-        # target singular values survive construction across 18 decades.
-        rng = np.random.default_rng(12)
-        Q = pi_orth(rng.standard_normal((20, 10)))
-        s = 10.0 ** -np.arange(0, 20, 2.0)
-        A = (Q * s)[:, rng.permutation(10)] * np.where(rng.random(10) < 0.5, -1, 1)
-        svd = thin_svd(A)
-        assert np.max(np.abs(svd.U.T @ svd.U - np.eye(10))) <= 1e-10
-        np.testing.assert_allclose(svd.s, np.linalg.norm(A, axis=0)[np.argsort(-np.linalg.norm(A, axis=0))], rtol=1e-12)
         np.testing.assert_allclose(svd.s, s, rtol=1e-9)
 
     def test_truncation_error_is_tail_square_sum(self):
@@ -112,8 +99,8 @@ class TestThinSVD:
 
     @pytest.mark.parametrize("shape", [(9, 4), (6, 6), (6, 15)])
     def test_vector_along_the_longer_side_has_positive_dominant_entry(self, shape):
-        # Wide input is solved through its transpose, so there the right
-        # vectors carry the sign; the left ones may have a negative one.
+        # On wide input the right vectors carry the sign; the left ones may
+        # have a negative dominant entry.
         for seed in range(20):
             svd = thin_svd(np.random.default_rng(seed).standard_normal(shape))
             longer = svd.U if shape[0] >= shape[1] else svd.V
@@ -122,13 +109,17 @@ class TestThinSVD:
 
 
 def assert_matches_lapack(A, svd):
-    """Differential check of a thin SVD against numpy's LAPACK.
+    """Check a thin SVD against LAPACK's values-only SVD, and its factors.
 
-    Both kernels are backward stable, each within about ``max(m, n) * eps *
-    s0`` of the exact singular values (on random 2x2 and 3x3 inputs either
-    one reaches that bound against 40-digit references), so their gap is
-    bounded by twice that.  The gap is absolute, scaled by ``s0``: tiny
-    singular values carry LAPACK's absolute error, not a relative one.
+    The reference is ``np.linalg.svd(A, compute_uv=False)``, which takes
+    the values of the bidiagonal form by dqds with no vectors, another
+    iteration than the one the full SVD runs.  Each is backward
+    stable, within about ``max(m, n) * eps * s0`` of the exact singular
+    values (on random 2x2 and 3x3 inputs LAPACK reaches that bound against
+    40-digit references), so their gap is bounded by twice that.  The gap
+    is absolute, scaled by ``s0``: tiny singular values carry an absolute
+    error, not a relative one.  Orthonormality and the reconstruction are
+    checked on the factors themselves.
     """
     m, n = A.shape
     k = min(m, n)
@@ -164,22 +155,6 @@ class TestThinSVDAgainstLapack:
         train = split(pga400, 0)[0]
         A = train - train.mean(axis=1, keepdims=True)
         assert_matches_lapack(A, thin_svd(A))
-
-
-@pytest.mark.parametrize("n", range(2, 34))
-def test_round_robin_sweep_meets_every_pair_once(n):
-    # Seat the column indices as _jacobi_orthogonalize does (odd n padded
-    # with the index n) and play one sweep of 2k - 1 rounds.
-    k = (n + 1) // 2
-    seats = np.arange(2 * k).reshape(k, 2)
-    met = []
-    for _ in range(2 * k - 1):
-        met += [(min(p, q), max(p, q)) for p, q in seats if max(p, q) < n]
-        turned = np.empty_like(seats)
-        _next_round(seats, turned)
-        seats = turned
-    assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
-    assert np.array_equal(seats.ravel(), np.arange(2 * k))
 
 
 class TestHouseholderQR:
@@ -431,6 +406,29 @@ class TestStackedPiOrth:
             pi_orth(Var(np.ones((2, 5, 3))))
 
 
+def eigh_reference(A):
+    """The spectrum of the covariance ``A A^T / S`` of centered data by
+    ``np.linalg.eigh`` (LAPACK's syevd, no SVD), and the error terms that
+    bound a comparison with it.
+
+    Returns ``(s, vecs, d_svd, e_ref)``: the singular values of ``A`` as
+    ``sqrt(S * lambda)`` (roundoff below zero clipped) and the eigenvectors,
+    nonincreasing; ``d_svd = max(n0, S) * eps * s0``, within which LAPACK's
+    backward-stable SVD puts each singular value and which bounds its
+    backward error; and ``e_ref = (S * k + n0 + 3) * eps * s0**2`` with
+    ``k = min(n0, S)``, which bounds ``S`` times the reference's backward
+    error: forming ``A A^T`` perturbs it by at most ``gamma_S * ||A||_F^2``,
+    about ``S * k * eps * s0^2``, syevd adds about ``n0 * eps`` of its norm, and
+    three roundings (the divide here, the square and the divide in
+    :func:`covariance_spectrum`) add one ``eps`` each.
+    """
+    n0, S = A.shape
+    lam, vecs = np.linalg.eigh(A @ A.T / S)
+    s = np.sqrt(np.clip(S * lam[::-1], 0.0, None))
+    eps = np.finfo(float).eps
+    return s, vecs[:, ::-1], max(n0, S) * eps * s[0], (S * min(n0, S) + n0 + 3) * eps * s[0] ** 2
+
+
 class TestCovarianceSpectrum:
     def test_identical_columns_zero_variance(self):
         col = np.random.default_rng(1).standard_normal((6, 1))
@@ -469,15 +467,27 @@ class TestCovarianceSpectrum:
         np.testing.assert_allclose(v1, v2, atol=1e-8)
 
     @pytest.mark.parametrize("shape", [(30, 12), (17, 17), (9, 25)])
-    def test_eigenvectors_are_thin_svd_left_vectors(self, shape):
-        # Same vectors and the same signs as thin_svd, whose sign sits on
-        # the side of the snapshot weights when the data is wide.
+    def test_eigenvectors_are_signed_eigh_vectors(self, shape):
+        # Each eigenvector is eigh's, signed by the rule: its own dominant
+        # entry positive when the data is tall, that of its snapshot
+        # weights A^T v / s when wide.  Gaussian spectra are well separated;
+        # by Davis-Kahan each of the two vectors lies within
+        # sqrt(2) * (d_svd + e_ref / s) / separation of the exact one.
         U = np.random.default_rng(sum(shape)).standard_normal(shape)
-        svd = thin_svd(U - U.mean(axis=1, keepdims=True))
         _mean, vecs, eigvals = covariance_spectrum(U)
+        A = U - U.mean(axis=1, keepdims=True)
+        s, ref, d_svd, e_ref = eigh_reference(A)
         r = len(eigvals)
-        np.testing.assert_allclose(vecs, svd.U[:, :r], atol=1e-10)
-        np.testing.assert_allclose(eigvals, svd.s[:r] ** 2 / shape[1], rtol=1e-12)
+        assert r == min(shape[0], shape[1] - 1)
+        for i in range(r):
+            v = ref[:, i]
+            longer = v if shape[0] >= shape[1] else A.T @ v
+            v = v * np.sign(longer[np.argmax(np.abs(longer))])
+            above = s[i - 1] - s[i] if i > 0 else np.inf
+            below = s[i] - s[i + 1] if i + 1 < len(s) else s[i]
+            separation = min(above, below)
+            tol = 2 * np.sqrt(2) * (d_svd + e_ref / s[i]) / separation
+            assert np.max(np.abs(vecs[:, i] - v)) <= tol
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
     def test_empty_input_rejected(self, shape):
@@ -486,7 +496,7 @@ class TestCovarianceSpectrum:
 
     def test_keeps_only_the_numerical_rank(self):
         U = low_rank_snapshots(rank=5)
-        s = thin_svd(U - U.mean(axis=1, keepdims=True)).s
+        s = np.linalg.svd(U - U.mean(axis=1, keepdims=True), compute_uv=False)
         assert np.all(s[5:] > 0.0)  # roundoff, not exact zeros
         _mean, vecs, eigvals = covariance_spectrum(U)
         assert vecs.shape == (40, 5) and eigvals.shape == (5,)
@@ -509,11 +519,8 @@ class TestCovarianceSpectrumAgainstLapack:
     @example(m=12, n=33, seed=5, rank=None, duplicates=[(3, 4), (10, 20), (11, 20)])
     @example(m=30, n=12, seed=6, rank=3, duplicates=[(0, 1)])
     def test_tall_wide_and_rank_deficient(self, m, n, seed, rank, duplicates):
-        # Full-rank gaussians, low-rank products and duplicated columns.
-        # covariance_spectrum runs this same LAPACK SVD, so the bounds (the
-        # Jacobi SVD's 2 * max(m, n) * eps * s0 gap to LAPACK on the singular
-        # values, carried through s^2 / S) hold with room to spare; what the
-        # test pins is the rank rule, the shapes and the orthonormality.
+        # Full-rank gaussians, low-rank products and duplicated columns,
+        # against eigh of the covariance (see eigh_reference for the terms).
         rng = np.random.default_rng(seed)
         if rank is None:
             U = rng.standard_normal((m, n))
@@ -523,38 +530,53 @@ class TestCovarianceSpectrumAgainstLapack:
             U[:, dst % n] = U[:, src % n]
         _mean, vecs, eigvals = covariance_spectrum(U)
         A = U - U.mean(axis=1, keepdims=True)
-        U_ref, s_ref, _ = np.linalg.svd(A, full_matrices=False)
+        s_ref, ref, d_svd, e_ref = eigh_reference(A)
         r = len(eigvals)
-        eps = np.finfo(float).eps
-        gap = 2 * max(m, n) * eps * s_ref[0]
         assert vecs.shape == (m, r)
-        assert np.all(np.abs(eigvals - s_ref[:r] ** 2 / n) <= gap * (2 * s_ref[:r] + gap) / n)
-        assert np.all(s_ref[r:] <= m * eps * s_ref[0] + gap)
         assert np.max(np.abs(vecs.T @ vecs - np.eye(r)), initial=0.0) <= 1e-13
-        # Leading blocks that end at a clear gap span LAPACK's subspace.  The
-        # projector error scales as eps * s0 / separation; LAPACK's own reaches
-        # about 1.5e3 * eps * s0 / separation on these sizes, so the bound
-        # leaves a factor of 30.
+        # The centered columns span min(m, rank, distinct columns - 1)
+        # dimensions, and every one of them stands far above n0 * eps * s0.
+        # Identical columns leave only the mean's roundoff, which a rule
+        # relative to s0 may keep as one direction (its eigenvalue is held
+        # to roundoff below).
+        distinct = len(np.unique(U, axis=1).T)
+        expected = min(m, n if rank is None else rank, distinct - 1)
+        assert r == expected or (distinct == 1 and r == 1)
+        # Eigenvalues: each singular value moves by at most d_svd, so
+        # s^2 by d_svd * (2 * s0 + d_svd); the cut-off ones are roundoff.
+        tol = (e_ref + d_svd * (2 * s_ref[0] + d_svd)) / n
+        assert np.all(np.abs(eigvals - s_ref[:r] ** 2 / n) <= tol)
+        assert np.all(s_ref[r:] ** 2 / n <= tol)
+        # Leading blocks that end at a clear gap span eigh's subspace: by
+        # Wedin and Davis-Kahan each projector lies within d_svd / separation
+        # and e_ref / (separation * (s_j + s_j+1)) of the exact one.
         s_next = np.append(s_ref, 0.0)
         for j in range(1, r + 1):
             separation = s_ref[j - 1] - s_next[j]
             if separation < 1e-3 * s_ref[0]:
                 continue
             P = vecs[:, :j] @ vecs[:, :j].T
-            P_ref = U_ref[:, :j] @ U_ref[:, :j].T
-            assert np.max(np.abs(P - P_ref)) <= 1e-11 * s_ref[0] / separation
+            P_ref = ref[:, :j] @ ref[:, :j].T
+            bound = (d_svd + e_ref / (s_ref[j - 1] + s_next[j])) / separation
+            assert np.max(np.abs(P - P_ref)) <= bound
+        # The sign rule: on wide data the snapshot weights A^T v / s, within
+        # 2 * d_svd / s of LAPACK's right vector, have their dominant entry
+        # positive up to that roundoff; on tall data v itself, exactly.
+        if r and m < n:
+            weights = A.T @ vecs / np.sqrt(n * eigvals)
+            slack = 4 * d_svd / np.sqrt(n * eigvals)
+            assert np.all(weights.max(axis=0) >= (-weights).max(axis=0) - slack)
+        elif r:
+            assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(r)] > 0.0)
 
     @pytest.mark.parametrize("seed, rank", [(0, 39), (137, 38)], ids=["rank39", "rank38"])
-    def test_pga400_rank_matches_the_thin_svd_count(self, pga400, seed, rank):
-        # The numerical rank is the count of the Jacobi SVD's singular values
-        # above n0 * eps * s0, on a split of rank 39 and one of rank 38, and
-        # a repeated call is bitwise the first.
+    def test_pga400_rank_is_pinned_and_repeatable(self, pga400, seed, rank):
+        # The numerical rank on a split of rank 39 and one of rank 38, and a
+        # repeated call is bitwise the first.
         U = pga400 if seed == 0 else generate_pga(400, seed).U
         train = split(U, seed)[0]
-        s = thin_svd(train - train.mean(axis=1, keepdims=True)).s
         first = covariance_spectrum(train)
         assert len(first[2]) == rank
-        assert rank == np.count_nonzero(s > train.shape[0] * np.finfo(float).eps * s[0])
         again = covariance_spectrum(train)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
 
@@ -577,23 +599,16 @@ class TestCompletion:
             orthonormal_completion(B, 5)
 
 
-def test_sweep_cap_failure_names_dimensions(monkeypatch):
-    import symae.linalg as linalg
-
-    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
-    with pytest.raises(NumericalError, match=r"8x5.*0 sweeps"):
-        thin_svd(np.random.default_rng(0).standard_normal((8, 5)))
-
-
+@pytest.mark.parametrize("call", [covariance_spectrum, thin_svd], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("shape", [(8, 5), (5, 8)])
-def test_covariance_svd_failure_names_the_input_shape(monkeypatch, shape):
+def test_covariance_svd_failure_names_the_input_shape(monkeypatch, shape, call):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     label = f"{shape[0]}x{shape[1]}"
     with pytest.raises(NumericalError, match=label):
-        covariance_spectrum(np.random.default_rng(0).standard_normal(shape))
+        call(np.random.default_rng(0).standard_normal(shape))
 
 
 def test_require_matrix_validates():

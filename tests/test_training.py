@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from symae import linalg
 from symae.activations import HypAct, Identity, LeakyReLU
 from symae.architecture import Skeleton, assemble
 from symae.bounds import empirical_mse, linear_lower_bound, pod
+from symae.data_io import DataFormatError
 from symae.initializers import eys_init, he_init, lift
 from symae.linalg import NumericalError
 from symae.training import (
@@ -56,6 +59,15 @@ class TestMinMax:
             norm, lo, hi = minmax_normalize(U)
         assert (lo, hi) == (0.0, 1.0)
         np.testing.assert_allclose(norm, U)
+
+    def test_range_overflowing_float64_is_data_error(self):
+        # Both ends are finite, but hi - lo is not: no array is subtracted,
+        # so no overflow warning is raised on the way to the error.
+        U = np.array([[-1.7e308, 0.0], [1.0, 1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match=r"lo = -1\.7e\+308, hi = 1\.7e\+308"):
+                minmax_normalize(U)
 
     def test_fitted_range_applied_to_test_can_exceed_unit_interval(self):
         train_part = np.array([[0.0, 1.0]])
