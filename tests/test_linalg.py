@@ -108,6 +108,28 @@ class TestThinSVD:
             assert np.all(dominant > 0.0)
 
 
+@pytest.mark.parametrize("n", range(2, 34))
+def test_thin_svd_is_lapack_on_the_input_up_to_column_signs(n):
+    # A tall matrix with n columns and its wide transpose, both of rank
+    # n // 2, so that zero singular values occur: values bitwise LAPACK's
+    # on the input itself, each vector pair LAPACK's times one shared sign,
+    # both factors orthonormal, and the longer side's dominant entry positive.
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((n + 3, n // 2)) @ rng.standard_normal((n // 2, n))
+    for A in (B, B.T):
+        svd = thin_svd(A)
+        left, s, right_t = np.linalg.svd(A, full_matrices=False)
+        assert svd.s.tobytes() == s.tobytes()
+        signs = np.where(np.sum(svd.U * left, axis=0) < 0.0, -1.0, 1.0)
+        assert np.array_equal(svd.U, left * signs)
+        assert np.array_equal(svd.V, right_t.T * signs)
+        k = min(A.shape)
+        assert np.max(np.abs(svd.U.T @ svd.U - np.eye(k))) <= 1e-10
+        assert np.max(np.abs(svd.V.T @ svd.V - np.eye(k))) <= 1e-10
+        longer = svd.U if A.shape[0] >= A.shape[1] else svd.V
+        assert np.all(longer[np.argmax(np.abs(longer), axis=0), np.arange(k)] > 0.0)
+
+
 def assert_matches_lapack(A, svd):
     """Check a thin SVD against LAPACK's values-only SVD, and its factors.
 
@@ -285,11 +307,16 @@ class TestCholeskyQR2:
         assert np.max(np.abs(np.tril(R, -1))) <= residual_tol * scale
         assert np.all(np.diagonal(R) > 0.0)
         assert np.all(np.tril(R_inv, -1) == 0.0)
-        assert np.linalg.norm(np.triu(R) @ R_inv - np.eye(n)) <= residual_tol * np.linalg.cond(R)
+        # Past kappa ~ 1e150 the bound itself overflows to inf, as it should.
+        with np.errstate(over="ignore"):
+            bound = residual_tol * np.linalg.cond(R)
+        assert np.linalg.norm(np.triu(R) @ R_inv - np.eye(n)) <= bound
 
     @settings(max_examples=200, deadline=None)
     @given(tall_matrices())
     @example(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+    # kappa ~ 5e161: the inverse bound overflows float64.
+    @example(np.array([[1.0, 2.09572225e-162], [2.09572225e-162, 2.09572225e-162]]))
     # Rank 5: every entry of Q1^T Q1 - I is at most 0.39, its norm is 1.
     @example(
         np.array(
