@@ -61,7 +61,6 @@ __all__ = [
     "ParamVector",
     "assemble",
     "check_class_invariants",
-    "invariant_gaps",
     "encode_columns",
     "decode_columns",
     "reconstruct_columns",
@@ -251,36 +250,19 @@ def check_class_invariants(class_tag: str, layers) -> float:
         return 0.0
     worst = 0.0
     for j, layer in enumerate(layers, start=1):
-        gaps = invariant_gaps(class_tag, layer)
+        E, D = layer.E, layer.D
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = {
+                "E D = I": np.max(np.abs(E @ D - np.eye(E.shape[0]))),
+                "E d = -e": np.max(np.abs(E @ layer.d + layer.e)),
+            }
+            if class_tag == "SOAE":
+                gaps["E = D^T"] = np.max(np.abs(E - D.T))
         for rule, gap in gaps.items():
             if not gap <= BIORTH_TOL:
                 raise ValueError(f"{class_tag} layer {j} violates {rule} (max gap {gap:.3e})")
         worst = max(worst, float(gaps["E D = I"]))
     return worst
-
-
-def invariant_gaps(class_tag: str, layer: Layer) -> dict[str, np.ndarray]:
-    """Max-norm gap of each invariant of a constrained class at one level.
-
-    Keys name the invariants in the order :func:`check_class_invariants`
-    checks them.  A level stacked over leading axes (``E`` of shape
-    ``(..., r, q)``) gets one gap per slice.  A gap is NaN when the weights
-    are non-finite or their products overflow.
-    """
-    r = layer.E.shape[-2]
-    with np.errstate(over="ignore", invalid="ignore"):
-        gaps = {
-            "E D = I": _max_abs(layer.E @ layer.D - np.eye(r)),
-            "E d = -e": _max_abs(layer.E @ layer.d + layer.e),
-        }
-        if class_tag == "SOAE":
-            gaps["E = D^T"] = _max_abs(layer.E - np.swapaxes(layer.D, -1, -2))
-    return gaps
-
-
-def _max_abs(a: np.ndarray) -> np.ndarray:
-    """``max |a|`` over the last two axes (NaN if any entry is NaN)."""
-    return np.max(np.abs(a), axis=(-2, -1))
 
 
 # -- unconstrained parametrizations --------------------------------------
@@ -512,10 +494,14 @@ def load_model(
 
 
 def _checked_normalization(lo, hi) -> tuple[float, float]:
-    """``(lo, hi)`` as floats; ``ValueError`` unless both are finite and ``lo < hi``."""
+    """``(lo, hi)`` as floats; ``ValueError`` unless ``lo < hi`` and
+    ``(hi - lo)^2`` is finite, which makes both ends finite."""
     lo, hi = float(lo), float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"normalization needs finite lo < hi, got lo={lo!r}, hi={hi!r}")
+    if not (lo < hi and math.isfinite((hi - lo) * (hi - lo))):
+        raise ValueError(
+            "normalization needs finite lo < hi with a finite (hi - lo)^2, "
+            f"got lo={lo!r}, hi={hi!r}"
+        )
     return lo, hi
 
 

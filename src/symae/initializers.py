@@ -17,10 +17,10 @@ parameter vector of any hypothesis class so training can start from it.
 random orthogonal starts over a family of skeletons.  Both sides share work
 by width prefix: :class:`EysCache` holds the iterated-SVD levels, and the
 random trials run in blocks, within which each random level of a common
-prefix is drawn once per trial and then orthonormalized, validated and
-applied to the test split once for the whole block, as one stack.  Each
-trial keeps its own draw order, each slice of a stacked call is bitwise its
-2-D call, and every candidate is scored by the operations of
+prefix is drawn once per trial and then orthonormalized, checked for
+``E D = I`` and applied to the test split once for the whole block, as one
+stack.  Each trial keeps its own draw order, each slice of a stacked call is
+bitwise its 2-D call, and every candidate is scored by the operations of
 :func:`~symae.architecture.empirical_mse`, so every row is bitwise the one
 :func:`orthogonal_random_init` gives skeleton by skeleton.
 
@@ -53,8 +53,8 @@ from .architecture import (
     Layer,
     check_class_invariants,
     decode_columns,
+    empirical_mse,
     encode_columns,
-    invariant_gaps,
 )
 from .linalg import (
     NumericalError,
@@ -327,9 +327,9 @@ def init_study(U, act, skeletons, trials, seed):
     trial, and a skeleton draws only the levels past its longest shared
     prefix, each trial from its own generator state saved after that
     prefix.  The block's draws of a level are then orthonormalized by one
-    stacked :func:`~symae.linalg.pi_orth` call, validated against the SOAE
-    invariants by one stacked check, and applied to the test split, encoded
-    and decoded, as one stack; only the outer decode is per trial.
+    stacked :func:`~symae.linalg.pi_orth` call, checked for ``E D = I`` by
+    one stacked product, and applied to the test split, encoded and decoded,
+    as one stack; only the outer decode is per trial.
 
     A random candidate is scored exactly only if it can win.  Random levels
     have zero biases, so for each first level ``dims[:2]`` and trial ``k``,
@@ -346,42 +346,31 @@ def init_study(U, act, skeletons, trials, seed):
     so skipping it leaves the minimum unchanged.  Before a skeleton's outer
     decode, a trial whose ``P_k`` alone puts every candidate past that
     allowance, whatever ``G`` is, is dropped (see :data:`_SPLIT_SLACK`), and
-    only the other trials are decoded, as a sub-stack.  Scored candidates
-    go through one reused buffer by the same operations, in the same order,
-    as :func:`~symae.architecture.empirical_mse`, and each slice of a stacked
-    call is bitwise its 2-D call, so each baseline is bitwise the minimum
-    over trials of
+    only the other trials are decoded, as a sub-stack.  A scored candidate
+    goes through the operations of
+    :func:`~symae.architecture.empirical_mse`, in the same order, and each
+    slice of a stacked call is bitwise its 2-D call, so each baseline is
+    bitwise the minimum over trials of
     ``empirical_mse(orthogonal_random_init(skeleton, act, rng_t), test)``.
-    The iterated-SVD levels are shared the same way (:class:`EysCache`).
+    The iterated-SVD rows are ``empirical_mse(eys_init(...), test)`` itself,
+    with the levels shared the same way (:class:`EysCache`).
     Returns a list of ``(skeleton, eys_mse, baseline_best_mse)`` rows.
 
     Raises :class:`~symae.linalg.NumericalError` naming the trial and the
-    level of a draw that breaks the SOAE invariants.
+    level of a draw that breaks ``E D = I``.
     """
     if trials < 1:
         raise ValueError(f"init study needs at least one random trial, got {trials}")
     train_U, _val, test_U = split(U, seed)
     train_norm, lo, hi = minmax_normalize(train_U)
-    test_norm = require_matrix(apply_minmax(test_U, lo, hi), "snapshot matrix")
+    test_norm = apply_minmax(test_U, lo, hi)
     n_test = test_norm.shape[1]
     test_sq = float(np.sum(test_norm * test_norm))
-    resid = np.empty_like(test_norm)
-
-    def outer_input(layers, H):
-        """The outer level's input when the test split's encoding ``H`` is decoded."""
-        return act.apply_inverse(decode_columns(layers[1:], act, H, "SOAE"))
-
-    def test_mse(D, d, G):
-        """``empirical_mse`` on the test split, given the outer level's ``D``,
-        ``d`` and input ``G``."""
-        return _squared_error(test_norm, D, d, G, resid) / n_test
-
     cache = EysCache(train_norm, act)
-    eys = []
-    for skeleton in skeletons:
-        layers = eys_init(train_norm, skeleton, act, cache=cache).layers
-        H = encode_columns(layers, act, test_norm, "SOAE")
-        eys.append(test_mse(layers[0].D, layers[0].d, outer_input(layers, H)))
+    eys = [
+        empirical_mse(eys_init(train_norm, skeleton, act, cache=cache), test_norm)
+        for skeleton in skeletons
+    ]
     best = [np.inf] * len(skeletons)
     for first in range(0, trials, _TRIAL_BLOCK):
         rngs = [
@@ -427,13 +416,13 @@ def init_study(U, act, skeletons, trials, seed):
                 # Only the decoders are read from here on.
                 layers = tuple(lv._replace(D=lv.D[keep]) for lv in layers)
                 H, C, P, slack = H[keep], C[keep], P[keep], slack[keep]
-            G = outer_input(layers, H)
+            G = act.apply_inverse(decode_columns(layers[1:], act, H, "SOAE"))
             D, d = layers[0].D, layers[0].d
             surrogate = (P + np.sum(np.square(C - G), axis=(1, 2))) / n_test
             allowance = slack * (test_sq + np.sum(np.square(G), axis=(1, 2))) / n_test
             for k in range(keep.size):
                 if _may_win(surrogate[k], allowance[k], best[i]):
-                    best[i] = min(best[i], test_mse(D[k], d, G[k]))
+                    best[i] = min(best[i], _squared_error(test_norm, D[k], d, G[k]) / n_test)
     return [(skeleton, eys_mse, float(b)) for skeleton, eys_mse, b in zip(skeletons, eys, best)]
 
 
@@ -443,30 +432,29 @@ def _may_win(surrogate, allowance, best):
     return np.logical_not(surrogate - best > allowance)
 
 
-def _squared_error(T, D, d, G, out) -> float:
-    """``sum((T - (D G + d))^2)``, formed in ``out`` by the operations of
+def _squared_error(T, D, d, G) -> float:
+    """``sum((T - (D G + d))^2)`` by the operations of
     :func:`~symae.architecture.empirical_mse`."""
-    np.matmul(D, G, out=out)
-    np.add(out, d, out=out)
-    np.subtract(T, out, out=out)
-    np.multiply(out, out, out=out)
-    return float(np.sum(out))
+    resid = T - (D @ G + d)
+    return float(np.sum(resid * resid))
 
 
 def _check_drawn(level: Layer, first: int, j: int) -> np.ndarray:
     """Check a stack of drawn levels ``j`` of trials ``first, first + 1, ...``.
 
-    Raises :class:`NumericalError` naming the first trial that breaks an
-    SOAE invariant, its level and the invariant.  Returns each trial's
-    max-norm gap of ``E D = I``.
+    :func:`_orthogonal_level` makes ``E`` a view of ``D^T`` with zero
+    biases, so ``E = D^T`` and ``E d = -e`` hold exactly for finite draws;
+    a non-finite draw breaks ``E D = I`` too.  Raises :class:`NumericalError`
+    naming the first trial that breaks ``E D = I`` and its level.  Returns
+    each trial's max-norm gap of ``E D = I``.
     """
-    gaps = invariant_gaps("SOAE", level)
-    bad = ~(np.stack(list(gaps.values())) <= BIORTH_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.max(np.abs(level.E @ level.D - np.eye(level.E.shape[-2])), axis=(-2, -1))
+    bad = ~(gaps <= BIORTH_TOL)
     if bad.any():
-        k = int(np.argmax(bad.any(axis=0)))
-        rule = list(gaps)[int(np.argmax(bad[:, k]))]
+        k = int(np.argmax(bad))
         raise NumericalError(
-            f"random trial {first + k}, level {j}: the drawn level violates {rule} "
-            f"(max gap {gaps[rule][k]:.3e})"
+            f"random trial {first + k}, level {j}: the drawn level violates E D = I "
+            f"(max gap {gaps[k]:.3e})"
         )
-    return gaps["E D = I"]
+    return gaps

@@ -314,7 +314,11 @@ def covariance_spectrum(
     ``1/S``) has eigenvalues ``s_i^2 / S`` and eigenvectors equal to the
     left singular vectors of the column-centered snapshot matrix, taken
     from :func:`thin_svd`, signs included.  Only ``s_i > n0 * eps * s_0``
-    counts; the rest is roundoff, not data.
+    counts; the rest is roundoff, not data.  When every column is the same,
+    the centered data is the mean's rounding error alone, so ``s_0`` itself
+    is roundoff: the rank is 0 when
+    ``s_0 <= max(n0, S) * eps * ||mean|| * sqrt(S)``, a bound on that error
+    (a sum of ``S`` terms rounds within ``S * eps`` of its magnitude).
 
     Returns ``(mean, eigvecs, eigvals)``: the ``(n0, 1)`` sample mean, the
     ``n0 x rank`` eigenvectors and the ``rank`` nonincreasing eigenvalues.
@@ -325,7 +329,11 @@ def covariance_spectrum(
         raise ValueError(f"need at least one snapshot row and column, got {n0}x{S}")
     mean = U.mean(axis=1, keepdims=True)
     svd = thin_svd(U - mean)
-    rank = int(np.count_nonzero(svd.s > n0 * np.finfo(float).eps * svd.s[0]))
+    eps = np.finfo(float).eps
+    if svd.s[0] <= max(n0, S) * eps * np.linalg.norm(mean) * np.sqrt(S):
+        rank = 0
+    else:
+        rank = int(np.count_nonzero(svd.s > n0 * eps * svd.s[0]))
     return mean, svd.U[:, :rank], svd.s[:rank] ** 2 / S
 
 

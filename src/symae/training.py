@@ -117,14 +117,16 @@ def minmax_normalize(U: np.ndarray) -> tuple[np.ndarray, float, float]:
 
     Constant data cannot be scaled; it is returned unchanged with the
     neutral range ``(0, 1)`` and a warning.  A range ``hi - lo`` that
-    overflows float64 raises :class:`DataFormatError`.
+    overflows float64, or whose square does (errors are scaled back by it),
+    raises :class:`DataFormatError`.
     """
     U = require_matrix(U, "snapshot matrix")
     lo = float(U.min())
     hi = float(U.max())
-    if not math.isfinite(hi - lo):
+    if not math.isfinite((hi - lo) * (hi - lo)):
         raise DataFormatError(
-            f"data range overflows float64: hi - lo is not finite for lo = {lo!r}, hi = {hi!r}"
+            "data range overflows float64: hi - lo is not finite or its square is not, "
+            f"for lo = {lo!r}, hi = {hi!r}"
         )
     if hi == lo:
         warnings.warn("constant data: min-max normalization left input unchanged")
@@ -133,8 +135,18 @@ def minmax_normalize(U: np.ndarray) -> tuple[np.ndarray, float, float]:
 
 
 def apply_minmax(U: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Apply a previously fitted normalization (values may leave [0, 1])."""
-    return (np.asarray(U, dtype=np.float64) - lo) / (hi - lo)
+    """Apply a previously fitted normalization (values may leave [0, 1]).
+
+    Raises :class:`DataFormatError` when a value leaves float64 under the map.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (np.asarray(U, dtype=np.float64) - lo) / (hi - lo)
+    if not np.isfinite(out).all():
+        raise DataFormatError(
+            "data leave float64 under the fitted min-max map: (U - lo) / (hi - lo) "
+            f"is not finite for lo = {lo!r}, hi = {hi!r}"
+        )
+    return out
 
 
 def undo_minmax(U: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -313,10 +325,10 @@ def evaluate(psi: SymmetricAutoencoder, U_test: np.ndarray) -> EvalMetrics:
     skipped with a warning.
     """
     U_test = require_matrix(U_test, "test data")
-    recon = psi.reconstruct(U_test)
-    diff = U_test - recon
-    sq = np.sum(diff * diff, axis=0)
-    mse = float(np.mean(sq))
+    diff = U_test - psi.reconstruct(U_test)
+    diff_sq = diff * diff
+    mse = float(np.sum(diff_sq)) / U_test.shape[1]  # empirical_mse's own sum
+    sq = np.sum(diff_sq, axis=0)
     norms = np.sqrt(np.sum(U_test * U_test, axis=0))
     ok = norms > 0.0
     if not np.all(ok):

@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -361,8 +362,12 @@ class TestCheckpoint:
         st.sampled_from([Identity(), LeakyReLU(5 / 6, 5 / 4), HypAct.from_sharpness(3.0)]),
         st.integers(0, 2**32 - 1),
         st.booleans(),
+        # Any range a checkpoint may hold: finite lo < hi whose (hi - lo)^2
+        # is finite too.
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2,
-                 unique=True).map(sorted),
+                 unique=True).map(sorted).filter(
+                     lambda lo_hi: math.isfinite((lo_hi[1] - lo_hi[0]) * (lo_hi[1] - lo_hi[0]))
+                 ),
     )
     # An SBAE level with n_j = n_{j-1} has a square frame.
     @example("SBAE", Skeleton((2, 1, 1)), Identity(), 0, True, [0.0, 1.0])
@@ -482,11 +487,15 @@ class TestCheckpoint:
             ({"lo": 2.0, "hi": 1.0}, "finite lo < hi"),
             ({"lo": 0.0, "hi": float("inf")}, "finite lo < hi"),
             ({"lo": float("nan"), "hi": 1.0}, "finite lo < hi"),
+            ({"lo": -1e308, "hi": 0.0}, "finite lo < hi"),
             ({"lo": "zero", "hi": 1.0}, "bad value"),
             ({"lo": 0.0}, "lacks the key 'hi'"),
             (None, "lacks the key 'normalization'"),
         ],
-        ids=["empty-range", "reversed", "infinite", "nan", "not-a-number", "no-hi", "missing"],
+        ids=[
+            "empty-range", "reversed", "infinite", "nan", "square-overflows", "not-a-number",
+            "no-hi", "missing",
+        ],
     )
     def test_bad_normalization_is_data_error(self, tmp_path, block, message):
         path = tmp_path / "model.json"

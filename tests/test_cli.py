@@ -581,6 +581,59 @@ class TestExitCodes:
         assert "Traceback" not in err and "warning:" not in err
         assert not out.exists()
 
+    @staticmethod
+    def _held_out_past_float64(tmp_path, train_range, S=8):
+        """A 3xS data file whose seed-0 training columns span ``train_range``
+        and whose other columns hold 1.7e308."""
+        U = np.full((3, S), 1.7e308)
+        train = np.random.default_rng(0).permutation(S)[: S // 2]
+        U[:, train] = np.linspace(*train_range, 3 * len(train)).reshape(3, -1)
+        data = tmp_path / "wide.csv"
+        save_snapshots(SnapshotSet(U=U), data)
+        return data
+
+    @staticmethod
+    def _model_fitted_on(tmp_path, lo, hi):
+        """A 3,1 SAE checkpoint whose stored range is ``(lo, hi)``."""
+        theta = random_theta("SAE", Skeleton((3, 1)), Identity(), np.random.default_rng(0))
+        model = tmp_path / "fitted.json"
+        save_model(assemble(theta), model)
+        doc = json.loads(model.read_text())
+        doc["normalization"] = {"lo": lo, "hi": hi}
+        model.write_text(json.dumps(doc))
+        return model
+
+    @pytest.mark.parametrize(
+        "train_range, message",
+        [((-1e308, 0.0), "its square is not"), ((0.0, 0.5), "fitted min-max map")],
+        ids=["range-square-overflows", "map-overflows"],
+    )
+    @pytest.mark.parametrize("command", ["train", "init-study", "bounds"])
+    def test_held_out_data_past_float64_is_data_error(
+        self, capsys, tmp_path, command, train_range, message
+    ):
+        # The training columns fit a range under which the other columns
+        # leave float64, or whose square (the scale of mse_denorm) does; a
+        # checkpoint fitted on the latter is refused when it loads.  Nothing
+        # is trained and no file is written.
+        data = self._held_out_past_float64(tmp_path, train_range)
+        out = tmp_path / "out.csv"
+        if command == "train":
+            extra = ["--class", "soae", "--skeleton", "3,2,1", "--epochs", "2",
+                     "--out-model", str(out)]
+        elif command == "init-study":
+            extra = ["--widths", "1", "--n1", "2", "--trials", "2", "--out", str(out)]
+        else:
+            model = self._model_fitted_on(tmp_path, *train_range)
+            extra = ["--model", str(model), "--out", str(out)]
+            if train_range[0] == -1e308:
+                message = "finite lo < hi"
+        assert main([command, "--data", str(data), *extra]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+        assert "Traceback" not in err and "warning:" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags",
         [

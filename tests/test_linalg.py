@@ -464,6 +464,19 @@ class TestCovarianceSpectrum:
         np.testing.assert_allclose(mean, col, atol=1e-14)
         np.testing.assert_allclose(eigvals, 0.0, atol=1e-28)
 
+    @pytest.mark.parametrize(
+        "shape", [(20, 5), (5, 20), (514, 200), (1, 7)], ids=["tall", "wide", "pga-size", "one-row"]
+    )
+    def test_identical_columns_have_rank_zero(self, shape):
+        # The centered columns are the mean's rounding error alone (rank 1
+        # with an eigenvalue of 1e-32 on 20x5 under the relative rule alone);
+        # a 1x7 row rounds its mean by more than eps relative.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            col = rng.standard_normal((shape[0], 1)) * 10.0 ** rng.integers(-50, 50)
+            _mean, vecs, eigvals = covariance_spectrum(np.tile(col, (1, shape[1])))
+            assert vecs.shape == (shape[0], 0) and eigvals.shape == (0,)
+
     def test_rank_one_centered_data(self):
         rng = np.random.default_rng(2)
         v = rng.standard_normal((7, 1))
@@ -545,6 +558,7 @@ class TestCovarianceSpectrumAgainstLapack:
     @example(m=35, n=30, seed=4, rank=7, duplicates=[])
     @example(m=12, n=33, seed=5, rank=None, duplicates=[(3, 4), (10, 20), (11, 20)])
     @example(m=30, n=12, seed=6, rank=3, duplicates=[(0, 1)])
+    @example(m=2, n=3, seed=0, rank=None, duplicates=[(1, 2), (0, 1)])
     def test_tall_wide_and_rank_deficient(self, m, n, seed, rank, duplicates):
         # Full-rank gaussians, low-rank products and duplicated columns,
         # against eigh of the covariance (see eigh_reference for the terms).
@@ -555,7 +569,7 @@ class TestCovarianceSpectrumAgainstLapack:
             U = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
         for dst, src in duplicates:
             U[:, dst % n] = U[:, src % n]
-        _mean, vecs, eigvals = covariance_spectrum(U)
+        mean, vecs, eigvals = covariance_spectrum(U)
         A = U - U.mean(axis=1, keepdims=True)
         s_ref, ref, d_svd, e_ref = eigh_reference(A)
         r = len(eigvals)
@@ -563,17 +577,20 @@ class TestCovarianceSpectrumAgainstLapack:
         assert np.max(np.abs(vecs.T @ vecs - np.eye(r)), initial=0.0) <= 1e-13
         # The centered columns span min(m, rank, distinct columns - 1)
         # dimensions, and every one of them stands far above n0 * eps * s0.
-        # Identical columns leave only the mean's roundoff, which a rule
-        # relative to s0 may keep as one direction (its eigenvalue is held
-        # to roundoff below).
+        # Identical columns leave only the mean's roundoff: rank 0.
         distinct = len(np.unique(U, axis=1).T)
         expected = min(m, n if rank is None else rank, distinct - 1)
-        assert r == expected or (distinct == 1 and r == 1)
+        assert r == expected
         # Eigenvalues: each singular value moves by at most d_svd, so
-        # s^2 by d_svd * (2 * s0 + d_svd); the cut-off ones are roundoff.
+        # s^2 by d_svd * (2 * s0 + d_svd); the cut-off ones are roundoff,
+        # and with rank 0 all of them lie within the mean's roundoff floor.
         tol = (e_ref + d_svd * (2 * s_ref[0] + d_svd)) / n
         assert np.all(np.abs(eigvals - s_ref[:r] ** 2 / n) <= tol)
-        assert np.all(s_ref[r:] ** 2 / n <= tol)
+        if r:
+            assert np.all(s_ref[r:] ** 2 / n <= tol)
+        else:
+            floor = max(m, n) * np.finfo(float).eps * np.linalg.norm(mean) * np.sqrt(n)
+            assert s_ref[0] <= floor + d_svd
         # Leading blocks that end at a clear gap span eigh's subspace: by
         # Wedin and Davis-Kahan each projector lies within d_svd / separation
         # and e_ref / (separation * (s_j + s_j+1)) of the exact one.

@@ -60,14 +60,28 @@ class TestMinMax:
         assert (lo, hi) == (0.0, 1.0)
         np.testing.assert_allclose(norm, U)
 
-    def test_range_overflowing_float64_is_data_error(self):
-        # Both ends are finite, but hi - lo is not: no array is subtracted,
-        # so no overflow warning is raised on the way to the error.
-        U = np.array([[-1.7e308, 0.0], [1.0, 1.7e308]])
+    @pytest.mark.parametrize(
+        "U, match",
+        [
+            ([[-1.7e308, 0.0], [1.0, 1.7e308]], r"lo = -1\.7e\+308, hi = 1\.7e\+308"),
+            ([[-1e308, 0.0], [-5e307, -1.0]], r"lo = -1e\+308, hi = 0\.0"),
+        ],
+        ids=["width-overflows", "square-overflows"],
+    )
+    def test_range_overflowing_float64_is_data_error(self, U, match):
+        # Both ends are finite, but hi - lo is not, or its square (which
+        # scales errors back) is not: no array is subtracted, so no overflow
+        # warning is raised on the way to the error.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DataFormatError, match=r"lo = -1\.7e\+308, hi = 1\.7e\+308"):
-                minmax_normalize(U)
+            with pytest.raises(DataFormatError, match=match):
+                minmax_normalize(np.array(U))
+
+    def test_fitted_map_leaving_float64_is_data_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match=r"lo = 0\.0, hi = 0\.5"):
+                apply_minmax(np.array([[1.0, 1.7e308]]), 0.0, 0.5)
 
     def test_fitted_range_applied_to_test_can_exceed_unit_interval(self):
         train_part = np.array([[0.0, 1.0]])
@@ -354,7 +368,7 @@ class TestEvaluate:
     def test_matches_empirical_mse(self, pga100):
         psi = eys_init(pga100, Skeleton((514, 8)), Identity())
         metrics = evaluate(psi, pga100)
-        np.testing.assert_allclose(metrics.mse, empirical_mse(psi, pga100), rtol=1e-12)
+        assert metrics.mse == empirical_mse(psi, pga100)
 
     def test_zero_norm_sample_skipped_with_warning(self):
         theta = random_theta("SAE", Skeleton((2, 1)), Identity(), np.random.default_rng(1))
