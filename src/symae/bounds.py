@@ -116,20 +116,18 @@ def layerwise_bounds(psi: SymmetricAutoencoder, U: np.ndarray) -> LayerwiseBound
 def greedy_upper_bound(U: np.ndarray, skeleton: Skeleton, act: Activation) -> float:
     """Upper bound on the best orthogonal-class empirical error.
 
-    Runs the iterated-SVD construction on ``U`` and accumulates the
-    covariance tail it truncates at each level, weighted by
-    ``Lip(rho^-1)^2k``.  Upper-bounds the infimum of the empirical MSE over
-    the orthogonal class, and in particular the error of the iterated-SVD
-    initializer itself.
+    Runs the iterated-SVD construction on ``U`` (:class:`EysCache`, checks
+    included) and accumulates the covariance tail it truncates at each
+    level, weighted by ``Lip(rho^-1)^2k``.  Upper-bounds the infimum of the
+    empirical MSE over the orthogonal class, and in particular the error of
+    the iterated-SVD initializer itself.
     """
-    U = require_matrix(U, "snapshot matrix")
     _, lip_inv = act.lipschitz_pair()
     cache = EysCache(U, act)
+    cache.network(skeleton)  # checks the skeleton and builds its levels
+    widths = skeleton.dims[1:]
     total = 0.0
-    prefix: tuple[int, ...] = ()
     for k in range(skeleton.depth):
-        _, _, eigvals = cache.level(prefix)
-        n_next = skeleton.dims[k + 1]
-        total += lip_inv ** (2 * k) * float(np.sum(eigvals[n_next:]))
-        prefix = prefix + (n_next,)
+        _, _, eigvals = cache.spectrum(widths[:k])
+        total += lip_inv ** (2 * k) * float(np.sum(eigvals[widths[k]:]))
     return total

@@ -150,20 +150,21 @@ def _parse_lines(path: Path) -> np.ndarray:
         raise DataFormatError(
             f"{path}: header promises n0={n0} rows, found {len(body)}"
         )
-    out = np.empty((n0, S))
-    for i, (number, line) in enumerate(body):
+    # Nothing is allocated on the header's word: it may promise more than the file holds.
+    rows = []
+    for number, line in body:
         cells = line.split(",")
         if len(cells) != S:
             raise DataFormatError(
                 f"{path}:{number}: expected {S} columns, found {len(cells)}"
             )
         try:
-            out[i] = [float(c) for c in cells]
+            rows.append(np.array([float(c) for c in cells]))
         except ValueError as exc:
             raise DataFormatError(f"{path}:{number}: {exc}") from exc
-        if not np.all(np.isfinite(out[i])):
+        if not np.all(np.isfinite(rows[-1])):
             raise DataFormatError(f"{path}:{number}: non-finite value")
-    return out
+    return np.array(rows).reshape(n0, S)
 
 
 def load_snapshots(path) -> SnapshotSet:

@@ -5,7 +5,8 @@ Three schemes are provided:
 * :func:`eys_init` - the data-driven iterated-SVD scheme: each level
   centers the current hidden representation, keeps the leading left
   singular vectors as the layer basis, and pushes the data through the new
-  layer before fitting the next one.  Deterministic given the data.
+  layer before fitting the next one.  Deterministic given the data.  The
+  construction is :class:`EysCache`'s, which builds each level once.
 * :func:`he_init` - gaussian weights whose variance extends the classic
   He rule to arbitrary bilipschitz activations via their slope envelope.
 * :func:`orthogonal_random_init` - random orthonormal bases with zero
@@ -15,8 +16,8 @@ Three schemes are provided:
 parameter vector of any hypothesis class so training can start from it.
 :func:`init_study` scores the iterated-SVD start against the best of many
 random orthogonal starts over a family of skeletons.  Both sides share work
-by width prefix: :class:`EysCache` holds the iterated-SVD levels, and the
-random trials run in blocks, within which each random level of a common
+by width prefix: one :class:`EysCache` builds the iterated-SVD levels, and
+the random trials run in blocks, within which each random level of a common
 prefix is drawn once per trial and then orthonormalized, checked for
 ``E D = I`` and applied to the test split once for the whole block, as one
 stack.  Each trial keeps its own draw order, each slice of a stacked call is
@@ -136,19 +137,49 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 class EysCache:
-    """Memo for iterated-SVD levels shared across skeletons on one dataset.
+    """The iterated-SVD construction on one dataset, memoized by width prefix.
 
-    Levels are keyed by the tuple of widths retained so far, so skeleton
-    families with a common prefix (width sweeps, depth ladders) reuse the
-    expensive leading factorizations.
+    Each level is built once and shared by every skeleton whose widths start
+    with its prefix (width sweeps, depth ladders); the representation it
+    hands the next level is its own encoder applied to the one it encodes.
     """
 
     def __init__(self, U: np.ndarray, act: Activation):
+        U = require_matrix(U, "snapshot matrix")
+        if U.shape[1] < 2:
+            raise ValueError("iterated-SVD initialization needs at least two snapshots")
         self.act = act
-        self._data = {(): require_matrix(U, "snapshot matrix")}
+        self._data = {(): U}
         self._spectra = {}
+        self._layers = {}
 
-    def level(self, prefix: tuple[int, ...]):
+    def network(self, skeleton: Skeleton) -> SymmetricAutoencoder:
+        """The orthogonal-class network of the construction on ``skeleton``."""
+        n0 = self._data[()].shape[0]
+        if n0 != skeleton.dims[0]:
+            raise ValueError(f"snapshot dimension {n0} != skeleton input {skeleton.dims[0]}")
+        widths = skeleton.dims[1:]
+        self.level(widths)  # builds the levels before it on the way
+        layers = tuple(self._layers[widths[:j]] for j in range(1, skeleton.depth + 1))
+        return SymmetricAutoencoder(skeleton, self.act, layers, "SOAE")
+
+    def level(self, prefix: tuple[int, ...]) -> Layer:
+        """The level of width ``prefix[-1]`` after the levels ``prefix[:-1]``:
+        bias the mean, basis the leading eigenvectors of the representation
+        it encodes, completed past its rank with a warning."""
+        if prefix not in self._layers:
+            mean, eigvecs, eigvals = self.spectrum(prefix[:-1])
+            width = prefix[-1]
+            if len(eigvals) < width:
+                warnings.warn(
+                    f"level {len(prefix)}: requested width {width} exceeds numerical rank "
+                    f"{len(eigvals)}; padding with an orthonormal completion"
+                )
+            V = leading_basis(eigvecs, width)
+            self._layers[prefix] = Layer(E=V.T, D=V, e=-(V.T @ mean), d=mean)
+        return self._layers[prefix]
+
+    def spectrum(self, prefix: tuple[int, ...]):
         """(mean, eigvecs, eigvals) of the representation after ``prefix``."""
         if prefix not in self._spectra:
             self._spectra[prefix] = covariance_spectrum(self._representation(prefix))
@@ -156,56 +187,26 @@ class EysCache:
 
     def _representation(self, prefix: tuple[int, ...]) -> np.ndarray:
         if prefix not in self._data:
-            head = prefix[:-1]
-            mean, eigvecs, _ = self.level(head)
-            V = leading_basis(eigvecs, prefix[-1])
-            Z = self._data[head]
-            self._data[prefix] = self.act.apply(V.T @ (Z - mean))
+            layer = self.level(prefix)
+            Z = self._representation(prefix[:-1])
+            self._data[prefix] = self.act.apply(layer.E @ (Z - layer.d))
         return self._data[prefix]
 
 
-def eys_init(
-    U: np.ndarray,
-    skeleton: Skeleton,
-    act: Activation,
-    cache: EysCache | None = None,
-) -> SymmetricAutoencoder:
+def eys_init(U: np.ndarray, skeleton: Skeleton, act: Activation) -> SymmetricAutoencoder:
     """Iterated-SVD initialization; returns an orthogonal-class network.
 
-    Level by level: the bias is the sample mean of the current hidden
-    representation, the basis is the leading left singular vectors of the
-    centered representation, and the data is pushed through the finished
-    layer.
+    ``EysCache(U, act).network(skeleton)``.  Level by level: the bias is the
+    sample mean of the current hidden representation, the basis is the
+    leading left singular vectors of the centered representation, and the
+    data is pushed through the finished layer.
 
     Entirely deterministic: no randomness enters, and directions past the
     numerical rank of the centered data are the orthonormal completion of
     :func:`~symae.linalg.leading_basis`; a level wider than that rank is
     reported via ``warnings.warn``.
     """
-    U = require_matrix(U, "snapshot matrix")
-    if U.shape[1] < 2:
-        raise ValueError("iterated-SVD initialization needs at least two snapshots")
-    if U.shape[0] != skeleton.dims[0]:
-        raise ValueError(
-            f"snapshot dimension {U.shape[0]} != skeleton input {skeleton.dims[0]}"
-        )
-    if cache is None:
-        cache = EysCache(U, act)
-    layers = []
-    prefix: tuple[int, ...] = ()
-    for j in range(1, skeleton.depth + 1):
-        n_j = skeleton.dims[j]
-        mean, eigvecs, eigvals = cache.level(prefix)
-        if len(eigvals) < n_j:
-            warnings.warn(
-                f"level {j}: requested width {n_j} exceeds numerical rank {len(eigvals)}; "
-                "padding with an orthonormal completion",
-                stacklevel=2,
-            )
-        V = leading_basis(eigvecs, n_j)
-        layers.append(Layer(E=V.T, D=V, e=-(V.T @ mean), d=mean))
-        prefix = prefix + (n_j,)
-    return SymmetricAutoencoder(skeleton, act, tuple(layers), "SOAE")
+    return EysCache(U, act).network(skeleton)
 
 
 def he_variance(act: Activation, fan_in: int) -> float:
@@ -353,7 +354,7 @@ def init_study(U, act, skeletons, trials, seed):
     bitwise the minimum over trials of
     ``empirical_mse(orthogonal_random_init(skeleton, act, rng_t), test)``.
     The iterated-SVD rows are ``empirical_mse(eys_init(...), test)`` itself,
-    with the levels shared the same way (:class:`EysCache`).
+    from one :class:`EysCache`, which shares the levels the same way.
     Returns a list of ``(skeleton, eys_mse, baseline_best_mse)`` rows.
 
     Raises :class:`~symae.linalg.NumericalError` naming the trial and the
@@ -367,10 +368,7 @@ def init_study(U, act, skeletons, trials, seed):
     n_test = test_norm.shape[1]
     test_sq = float(np.sum(test_norm * test_norm))
     cache = EysCache(train_norm, act)
-    eys = [
-        empirical_mse(eys_init(train_norm, skeleton, act, cache=cache), test_norm)
-        for skeleton in skeletons
-    ]
+    eys = [empirical_mse(cache.network(skeleton), test_norm) for skeleton in skeletons]
     best = [np.inf] * len(skeletons)
     for first in range(0, trials, _TRIAL_BLOCK):
         rngs = [

@@ -43,7 +43,6 @@ __all__ = [
     "EvalMetrics",
     "minmax_normalize",
     "apply_minmax",
-    "undo_minmax",
     "split",
     "train",
     "evaluate",
@@ -147,10 +146,6 @@ def apply_minmax(U: np.ndarray, lo: float, hi: float) -> np.ndarray:
             f"is not finite for lo = {lo!r}, hi = {hi!r}"
         )
     return out
-
-
-def undo_minmax(U: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return np.asarray(U, dtype=np.float64) * (hi - lo) + lo
 
 
 def split(U: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

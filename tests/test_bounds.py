@@ -182,6 +182,19 @@ class TestGreedyUpperBound:
         psi = eys_init(pga100, sk, act)
         assert empirical_mse(psi, pga100) <= greedy_upper_bound(pga100, sk, act) + 1e-9
 
+    def test_checks_its_input_as_eys_init_does(self, pga100):
+        nan = pga100.copy()
+        nan[3, 4] = np.nan
+        act = HypAct.from_sharpness(0.5)
+        for U, dims, message in [
+            (pga100, (20, 5), "snapshot dimension 514 != skeleton input 20"),
+            (pga100[:, :1], (514, 5), "at least two snapshots"),
+            (nan, (514, 5), "non-finite"),
+        ]:
+            for construction in (greedy_upper_bound, eys_init):
+                with pytest.raises(ValueError, match=message):
+                    construction(U, Skeleton(dims), act)
+
     def test_monotone_in_inverse_stability(self, pga100):
         sk = Skeleton((514, 20, 10, 5))
         mild = greedy_upper_bound(pga100, sk, HypAct.from_sharpness(0.5))

@@ -296,6 +296,24 @@ class TestInitStudy:
         assert all(line.startswith("warning: level ") for line in lines)
         assert not any(".py" in line or "Warning" in line for line in lines)
 
+    def test_depth_ladder_warns_once_per_level_past_the_rank(self, capsys, tmp_path):
+        # Each level is built once, so each width past its rank is reported
+        # once, in the order the ladder first reaches it.
+        data = tmp_path / "wide.csv"
+        save_snapshots(SnapshotSet(U=np.random.default_rng(1).uniform(0, 1, (100, 24))), data)
+        rc = main([
+            "init-study", "--data", str(data), "--depth-pattern",
+            "--trials", "1", "--out", str(tmp_path / "study.csv"),
+        ])
+        assert rc == 0
+        tail = "; padding with an orthonormal completion"
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: level 1: requested width 65 exceeds numerical rank 11{tail}",
+            f"warning: level 2: requested width 17 exceeds numerical rank 11{tail}",
+            f"warning: level 2: requested width 33 exceeds numerical rank 11{tail}",
+            f"warning: level 3: requested width 17 exceeds numerical rank 11{tail}",
+        ]
+
 
 class TestBounds:
     def _train_model(self, small_data, tmp_path, model_class, act="identity"):
@@ -399,6 +417,17 @@ class TestBounds:
 
 
 class TestExitCodes:
+    def test_header_promising_more_cells_than_the_file_holds(self, capsys, tmp_path):
+        data = tmp_path / "huge.csv"
+        data.write_text("# n0=1 S=10000000000000\n1.0\n")
+        rc = main([
+            "init-study", "--data", str(data), "--widths", "1", "--n1", "2",
+            "--out", str(tmp_path / "study.csv"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {data}:2: expected 10000000000000 columns, found 1\n"
+
     @pytest.mark.parametrize(
         "flags",
         [

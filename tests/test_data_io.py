@@ -97,6 +97,14 @@ class TestSnapshotFiles:
         with pytest.raises(DataFormatError, match="bad.csv:3"):
             load_snapshots(path)
 
+    def test_header_promising_more_cells_than_the_file_holds(self, tmp_path):
+        # Nothing is allocated on the header's word: 10^13 columns of one
+        # row would need 80 TB.
+        path = tmp_path / "bad.csv"
+        path.write_text("# n0=1 S=10000000000000\n1.0\n")
+        with pytest.raises(DataFormatError, match="bad.csv:2: expected 10000000000000 columns, found 1"):
+            load_snapshots(path)
+
     def test_non_finite_value_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# n0=1 S=2\n1.0,nan\n")

@@ -20,7 +20,7 @@ from symae.initializers import (
     lift,
     orthogonal_random_init,
 )
-from symae.linalg import NumericalError, orthonormal_completion, pi_orth
+from symae.linalg import NumericalError, leading_basis, orthonormal_completion, pi_orth
 from symae.training import apply_minmax, minmax_normalize, split
 
 
@@ -99,11 +99,40 @@ class TestEysInit:
     def test_shared_cache_matches_fresh_run(self, pga100):
         act = HypAct.from_sharpness(0.5)
         cache = EysCache(pga100, act)
-        for n2 in (4, 7):
-            fresh = eys_init(pga100, Skeleton((514, 10, n2)), act)
-            cached = eys_init(pga100, Skeleton((514, 10, n2)), act, cache=cache)
-            for a, b in zip(fresh.layers, cached.layers):
-                assert np.array_equal(a.D, b.D)
+        for n2 in (4, 7, 4):
+            sk = Skeleton((514, 10, n2))
+            fresh = eys_init(pga100, sk, act)
+            cached = cache.network(sk)
+            assert cached.act is act and cached.class_tag == "SOAE"
+            for a, b in zip(fresh.layers, cached.layers, strict=True):
+                for x, y in zip(a, b, strict=True):
+                    assert x.shape == y.shape and np.array_equal(x, y)
+
+    def test_skeletons_sharing_a_prefix_share_its_levels(self, pga100):
+        cache = EysCache(pga100, LeakyReLU(5 / 6, 5 / 4))
+        ladder = [cache.network(Skeleton(dims)) for dims in ((514, 12, 3), (514, 12, 5, 3))]
+        sweep = cache.network(Skeleton((514, 12, 5)))
+        assert all(psi.layers[0] is ladder[0].layers[0] for psi in (ladder[1], sweep))
+        assert sweep.layers[1] is ladder[1].layers[1]
+        assert ladder[1].layers[2] is not ladder[0].layers[1]
+
+    def test_one_leading_basis_call_per_level(self, pga400, monkeypatch):
+        calls = []
+
+        def counted(eigvecs, width):
+            calls.append(width)
+            return leading_basis(eigvecs, width)
+
+        monkeypatch.setattr(initializers, "leading_basis", counted)
+        with pytest.warns(UserWarning, match="width 64 exceeds numerical rank"):
+            eys_init(pga400, Skeleton((514, 64, 15, 3)), LeakyReLU(5 / 6, 5 / 4))
+        assert calls == [64, 15, 3]
+
+    def test_data_and_activation_come_from_one_source(self, pga100):
+        act = HypAct.from_sharpness(0.5)
+        with pytest.raises(TypeError, match="cache"):
+            eys_init(np.ones((514, 10)), Skeleton((514, 5)), act, cache=EysCache(pga100, act))
+        assert EysCache(pga100, act).network(Skeleton((514, 5))).act is act
 
     def test_rejects_tiny_sample_count(self):
         with pytest.raises(ValueError, match="two snapshots"):
