@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -459,10 +458,7 @@ def load_model(
 
     Returns ``(psi, theta, (lo, hi))``, where ``theta`` is ``None`` when the
     file stores none and ``(lo, hi)`` is the min-max range the network was
-    fitted on.  A version-1 file, which stores no range, loads with the
-    identity range ``(0, 1)`` and a warning.  Versions 1 and 2 store an SBAE
-    ``theta`` in the older layout ``(X, Y, Z, Q, s, b)``, which loads folded
-    into today's (:func:`_fold_sbae_theta`).
+    fitted on.  Only format version 3 loads.
 
     Raises :class:`DataFormatError` when the file is not JSON, carries
     another format version, lacks a key or holds a value that does not
@@ -475,16 +471,10 @@ def load_model(
     except ValueError as exc:
         raise DataFormatError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version not in (1, 2, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"unsupported checkpoint version {version!r} in {path}")
     try:
-        psi, theta = _model_from_doc(doc, version)
-        if version == 1:
-            warnings.warn(
-                f"checkpoint {path} is format version 1, which stores no normalization; "
-                "using the identity range lo=0, hi=1"
-            )
-            return psi, theta, (0.0, 1.0)
+        psi, theta = _model_from_doc(doc)
         block = doc["normalization"]
         return psi, theta, _checked_normalization(block["lo"], block["hi"])
     except KeyError as exc:
@@ -505,7 +495,7 @@ def _checked_normalization(lo, hi) -> tuple[float, float]:
     return lo, hi
 
 
-def _model_from_doc(doc: dict, version: int) -> tuple[SymmetricAutoencoder, ParamVector | None]:
+def _model_from_doc(doc: dict) -> tuple[SymmetricAutoencoder, ParamVector | None]:
     skeleton = Skeleton(tuple(doc["skeleton"]))
     act = parse_activation(doc["activation_spec"])
     layers = tuple(
@@ -520,33 +510,9 @@ def _model_from_doc(doc: dict, version: int) -> tuple[SymmetricAutoencoder, Para
             {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
             for params in block["layers"]
         ]
-        if block["class_tag"] == "SBAE" and version < 3:
-            theta_layers = [_fold_sbae_theta(params) for params in theta_layers]
         theta = ParamVector(block["class_tag"], skeleton, act, theta_layers)
         _check_theta_realizes(theta, psi)
     return psi, theta
-
-
-def _fold_sbae_theta(old: dict) -> dict:
-    """An SBAE level of the version-1/2 layout in today's layout.
-
-    The old level had ``X = pi_orth(X~) = [X_1 X_2]`` (``q x (r + d)``),
-    ``Y = pi_orth(Y~)`` and a ``d x r`` block ``Q``, with
-    ``E^T = X_1 Y S Z^T`` and ``D = X_1 Y S^-1 Z^T + X_2 Q``.  ``X_1 Y`` is
-    an orthonormal frame and ``X_2 Q`` is orthogonal to it, so
-    ``X~ = X_1 Y`` and ``W = X_2 Q`` give the same ``E`` and ``D``; ``Z``,
-    ``s`` and ``b`` carry over.  A ``Q`` stored as ``[]`` (``d = 0``) is
-    read as ``0 x r``.
-    """
-    r = len(old["s"])
-    X = pi_orth(old["X"])
-    return {
-        "X": X[:, :r] @ pi_orth(old["Y"]),
-        "Z": old["Z"],
-        "W": X[:, r:] @ old["Q"].reshape(-1, r),
-        "s": old["s"],
-        "b": old["b"],
-    }
 
 
 def _check_theta_realizes(theta: ParamVector, psi: SymmetricAutoencoder):

@@ -8,7 +8,9 @@ Subcommands
                 random-orthogonal baseline over a family of skeletons.
 ``bounds``      per-layer error-bound report for a model checkpoint.
 
-Every command is reproducible from its flags and seed.  Exit codes:
+Every command is reproducible from its flags and seed on a fixed numpy/BLAS
+build and BLAS thread count; another thread count can change the trailing
+singular vectors LAPACK returns, and with them the results.  Exit codes:
 0 success, 2 usage error, 3 data error, 4 numerical failure.  A warning
 raised while a command runs is printed as one ``warning: ...`` line on
 standard error.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 
@@ -300,20 +303,21 @@ def _cmd_bounds(args) -> int:
     # Score on the scale the network was fitted on, as ``train`` reports.
     U = apply_minmax(data.U, lo, hi)
     mse = empirical_mse(psi, U)
-    scores = [f"mse_denorm,{mse * (hi - lo) ** 2:.10g}", f"mse,{mse:.10g}"]
-    lines = []
+    # Rows ``k, lower_term, upper_term`` per level, then ``name, value``.
+    scores = [("mse_denorm", mse * (hi - lo) ** 2), ("mse", mse)]
     if psi.class_tag == "SOAE":
         report = layerwise_bounds(psi, U)
-        lines.append("k,lower_term,upper_term")
-        for k, (low, up) in enumerate(zip(report.lower_terms, report.upper_terms)):
-            lines.append(f"{k},{low:.10g},{up:.10g}")
-        lines.extend(scores)
-        lines.append(f"lower,{report.lower:.10g}")
-        lines.append(f"upper,{report.upper:.10g}")
+        lines = ["k,lower_term,upper_term"]
+        rows = [(k, *terms) for k, terms in enumerate(zip(report.lower_terms, report.upper_terms))]
+        rows += [*scores, ("lower", report.lower), ("upper", report.upper)]
     else:
-        floor = linear_lower_bound(U, psi.skeleton.dims[1])
-        lines.extend(scores)
-        lines.append(f"lower,{floor:.10g}")
+        lines = []
+        rows = [*scores, ("lower", linear_lower_bound(U, psi.skeleton.dims[1]))]
+    for label, *values in rows:
+        line = ",".join([str(label), *(f"{v:.10g}" for v in values)])
+        if not all(map(math.isfinite, values)):
+            raise NumericalError(f"bounds of {args.model}: the row {line} is not finite")
+        lines.append(line)
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return EXIT_OK

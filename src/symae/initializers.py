@@ -40,6 +40,7 @@ way is not decoded at all.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -358,7 +359,8 @@ def init_study(U, act, skeletons, trials, seed):
     Returns a list of ``(skeleton, eys_mse, baseline_best_mse)`` rows.
 
     Raises :class:`~symae.linalg.NumericalError` naming the trial and the
-    level of a draw that breaks ``E D = I``.
+    level of a draw that breaks ``E D = I``, or naming the skeleton whose
+    iterated-SVD score or best random score is not finite.
     """
     if trials < 1:
         raise ValueError(f"init study needs at least one random trial, got {trials}")
@@ -421,7 +423,14 @@ def init_study(U, act, skeletons, trials, seed):
             for k in range(keep.size):
                 if _may_win(surrogate[k], allowance[k], best[i]):
                     best[i] = min(best[i], _squared_error(test_norm, D[k], d, G[k]) / n_test)
-    return [(skeleton, eys_mse, float(b)) for skeleton, eys_mse, b in zip(skeletons, eys, best)]
+    rows = [(skeleton, eys_mse, float(b)) for skeleton, eys_mse, b in zip(skeletons, eys, best)]
+    for skeleton, eys_mse, base_mse in rows:
+        if not (math.isfinite(eys_mse) and math.isfinite(base_mse)):
+            raise NumericalError(
+                f"init study of skeleton {skeleton.dims}: the test MSE is not finite "
+                f"(iterated SVD {eys_mse!r}, best random {base_mse!r})"
+            )
+    return rows
 
 
 def _may_win(surrogate, allowance, best):

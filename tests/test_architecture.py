@@ -417,69 +417,6 @@ class TestCheckpoint:
             with pytest.raises(DataFormatError, match="does not assemble to layer 2"):
                 load_model(path)
 
-    def test_version_1_loads_with_the_identity_normalization(self, tmp_path):
-        theta = random_theta("SOAE", Skeleton((6, 3)), Identity(), np.random.default_rng(34))
-        path = tmp_path / "model.json"
-        save_model(assemble(theta), path, theta=theta, normalization=(3.0, 13.0))
-        doc = json.loads(path.read_text())
-        doc["format_version"] = 1
-        del doc["normalization"]
-        path.write_text(json.dumps(doc))
-        with pytest.warns(UserWarning, match="format version 1.*identity range lo=0, hi=1"):
-            _psi, theta2, normalization = load_model(path)
-        assert normalization == (0.0, 1.0) and theta2 is not None
-
-    def test_version_2_sbae_theta_loads_folded(self, tmp_path):
-        # Version 2 stored an SBAE level as X~ (q x (r + d)), Y~, Z~, Q (d x r),
-        # s and b, with d = min(r, q - r), E^T = X_1 Y S Z^T and
-        # D = X_1 Y S^-1 Z^T + X_2 Q.  Level 3 has n_j = n_{j-1}: d = 0, and
-        # JSON holds its Q as [].
-        skeleton = Skeleton((9, 4, 2, 2))
-        rng = np.random.default_rng(37)
-        old_levels, layers = [], []
-        for j in range(1, skeleton.depth + 1):
-            q, r = skeleton.layer_shape(j)
-            d = min(r, q - r)
-            old = {
-                "X": rng.standard_normal((q, r + d)),
-                "Y": rng.standard_normal((r, r)),
-                "Z": rng.standard_normal((r, r)),
-                "Q": rng.standard_normal((d, r)),
-                "s": rng.uniform(0.5, 2.0, (r, 1)),
-                "b": rng.standard_normal((q, 1)),
-            }
-            X, Y, Z = pi_orth(old["X"]), pi_orth(old["Y"]), pi_orth(old["Z"])
-            s2 = old["s"].T ** 2
-            E = (X[:, :r] @ ((Y * s2) @ Z.T)).T
-            D = X[:, :r] @ ((Y / s2) @ Z.T) + X[:, r:] @ old["Q"]
-            old_levels.append({k: v.tolist() for k, v in old.items()})
-            layers.append({"E": E, "D": D, "e": -(E @ old["b"]), "d": old["b"]})
-        assert old_levels[2]["Q"] == []
-        doc = {
-            "format_version": 2,
-            "class_tag": "SBAE",
-            "skeleton": list(skeleton.dims),
-            "activation_spec": "identity",
-            "normalization": {"lo": 0.0, "hi": 1.0},
-            "layers": [{k: v.tolist() for k, v in l.items()} for l in layers],
-            "theta": {"class_tag": "SBAE", "layers": old_levels},
-        }
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
-        psi, theta, _normalization = load_model(path)
-        assert [list(p) for p in theta.layers] == [["X", "Z", "W", "s", "b"]] * 3
-        for params, old in zip(theta.layers, old_levels):
-            for k in ("Z", "s", "b"):
-                assert params[k].tolist() == old[k]
-        for got, want in zip(assemble(theta).layers, psi.layers):
-            for g, w in zip(got, want):
-                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
-        # Saved again, the file is version 3 and holds the folded theta.
-        save_model(psi, path, theta=theta)
-        assert json.loads(path.read_text())["format_version"] == 3
-        _psi, again, _normalization = load_model(path)
-        assert all(np.array_equal(a, b) for a, b in zip(again.leaves(), theta.leaves()))
-
     @pytest.mark.parametrize(
         "block, message",
         [
@@ -514,10 +451,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="finite lo < hi"):
             save_model(psi, tmp_path / "model.json", normalization=(1.0, 0.0))
 
-    def test_unknown_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2, 99])
+    def test_unknown_version_rejected(self, tmp_path, version):
+        # Only format 3 loads: an otherwise valid file of another version
+        # is a data error, older versions included.
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format_version": 99}))
-        with pytest.raises(ValueError, match="version"):
+        save_model(random_network("SAE", Skeleton((5, 2)), Identity(), seed=35), path)
+        doc = json.loads(path.read_text())
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        message = f"unsupported checkpoint version {version}"
+        with pytest.raises(DataFormatError, match=message):
             load_model(path)
 
 

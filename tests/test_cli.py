@@ -9,24 +9,27 @@ from _util import random_theta
 from symae.activations import Identity
 from symae.architecture import Skeleton, assemble, empirical_mse, load_model, save_model
 from symae.cli import main
-from symae.data_io import SnapshotSet, generate_pga, load_snapshots, save_snapshots
+from symae.data_io import SnapshotSet, generate_pga, save_snapshots
 from symae.training import apply_minmax, minmax_normalize, split
 
 
-def _sae_checkpoint(E_rows=3, theta_layers=None, normalization=(0.0, 1.0), skeleton=(20, 3)):
-    """An SAE checkpoint text for skeleton 20,3 with zero weights.
+def _sae_checkpoint(
+    E_rows=3, theta_layers=None, normalization=(0.0, 1.0), skeleton=(20, 3), version=3, fill=0.0
+):
+    """An SAE checkpoint text for skeleton 20,3 with zero biases.
 
-    ``normalization`` is the stored ``(lo, hi)``; ``None`` leaves it out.
-    ``skeleton`` is the stored dimension list.
+    Every entry of ``E`` and ``D`` is ``fill``.  ``normalization`` is the
+    stored ``(lo, hi)``; ``None`` leaves it out.  ``skeleton`` is the stored
+    dimension list and ``version`` the stored ``format_version``.
     """
     doc = {
-        "format_version": 2,
+        "format_version": version,
         "class_tag": "SAE",
         "skeleton": list(skeleton),
         "activation_spec": "identity",
         "layers": [{
-            "E": np.zeros((E_rows, 20)).tolist(),
-            "D": np.zeros((20, 3)).tolist(),
+            "E": np.full((E_rows, 20), fill).tolist(),
+            "D": np.full((20, 3), fill).tolist(),
             "e": np.zeros((3, 1)).tolist(),
             "d": np.zeros((20, 1)).tolist(),
         }],
@@ -60,7 +63,7 @@ def _overflowing_sbae_checkpoint():
     weight is finite but the invariant gap ``E D - I`` is ``inf - inf``.
     """
     doc = {
-        "format_version": 2,
+        "format_version": 3,
         "class_tag": "SBAE",
         "skeleton": [20, 1],
         "activation_spec": "identity",
@@ -398,23 +401,6 @@ class TestBounds:
         assert rows["mse_denorm"] == f"{mse * (hi - lo) ** 2:.10g}"
         assert float(rows["lower"]) <= float(rows["mse"]) + 1e-9 <= float(rows["upper"]) + 2e-9
 
-    def test_version_1_checkpoint_scores_raw_data(self, capsys, small_data, tmp_path):
-        model = self._train_model(small_data, tmp_path, "sae")
-        doc = json.loads(model.read_text())
-        doc["format_version"] = 1
-        del doc["normalization"]
-        model.write_text(json.dumps(doc))
-        out = tmp_path / "bounds.csv"
-        with pytest.warns(UserWarning, match="format version 1"):
-            rc = main(
-                ["bounds", "--model", str(model), "--data", str(small_data), "--out", str(out)]
-            )
-            psi, _theta, _normalization = load_model(model)
-        assert rc == 0
-        rows = dict(line.split(",", 1) for line in out.read_text().strip().splitlines())
-        U = load_snapshots(small_data).U
-        assert rows["mse"] == rows["mse_denorm"] == f"{empirical_mse(psi, U):.10g}"
-
 
 class TestExitCodes:
     def test_header_promising_more_cells_than_the_file_holds(self, capsys, tmp_path):
@@ -685,8 +671,9 @@ class TestExitCodes:
         "content",
         [
             '{"format_version": 999}',
+            _sae_checkpoint(version=2),
             "not json {",
-            '{"format_version": 1}',
+            '{"format_version": 3}',
             _sae_checkpoint(E_rows=2),
             _sae_checkpoint(theta_layers=[[]]),
             _sbae_checkpoint(theta_shift=1e-3),
@@ -697,7 +684,7 @@ class TestExitCodes:
             _overflowing_sbae_checkpoint(),
         ],
         ids=[
-            "wrong-version", "invalid-json", "missing-key", "bad-shape", "bad-theta-layer",
+            "wrong-version", "version-2", "invalid-json", "missing-key", "bad-shape", "bad-theta-layer",
             "tampered-sbae-theta", "missing-normalization", "empty-normalization",
             "infinite-normalization", "non-integer-skeleton", "nan-invariant-gap",
         ],
@@ -712,6 +699,33 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_non_finite_init_study_is_numerical_failure(self, capsys, small_data, tmp_path):
+        # Slopes of 1e-200 and 1e200 overflow every score; the study must not
+        # write nan and inf rows and exit 0.
+        out = tmp_path / "study.csv"
+        with np.errstate(all="ignore"):
+            rc = main([
+                "init-study", "--data", str(small_data), "--widths", "1-3", "--n1", "5",
+                "--trials", "2", "--act", "leakyrelu:1e-200,1e200", "--out", str(out),
+            ])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "numerical failure: init study of skeleton (20, 5, 1):" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_finite_bounds_is_numerical_failure(self, capsys, small_data, tmp_path):
+        # Weights of 1e200 are finite, but the reconstruction error overflows.
+        model = tmp_path / "model.json"
+        model.write_text(_sae_checkpoint(fill=1e200))
+        out = tmp_path / "bounds.csv"
+        with np.errstate(all="ignore"):
+            rc = main(["bounds", "--model", str(model), "--data", str(small_data), "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "mse_denorm,inf" in err
+        assert not out.exists()
 
     def test_numerical_failure_maps_to_exit_4(self, small_data, monkeypatch):
         import symae.cli as cli
