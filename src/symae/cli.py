@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -52,6 +53,10 @@ _VALID_INITS = {
     "SBAE": ("eys", "orth"),
     "SOAE": ("eys", "orth"),
 }
+
+# The thread-count settings of the BLAS builds numpy ships with; `train`
+# reports each, since results can move with the thread count.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Depth ladder used by the initialization study: fixed first width, latent 3.
 _DEPTH_LADDER_FIRST = 65
@@ -234,6 +239,7 @@ def _cmd_train(args) -> int:
                 "mse_denorm": metrics.mse * (hi - lo) ** 2,
                 "epochs_run": history.epochs_run,
                 "best_epoch": history.best_epoch,
+                "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
             }
         )
     )

@@ -94,6 +94,17 @@ def _read_matrix(path: Path) -> np.ndarray:
     return fast if fast is not None else _parse_lines(path)
 
 
+def _has_control_byte(raw: bytes) -> bool:
+    """Whether ``raw`` holds a byte of ``_CONTROL_BYTES``, by one ``translate``
+    pass over 64 KiB slices, so that no copy of the whole file is made."""
+    step = 1 << 16
+    for i in range(0, len(raw), step):
+        chunk = raw[i : i + step]
+        if len(chunk.translate(None, _CONTROL_BYTES)) != len(chunk):
+            return True
+    return False
+
+
 def _read_plain_matrix(path: Path) -> np.ndarray | None:
     """``np.loadtxt``'s reading of a plain file, or None to parse it line by line.
 
@@ -111,7 +122,7 @@ def _read_plain_matrix(path: Path) -> np.ndarray | None:
     except OSError:
         return None
     end = raw.find(b"\n")
-    if end < 0 or not raw.isascii() or any(c in raw for c in _CONTROL_BYTES):
+    if end < 0 or not raw.isascii() or _has_control_byte(raw):
         return None
     header = _HEADER_RE.match(raw[:end].decode("ascii"))
     del raw

@@ -18,10 +18,12 @@ parameter vector of any hypothesis class so training can start from it.
 random orthogonal starts over a family of skeletons.  Both sides share work
 by width prefix: one :class:`EysCache` builds the iterated-SVD levels, and
 the random trials run in blocks, within which each random level of a common
-prefix is drawn once per trial and then orthonormalized, checked for
-``E D = I`` and applied to the test split once for the whole block, as one
-stack.  Each trial keeps its own draw order, each slice of a stacked call is
-bitwise its 2-D call, and every candidate is scored by the operations of
+prefix is drawn once per trial and then orthonormalized and checked for
+``E D = I`` once for the whole block, as one stack.  A level that two
+skeletons share is applied to the test split for the whole block; the
+levels past it only for the trials that can still win.  Each trial keeps
+its own draw order, each slice of a stacked call is bitwise its 2-D call,
+and every candidate that can win is scored by the operations of
 :func:`~symae.architecture.empirical_mse`, so every row is bitwise the one
 :func:`orthogonal_random_init` gives skeleton by skeleton.
 
@@ -31,17 +33,21 @@ way.  For an orthonormal outer frame ``D`` with zero bias, the test split
 ``||T - D G||^2 = (||T||^2 - ||C||^2) + ||C - G||^2``, a projection
 residual shared by every skeleton on that first level plus the inner map's
 error in level-1 coordinates.  The projection residual comes from two sums
-once per trial, so a candidate's surrogate costs an ``n1 x n_test`` pass; a
+once per trial.  A candidate's surrogate takes for ``G`` the decode ``G~``
+of its innermost pre-activation without the innermost activation round
+trip, so it costs one ``n1 x n_test`` pass past the inner decode; a
 candidate whose surrogate exceeds the best score by more than its roundoff
 allowance (:data:`_SPLIT_SLACK`) provably scores above it and is skipped,
 and a trial whose projection residual alone settles every candidate that
-way is not decoded at all.
+way is not encoded past the shared levels at all.  A candidate that may win
+is decoded again on its own, with the round trip, and scored.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -56,7 +62,6 @@ from .architecture import (
     check_class_invariants,
     decode_columns,
     empirical_mse,
-    encode_columns,
 )
 from .linalg import (
     NumericalError,
@@ -124,6 +129,37 @@ _TRIAL_BLOCK = 10
 # ||C||^2) covers the rounding of the few scalar operations of both tests,
 # also when C is about 0, so the computed per-candidate test fails too for
 # any summation order of G's sums.
+#
+# The surrogate's outer input is not the score's G but G~, decoded from the
+# innermost pre-activation Y without the innermost rho / rho^-1 pair: for
+# depth 2, G = rho^-1(D_2 rho^-1(rho(Y)) + d_2) and G~ = rho^-1(D_2 Y + d_2).
+# Their gap e = ||G - G~|| is roundoff of the two decodes, bounded by
+#   e <= omega (sqrt(n1 n_test) + ||C||),
+#   omega = 2 L kappa^(L-1) (tau + n1^1.5 u),  kappa = 2 Lip(rho) Lip(rho^-1),
+# for depth L, from these steps:
+#   * the round trip rho^-1(rho(y)) returns y within tau max(1, |y|), and
+#     each evaluation of rho^-1 is within that of its exact value, with
+#     tau = 16 eps (1 + Lip(rho)^0.5) (the bound the HypAct round trip is
+#     tested to; LeakyReLU rounds once, to u |y|, and Identity is exact).
+#     Over at most n1 n_test entries, max(1, |Y|) has a norm of at most
+#     sqrt(n1 n_test) + ||Y||;
+#   * each of the L - 1 decode levels rho^-1(D z + d) carries the gap of its
+#     two inputs with a gain of at most Lip(rho^-1) ||D||_2, and adds its own
+#     roundoff of the two: n1^1.5 u relative for D z in any summation order
+#     (as for D G above), and tau for rho^-1;
+#   * encoding grows norms from ||C|| by at most Lip(rho) ||E||_2 a level and
+#     decoding by Lip(rho^-1) ||D||_2, and ||E||_2 = ||D||_2 <= 1 + n1 gap
+#     <= 2, so every input on the way is within kappa^(L-1) (sqrt(n1 n_test)
+#     + ||C||), and the L sources together give the bound.
+# The split's gap moves by |<G~ - G, 2 C - G - G~>| <= 2 e (||C|| + ||G~||)
+# + e^2, and slack ||G||^2 <= slack (||G~|| + e)^2, so the allowance, taken
+# with ||G~||, grows by e (3 (||C|| + ||G~||) + 2 e).  For the trial bound,
+# ||G~|| <= ||C|| + ||C - G~|| and 3 e ||C - G~|| <= (1 - 2 slack)
+# ||C - G~||^2 + 3 e^2, so it grows by e (6 ||C|| + 5 e).  On the study's
+# outer level (HypAct at sharpness 0.5, n1 = 20, depth 2) omega is about
+# 2e-13, so e is about 1e-11 against an allowance near 1e-9 ||T||^2; for
+# sharp activations at depth it is the larger term, and more candidates are
+# scored exactly.
 _SPLIT_SLACK = 1e-9
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -329,30 +365,35 @@ def init_study(U, act, skeletons, trials, seed):
     trial, and a skeleton draws only the levels past its longest shared
     prefix, each trial from its own generator state saved after that
     prefix.  The block's draws of a level are then orthonormalized by one
-    stacked :func:`~symae.linalg.pi_orth` call, checked for ``E D = I`` by
-    one stacked product, and applied to the test split, encoded and decoded,
-    as one stack; only the outer decode is per trial.
+    stacked :func:`~symae.linalg.pi_orth` call and checked for ``E D = I``
+    by one stacked product, for every trial.  A level that two skeletons
+    share is applied to the test split once for the whole block, as one
+    stack; the levels past those are encoded and decoded only for the trials
+    kept by the test below, as a sub-stack.
 
     A random candidate is scored exactly only if it can win.  Random levels
     have zero biases, so for each first level ``dims[:2]`` and trial ``k``,
-    ``C_k = D_k^T T`` (the test split's level-1 pre-activation, which the
-    level-1 encoding reuses) and the projection residual
-    ``P_k = ||T||^2 - ||C_k||^2`` are computed once.  A candidate with outer
-    input ``G`` then gets the surrogate ``s = (P_k + ||C_k - G||^2) / n_test``,
-    which equals its score up to roundoff (the level-1 split,
-    :data:`_SPLIT_SLACK`), and is scored exactly only when
-    ``s - best <= allowance``, where the allowance is
-    ``(_SPLIT_SLACK + n1 (gap_k + n0 u)) (||T||^2 + ||G||^2) / n_test`` for
-    trial ``k``'s checked orthonormality gap and ``u = 2^-53``; a NaN
-    surrogate is scored.  A skipped candidate scores above the best so far,
-    so skipping it leaves the minimum unchanged.  Before a skeleton's outer
-    decode, a trial whose ``P_k`` alone puts every candidate past that
-    allowance, whatever ``G`` is, is dropped (see :data:`_SPLIT_SLACK`), and
-    only the other trials are decoded, as a sub-stack.  A scored candidate
-    goes through the operations of
-    :func:`~symae.architecture.empirical_mse`, in the same order, and each
-    slice of a stacked call is bitwise its 2-D call, so each baseline is
-    bitwise the minimum over trials of
+    ``C_k = D_k^T T`` (the test split's level-1 pre-activation) and the
+    projection residual ``P_k = ||T||^2 - ||C_k||^2`` are computed once.  A
+    candidate gets the surrogate ``s = (P_k + ||C_k - G~||^2) / n_test``,
+    where its outer input ``G~`` is decoded from its innermost
+    pre-activation ``Y`` without the innermost ``act`` / ``act^-1`` pair
+    (for depth 2, ``G~ = act^-1(D_2 Y + d_2)``).  ``s`` equals its score up
+    to roundoff (the level-1 split and that pair's, :data:`_SPLIT_SLACK`),
+    and the candidate is scored exactly only when ``s - best <= allowance``,
+    where the allowance is
+    ``(_SPLIT_SLACK + n1 (gap_k + n0 u)) (||T||^2 + ||G~||^2) / n_test``, for
+    trial ``k``'s checked orthonormality gap and ``u = 2^-53``, plus the
+    bound on the pair's roundoff; a NaN surrogate is scored.  A skipped
+    candidate scores above the best so far, so skipping it leaves the
+    minimum unchanged.  Before a skeleton's levels past the shared ones are
+    encoded, a trial whose ``P_k`` alone puts every candidate past that
+    allowance, whatever ``G~`` is, is dropped (see :data:`_SPLIT_SLACK`).  A
+    candidate that may win is decoded again on its own, in 2-D, from
+    ``act(Y)``, and scored by the operations of
+    :func:`~symae.architecture.empirical_mse`, in the same order; each slice
+    of a stacked call is bitwise its 2-D call, so each baseline is bitwise
+    the minimum over trials of
     ``empirical_mse(orthogonal_random_init(skeleton, act, rng_t), test)``.
     The iterated-SVD rows are ``empirical_mse(eys_init(...), test)`` itself,
     from one :class:`EysCache`, which shares the levels the same way.
@@ -372,57 +413,92 @@ def init_study(U, act, skeletons, trials, seed):
     cache = EysCache(train_norm, act)
     eys = [empirical_mse(cache.network(skeleton), test_norm) for skeleton in skeletons]
     best = [np.inf] * len(skeletons)
+    # How many skeletons have each width prefix dims[:j+1], j >= 1, as a level.
+    users = Counter(sk.dims[: j + 1] for sk in skeletons for j in range(1, sk.depth + 1))
     for first in range(0, trials, _TRIAL_BLOCK):
         rngs = [
             np.random.default_rng(derive_seed(seed, t))
             for t in range(first, min(first + _TRIAL_BLOCK, trials))
         ]
         # dims[:j+1] -> (each trial's generator state after its draws,
-        #                its stacked levels, the stacked test encoding)
-        memo = {test_norm.shape[:1]: ([rng.bit_generator.state for rng in rngs], (), test_norm)}
+        #                its stacked levels)
+        memo = {test_norm.shape[:1]: ([rng.bit_generator.state for rng in rngs], ())}
         # dims[:2] -> (each trial's C = D^T T, P = ||T||^2 - ||C||^2,
         #              ||C||^2 and the slack factor of its split)
         splits = {}
+        # dims[:j+1] of a level two skeletons share -> the whole block's
+        # pre-activation Y of that level, and its encoding act(Y)
+        pre, encoded = {}, {}
         for i, skeleton in enumerate(skeletons):
-            dims = skeleton.dims
-            shared = max(j for j in range(skeleton.depth + 1) if dims[: j + 1] in memo)
-            states, layers, H = memo[dims[: shared + 1]]
+            dims, depth = skeleton.dims, skeleton.depth
+            shared = max(j for j in range(depth + 1) if dims[: j + 1] in memo)
+            states, layers = memo[dims[: shared + 1]]
             for rng, state in zip(rngs, states):
                 rng.bit_generator.state = state
-            for j in range(shared + 1, skeleton.depth + 1):
+            for j in range(shared + 1, depth + 1):
                 shape = skeleton.layer_shape(j)
                 level = _orthogonal_level(np.stack([rng.standard_normal(shape) for rng in rngs]))
                 gap = _check_drawn(level, first, j)
                 if j == 1:
-                    C = level.E @ test_norm
+                    # The level-1 pre-activation E T + e, with e zero.
+                    C = level.encode_affine(test_norm)
                     C_sq = np.sum(np.square(C), axis=(1, 2))
                     n0, n1 = shape
                     slack = _SPLIT_SLACK + n1 * (gap + n0 * _UNIT_ROUNDOFF)
                     splits[dims[:2]] = (C, test_sq - C_sq, C_sq, slack)
-                    H = act.apply(C + level.e)
-                else:
-                    H = encode_columns((level,), act, H, "SOAE")
                 layers += (level,)
-                memo[dims[: j + 1]] = ([rng.bit_generator.state for rng in rngs], layers, H)
+                memo[dims[: j + 1]] = ([rng.bit_generator.state for rng in rngs], layers)
             C, P, C_sq, slack = splits[dims[:2]]
+            C_norm = np.sqrt(C_sq)
+            drift = _decode_drift(act, skeleton, n_test) * (math.sqrt(dims[1] * n_test) + C_norm)
             # Trials whose every candidate would fail the test below, whatever
-            # its outer input, are not decoded (see _SPLIT_SLACK).
+            # its outer input, are neither encoded past the shared levels nor
+            # decoded (see _SPLIT_SLACK).
             keep = np.flatnonzero(
-                _may_win(P / n_test, slack * (2 * test_sq + 3 * C_sq) / n_test, best[i])
+                _may_win(
+                    P / n_test,
+                    (slack * (2 * test_sq + 3 * C_sq) + drift * (6 * C_norm + 5 * drift)) / n_test,
+                    best[i],
+                )
             )
             if not keep.size:
                 continue
-            if keep.size < len(rngs):
-                # Only the decoders are read from here on.
-                layers = tuple(lv._replace(D=lv.D[keep]) for lv in layers)
-                H, C, P, slack = H[keep], C[keep], P[keep], slack[keep]
-            G = act.apply_inverse(decode_columns(layers[1:], act, H, "SOAE"))
-            D, d = layers[0].D, layers[0].d
+            # The innermost pre-activation Y of the kept trials: the levels
+            # another skeleton shares are encoded for the whole block, once,
+            # and the levels past them for the kept trials only.
+            j, Y = 1, C
+            while j < depth and users[dims[: j + 2]] > 1:
+                H = _memoized(encoded, dims[: j + 1], act.apply, Y)
+                j += 1
+                Y = _memoized(pre, dims[: j + 1], layers[j - 1].encode_affine, H)
+            C, P, C_norm, slack, drift = (a[keep] for a in (C, P, C_norm, slack, drift))
+            inner = tuple(_trials(level, keep) for level in layers[1:])
+            if j < depth:
+                if users[dims[: j + 1]] > 1:
+                    H = _memoized(encoded, dims[: j + 1], act.apply, Y)[keep]
+                else:
+                    H = act.apply(Y[keep])
+                for level in inner[j - 1 : -1]:
+                    H = act.apply(level.encode_affine(H))
+                Y = inner[-1].encode_affine(H)
+            else:
+                Y = Y[keep]
+            G = Y
+            for level in reversed(inner):
+                G = act.apply_inverse(level.decode_affine(G))
+            G_norm = np.sqrt(np.sum(np.square(G), axis=(1, 2)))
             surrogate = (P + np.sum(np.square(C - G), axis=(1, 2))) / n_test
-            allowance = slack * (test_sq + np.sum(np.square(G), axis=(1, 2))) / n_test
-            for k in range(keep.size):
+            allowance = (
+                slack * (test_sq + np.square(G_norm)) + drift * (3 * (C_norm + G_norm) + 2 * drift)
+            ) / n_test
+            # A candidate that may win is decoded again on its own, in 2-D, by
+            # empirical_mse's operations, from its encoding of Y.
+            D, d = layers[0].D, layers[0].d
+            for k, t in enumerate(keep):
                 if _may_win(surrogate[k], allowance[k], best[i]):
-                    best[i] = min(best[i], _squared_error(test_norm, D[k], d, G[k]) / n_test)
+                    trial = tuple(_trials(level, k) for level in inner)
+                    G = act.apply_inverse(decode_columns(trial, act, act.apply(Y[k]), "SOAE"))
+                    best[i] = min(best[i], _squared_error(test_norm, D[t], d, G) / n_test)
     rows = [(skeleton, eys_mse, float(b)) for skeleton, eys_mse, b in zip(skeletons, eys, best)]
     for skeleton, eys_mse, base_mse in rows:
         if not (math.isfinite(eys_mse) and math.isfinite(base_mse)):
@@ -431,6 +507,29 @@ def init_study(U, act, skeletons, trials, seed):
                 f"(iterated SVD {eys_mse!r}, best random {base_mse!r})"
             )
     return rows
+
+
+def _memoized(memo: dict, key, f, x):
+    """``memo[key]``, set to ``f(x)`` first if it is missing."""
+    if key not in memo:
+        memo[key] = f(x)
+    return memo[key]
+
+
+def _trials(level: Layer, index) -> Layer:
+    """Trials ``index`` of a stacked random level: a sub-stack for an index
+    array, a 2-D level for one trial; ``E`` stays a view of ``D^T``."""
+    D = level.D[index]
+    return level._replace(E=np.swapaxes(D, -1, -2), D=D)
+
+
+def _decode_drift(act: Activation, skeleton: Skeleton, n_test: int) -> float:
+    """``omega`` of :data:`_SPLIT_SLACK`'s bound on ``||G - G~||``."""
+    lip, lip_inv = act.lipschitz_pair()
+    tau = 16.0 * np.finfo(np.float64).eps * (1.0 + math.sqrt(lip))
+    depth, n1 = skeleton.depth, skeleton.dims[1]
+    growth = (2.0 * lip * lip_inv) ** (depth - 1)
+    return 2.0 * depth * growth * (tau + n1**1.5 * _UNIT_ROUNDOFF)
 
 
 def _may_win(surrogate, allowance, best):

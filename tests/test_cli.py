@@ -164,6 +164,21 @@ class TestTrain:
         assert rc == 0
         assert json.loads(out)["class"] == model_class
 
+    def test_json_records_the_blas_thread_settings(self, capsys, small_data, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        rc, out = self._run(capsys, small_data, tmp_path, "--class", "sae")
+        assert rc == 0
+        assert json.loads(out)["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "2",
+            "MKL_NUM_THREADS": None,
+        }
+        # The history CSV does not carry them.
+        history = (tmp_path / "history.csv").read_text().splitlines()
+        assert history[0] == "epoch,train_loss,val_loss,wall_time_s,constraint_residual"
+
     def test_same_flags_same_stdout(self, capsys, small_data, tmp_path):
         _, out1 = self._run(capsys, small_data, tmp_path, "--class", "sae")
         _, out2 = self._run(capsys, small_data, tmp_path, "--class", "sae")

@@ -241,3 +241,18 @@ class TestSnapshotReader:
         path = tmp_path / "u.csv"
         path.write_bytes(text.encode("utf-8"))
         assert _outcome(data_io._read_matrix, path) == _outcome(data_io._parse_lines, path)
+
+    @pytest.mark.parametrize(
+        "byte", list(data_io._CONTROL_BYTES) + [ord("\t"), ord("\r")], ids=lambda b: f"0x{b:02x}"
+    )
+    def test_a_control_byte_sends_the_file_to_the_line_parser(self, tmp_path, byte):
+        # A control byte other than tab, \n and \r anywhere in the file sends
+        # it to the line parser; a tab or a \r before \n keeps np.loadtxt.
+        path = tmp_path / "u.csv"
+        path.write_bytes(b"# n0=2 S=2\n1,2" + bytes([byte]) + b"\n3,4\n")
+        fast = data_io._read_plain_matrix(path)
+        if byte in data_io._CONTROL_BYTES:
+            assert fast is None
+        else:
+            assert fast is not None and fast.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert _outcome(data_io._read_matrix, path) == _outcome(data_io._parse_lines, path)

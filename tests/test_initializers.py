@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from _util import low_rank_snapshots, small_skeletons
 from symae.activations import HypAct, Identity, LeakyReLU
-from symae.architecture import Layer, Skeleton, SymmetricAutoencoder, assemble
+from symae.architecture import Layer, Skeleton, SymmetricAutoencoder, assemble, decode_columns
 from symae.bounds import empirical_mse, greedy_upper_bound, pod
 from symae import initializers
 from symae.initializers import (
@@ -414,21 +415,72 @@ class TestInitStudy:
     STUDY_ACT_CASES = pytest.mark.parametrize(
         "act", [act for _, act in STUDY_ACTS], ids=[i for i, _ in STUDY_ACTS]
     )
+    # The study's activations and two far from linear.
+    WIDE_ACT_CASES = pytest.mark.parametrize(
+        "act",
+        [act for _, act in STUDY_ACTS] + [HypAct.from_sharpness(100), LeakyReLU(1e-3, 1e3)],
+        ids=[i for i, _ in STUDY_ACTS] + ["hypact-sharpness-100", "leakyrelu-1e-3-1e3"],
+    )
 
-    @STUDY_CASES
-    @STUDY_ACT_CASES
+    @pytest.mark.parametrize(
+        "family, dims",
+        [
+            pytest.param(family, dims, id=family)
+            for family, dims in [
+                ("pga400", [(514, 20, w) for w in range(1, 21)]),
+                # The CLI's --depth-pattern ladder.
+                ("pga400-depth-ladder", [(514, 65) + (33, 17, 9, 5, 3)[-k:] for k in range(1, 6)]),
+            ]
+            + STUDY_FAMILIES
+            + [CHOLQR2_FAMILY]
+        ],
+    )
+    @WIDE_ACT_CASES
+    # pga400 has numerical rank 38-39, below the ladder's first width.
+    @pytest.mark.filterwarnings("ignore:level 1. requested width 65 exceeds:UserWarning")
     def test_surrogate_is_the_score_well_within_its_allowance(
         self, monkeypatch, request, family, dims, act
     ):
-        # The level-1 split is exact up to roundoff; the allowance must
-        # cover that roundoff a thousand times over.
-        U = request.getfixturevalue("pga400") if family == "pga400" else study_data(dims)
+        # The level-1 split is exact up to roundoff, and so is the surrogate's
+        # outer input; the allowance must cover that roundoff a thousand
+        # times over.
+        U = request.getfixturevalue("pga400") if family.startswith("pga400") else study_data(dims)
         skeletons = [Skeleton(d) for d in dims]
         trials = 12
         _, scored = self.forced_open(monkeypatch, U, act, skeletons, trials, seed=5)
         assert len(scored) == trials * len(skeletons)
         for surrogate, allowance, _, exact in scored:
             assert abs(exact - surrogate) <= 1e-3 * allowance, (exact, surrogate, allowance)
+
+    @pytest.mark.parametrize("dims", [(514, 20, 1), (514, 20, 7), (514, 65, 17, 9, 5, 3)])
+    @WIDE_ACT_CASES
+    def test_outer_input_without_the_round_trip_is_within_its_bound(self, pga400, dims, act):
+        # The surrogate decodes G~ from the innermost pre-activation Y; the
+        # score decodes G from act(Y).  Their gap stays within the bound
+        # the allowance adds for it (see initializers._SPLIT_SLACK).
+        skeleton = Skeleton(dims)
+        rng = np.random.default_rng(3)
+        levels = [
+            initializers._orthogonal_level(rng.standard_normal(skeleton.layer_shape(j)))
+            for j in range(1, skeleton.depth + 1)
+        ]
+        train_U, _val, test_U = split(pga400, 0)
+        _, lo, hi = minmax_normalize(train_U)
+        T = apply_minmax(test_U, lo, hi)
+        H = T
+        for level in levels[:-1]:
+            H = act.apply(level.encode_affine(H))
+        Y = levels[-1].encode_affine(H)
+        G = act.apply_inverse(decode_columns(levels[1:], act, act.apply(Y), "SOAE"))
+        G_tilde = Y
+        for level in reversed(levels[1:]):
+            G_tilde = act.apply_inverse(level.decode_affine(G_tilde))
+        n = T.shape[1]
+        C = levels[0].encode_affine(T)
+        bound = initializers._decode_drift(act, skeleton, n) * (
+            np.sqrt(dims[1] * n) + np.linalg.norm(C)
+        )
+        assert np.linalg.norm(G - G_tilde) <= bound
 
     @STUDY_CASES
     @STUDY_ACT_CASES
@@ -531,6 +583,48 @@ class TestInitStudy:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
+
+    def test_reaches_no_tape_training_lift_or_per_skeleton_init(self, monkeypatch):
+        # The study scores its starts with plain arrays: it builds no tape,
+        # trains and lifts nothing, takes its iterated-SVD levels from
+        # EysCache and draws its random levels without orthogonal_random_init.
+        calls = []
+        names = [
+            "autodiff.gradient",
+            "autodiff.backward",
+            "training.train",
+            "training.adam_step",
+            "architecture.loss_on_batch",
+            "initializers.lift",
+            "initializers.eys_init",
+            "initializers.orthogonal_random_init",
+        ]
+        modules = [
+            importlib.import_module(f"symae.{m}")
+            for m in (
+                "activations", "architecture", "autodiff", "bounds", "cli", "data_io",
+                "initializers", "linalg", "training",
+            )
+        ]
+        for dotted in names:
+            module, attr = dotted.split(".")
+            original = getattr(importlib.import_module(f"symae.{module}"), attr)
+
+            def counting(*args, _original=original, _name=dotted, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            # Every module that imported the function calls it by its own name.
+            for holder in modules:
+                if getattr(holder, attr, None) is original:
+                    monkeypatch.setattr(holder, attr, counting)
+        dims = STUDY_FAMILIES[1][1] + STUDY_FAMILIES[2][1]
+        U = study_data(dims)
+        init_study(U, HypAct.from_sharpness(0.5), [Skeleton(d) for d in dims], trials=12, seed=5)
+        assert calls == []
+        # The counters do count.
+        initializers.eys_init(U, Skeleton(dims[0]), Identity())
+        assert calls == ["initializers.eys_init"]
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_needs_at_least_one_trial(self, trials):
