@@ -37,10 +37,12 @@ once per trial.  A candidate's surrogate takes for ``G`` the decode ``G~``
 of its innermost pre-activation without the innermost activation round
 trip, so it costs one ``n1 x n_test`` pass past the inner decode; a
 candidate whose surrogate exceeds the best score by more than its roundoff
-allowance (:data:`_SPLIT_SLACK`) provably scores above it and is skipped,
-and a trial whose projection residual alone settles every candidate that
-way is not encoded past the shared levels at all.  A candidate that may win
-is decoded again on its own, with the round trip, and scored.
+allowance (:data:`_SPLIT_SLACK`) scores above it and is skipped, and a
+trial whose projection residual alone settles every candidate that way is
+not encoded past the shared levels at all.  The candidates that may win are
+decoded again with the round trip, as one sub-stack, and scored.  Where the
+round trip's roundoff bound would outgrow the split's own, ``G~`` is not
+used: the surrogate takes ``G`` itself, as the score does.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .architecture import (
     SymmetricAutoencoder,
     Layer,
     check_class_invariants,
-    decode_columns,
     empirical_mse,
 )
 from .linalg import (
@@ -133,33 +134,39 @@ _TRIAL_BLOCK = 10
 # The surrogate's outer input is not the score's G but G~, decoded from the
 # innermost pre-activation Y without the innermost rho / rho^-1 pair: for
 # depth 2, G = rho^-1(D_2 rho^-1(rho(Y)) + d_2) and G~ = rho^-1(D_2 Y + d_2).
-# Their gap e = ||G - G~|| is roundoff of the two decodes, bounded by
+# Their gap e = ||G - G~|| is roundoff of the two decodes.  It is bounded by
 #   e <= omega (sqrt(n1 n_test) + ||C||),
 #   omega = 2 L kappa^(L-1) (tau + n1^1.5 u),  kappa = 2 Lip(rho) Lip(rho^-1),
-# for depth L, from these steps:
+# for depth L.  The bound rests on the tolerances the activation tests
+# check, not on a proof of the HypAct kernel's accuracy; its steps are:
 #   * the round trip rho^-1(rho(y)) returns y within tau max(1, |y|), and
-#     each evaluation of rho^-1 is within that of its exact value, with
-#     tau = 16 eps (1 + Lip(rho)^0.5) (the bound the HypAct round trip is
-#     tested to; LeakyReLU rounds once, to u |y|, and Identity is exact).
-#     Over at most n1 n_test entries, max(1, |Y|) has a norm of at most
-#     sqrt(n1 n_test) + ||Y||;
+#     each evaluation of rho^-1 returns its exact value x within
+#     tau max(1, |x|), with tau = 16 eps (1 + Lip(rho)^0.5): the HypAct
+#     tolerances of TestHypActProperties's round-trip test and of its test
+#     against a high-precision reference.  LeakyReLU rounds once, to u |x|,
+#     and Identity is exact.  Over at most n1 n_test entries, max(1, |x|)
+#     has a norm of at most sqrt(n1 n_test) + ||x||;
 #   * each of the L - 1 decode levels rho^-1(D z + d) carries the gap of its
 #     two inputs with a gain of at most Lip(rho^-1) ||D||_2, and adds its own
 #     roundoff of the two: n1^1.5 u relative for D z in any summation order
 #     (as for D G above), and tau for rho^-1;
 #   * encoding grows norms from ||C|| by at most Lip(rho) ||E||_2 a level and
-#     decoding by Lip(rho^-1) ||D||_2, and ||E||_2 = ||D||_2 <= 1 + n1 gap
-#     <= 2, so every input on the way is within kappa^(L-1) (sqrt(n1 n_test)
-#     + ||C||), and the L sources together give the bound.
+#     decoding by Lip(rho^-1) ||D||_2, and ||E||_2 ||D||_2 = ||D^T D||_2
+#     <= 1 + n1 gap <= 2, so every input and output on the way is within
+#     kappa^(L-1) (sqrt(n1 n_test) + ||C||), and the L sources together give
+#     the bound.
 # The split's gap moves by |<G~ - G, 2 C - G - G~>| <= 2 e (||C|| + ||G~||)
 # + e^2, and slack ||G||^2 <= slack (||G~|| + e)^2, so the allowance, taken
 # with ||G~||, grows by e (3 (||C|| + ||G~||) + 2 e).  For the trial bound,
 # ||G~|| <= ||C|| + ||C - G~|| and 3 e ||C - G~|| <= (1 - 2 slack)
-# ||C - G~||^2 + 3 e^2, so it grows by e (6 ||C|| + 5 e).  On the study's
-# outer level (HypAct at sharpness 0.5, n1 = 20, depth 2) omega is about
-# 2e-13, so e is about 1e-11 against an allowance near 1e-9 ||T||^2; for
-# sharp activations at depth it is the larger term, and more candidates are
-# scored exactly.
+# ||C - G~||^2 + 3 e^2, so it grows by e (6 ||C|| + 5 e).  init_study takes
+# e and both terms at the block's largest ||C||.  On the study's outer
+# level (HypAct at sharpness 0.5, n1 = 20, depth 2) omega is about 2e-13, so
+# e is about 1e-11 against an allowance near 1e-9 ||T||^2.  omega grows as
+# kappa^(L-1), so for a sharp activation or a deep skeleton the round trip's
+# term would outgrow the split's own; where it would for some trial of a
+# block, init_study decodes that skeleton's G with the round trip, as the
+# score does, and adds nothing.
 _SPLIT_SLACK = 1e-9
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -384,13 +391,18 @@ def init_study(U, act, skeletons, trials, seed):
     where the allowance is
     ``(_SPLIT_SLACK + n1 (gap_k + n0 u)) (||T||^2 + ||G~||^2) / n_test``, for
     trial ``k``'s checked orthonormality gap and ``u = 2^-53``, plus the
-    bound on the pair's roundoff; a NaN surrogate is scored.  A skipped
-    candidate scores above the best so far, so skipping it leaves the
-    minimum unchanged.  Before a skeleton's levels past the shared ones are
-    encoded, a trial whose ``P_k`` alone puts every candidate past that
-    allowance, whatever ``G~`` is, is dropped (see :data:`_SPLIT_SLACK`).  A
-    candidate that may win is decoded again on its own, in 2-D, from
-    ``act(Y)``, and scored by the operations of
+    bound on the pair's roundoff; a NaN surrogate is scored.  Where that
+    bound would outgrow the rest of the allowance for some trial, and in a
+    skeleton's first block, which has no best score to screen against, the
+    surrogate takes the score's ``G`` instead, decoded with the pair, and the
+    allowance has no roundoff term for it.  A skipped candidate scores above
+    the best so far, so skipping it leaves the minimum unchanged.  Before a
+    skeleton's levels past the shared ones are encoded, a trial whose
+    ``P_k`` alone puts every candidate past that allowance, whatever its
+    outer input is, is dropped (see :data:`_SPLIT_SLACK`).  The candidates
+    that may win are decoded with the pair from ``act(Y)``, as one
+    sub-stack, by the operations of
+    :func:`~symae.architecture.decode_columns`, and scored by those of
     :func:`~symae.architecture.empirical_mse`, in the same order; each slice
     of a stacked call is bitwise its 2-D call, so each baseline is bitwise
     the minimum over trials of
@@ -423,8 +435,10 @@ def init_study(U, act, skeletons, trials, seed):
         # dims[:j+1] -> (each trial's generator state after its draws,
         #                its stacked levels)
         memo = {test_norm.shape[:1]: ([rng.bit_generator.state for rng in rngs], ())}
-        # dims[:2] -> (each trial's C = D^T T, P = ||T||^2 - ||C||^2,
-        #              ||C||^2 and the slack factor of its split)
+        # dims[:2] -> (each trial's C = D^T T, P = ||T||^2 - ||C||^2, ||C||^2,
+        #              the slack factor of its split and its trial bound
+        #              before the round trip's term; the block's largest
+        #              ||C|| and smallest such bound)
         splits = {}
         # dims[:j+1] of a level two skeletons share -> the whole block's
         # pre-activation Y of that level, and its encoding act(Y)
@@ -445,24 +459,34 @@ def init_study(U, act, skeletons, trials, seed):
                     C_sq = np.sum(np.square(C), axis=(1, 2))
                     n0, n1 = shape
                     slack = _SPLIT_SLACK + n1 * (gap + n0 * _UNIT_ROUNDOFF)
-                    splits[dims[:2]] = (C, test_sq - C_sq, C_sq, slack)
+                    bound = slack * (2 * test_sq + 3 * C_sq)
+                    splits[dims[:2]] = (
+                        (C, test_sq - C_sq, C_sq, slack, bound),
+                        (math.sqrt(np.max(C_sq)), float(np.min(bound))),
+                    )
                 layers += (level,)
                 memo[dims[: j + 1]] = ([rng.bit_generator.state for rng in rngs], layers)
-            C, P, C_sq, slack = splits[dims[:2]]
-            C_norm = np.sqrt(C_sq)
-            drift = _decode_drift(act, skeleton, n_test) * (math.sqrt(dims[1] * n_test) + C_norm)
+            (C, P, C_sq, slack, bound), (C_max, bound_min) = splits[dims[:2]]
+            # e bounds ||G - G~|| for every trial of the block (see
+            # _SPLIT_SLACK).  Where G~ does not pay, the outer input keeps the
+            # round trip, as the score's does, and e is 0.
+            e = _decode_drift(act, skeleton) * (math.sqrt(dims[1] * n_test) + C_max)
+            round_trip = not _skips_round_trip(best[i], e, C_max, bound_min)
+            if round_trip:
+                e = 0.0
             # Trials whose every candidate would fail the test below, whatever
             # its outer input, are neither encoded past the shared levels nor
             # decoded (see _SPLIT_SLACK).
             keep = np.flatnonzero(
-                _may_win(
-                    P / n_test,
-                    (slack * (2 * test_sq + 3 * C_sq) + drift * (6 * C_norm + 5 * drift)) / n_test,
-                    best[i],
-                )
+                _may_win(P / n_test, (bound + e * (6 * C_max + 5 * e)) / n_test, best[i])
             )
             if not keep.size:
                 continue
+            if keep.size < len(rngs):
+                index, inner = keep, tuple(_trials(level, keep) for level in layers[1:])
+            else:
+                # Every trial is kept: the block's own arrays, not copies.
+                index, inner = slice(None), layers[1:]
             # The innermost pre-activation Y of the kept trials: the levels
             # another skeleton shares are encoded for the whole block, once,
             # and the levels past them for the kept trials only.
@@ -471,34 +495,39 @@ def init_study(U, act, skeletons, trials, seed):
                 H = _memoized(encoded, dims[: j + 1], act.apply, Y)
                 j += 1
                 Y = _memoized(pre, dims[: j + 1], layers[j - 1].encode_affine, H)
-            C, P, C_norm, slack, drift = (a[keep] for a in (C, P, C_norm, slack, drift))
-            inner = tuple(_trials(level, keep) for level in layers[1:])
+            C, P, slack = C[index], P[index], slack[index]
             if j < depth:
                 if users[dims[: j + 1]] > 1:
-                    H = _memoized(encoded, dims[: j + 1], act.apply, Y)[keep]
+                    H = _memoized(encoded, dims[: j + 1], act.apply, Y)[index]
                 else:
-                    H = act.apply(Y[keep])
+                    H = act.apply(Y[index])
                 for level in inner[j - 1 : -1]:
                     H = act.apply(level.encode_affine(H))
                 Y = inner[-1].encode_affine(H)
             else:
-                Y = Y[keep]
-            G = Y
-            for level in reversed(inner):
-                G = act.apply_inverse(level.decode_affine(G))
-            G_norm = np.sqrt(np.sum(np.square(G), axis=(1, 2)))
+                Y = Y[index]
+            G = _decode_inner(inner, act, act.apply_inverse(act.apply(Y)) if round_trip else Y)
+            G_sq = np.sum(np.square(G), axis=(1, 2))
             surrogate = (P + np.sum(np.square(C - G), axis=(1, 2))) / n_test
-            allowance = (
-                slack * (test_sq + np.square(G_norm)) + drift * (3 * (C_norm + G_norm) + 2 * drift)
-            ) / n_test
-            # A candidate that may win is decoded again on its own, in 2-D, by
-            # empirical_mse's operations, from its encoding of Y.
+            allowance = slack * (test_sq + G_sq)
+            if not round_trip:
+                allowance += e * (3 * (C_max + np.sqrt(G_sq)) + 2 * e)
+            allowance /= n_test
+            # best only falls, so a candidate that fails the test now fails it
+            # at its turn too.  The others get the score's outer input, decoded
+            # from act(Y) by decode_columns's operations, as one sub-stack.
+            win = np.flatnonzero(_may_win(surrogate, allowance, best[i]))
+            if not win.size:
+                continue
+            if round_trip:
+                G = G[win]
+            else:
+                exact = act.apply_inverse(act.apply(Y[win]))
+                G = _decode_inner(tuple(_trials(level, win) for level in inner), act, exact)
             D, d = layers[0].D, layers[0].d
-            for k, t in enumerate(keep):
+            for k, outer in zip(win, G):
                 if _may_win(surrogate[k], allowance[k], best[i]):
-                    trial = tuple(_trials(level, k) for level in inner)
-                    G = act.apply_inverse(decode_columns(trial, act, act.apply(Y[k]), "SOAE"))
-                    best[i] = min(best[i], _squared_error(test_norm, D[t], d, G) / n_test)
+                    best[i] = min(best[i], _squared_error(test_norm, D[keep[k]], d, outer) / n_test)
     rows = [(skeleton, eys_mse, float(b)) for skeleton, eys_mse, b in zip(skeletons, eys, best)]
     for skeleton, eys_mse, base_mse in rows:
         if not (math.isfinite(eys_mse) and math.isfinite(base_mse)):
@@ -516,14 +545,32 @@ def _memoized(memo: dict, key, f, x):
     return memo[key]
 
 
-def _trials(level: Layer, index) -> Layer:
-    """Trials ``index`` of a stacked random level: a sub-stack for an index
-    array, a 2-D level for one trial; ``E`` stays a view of ``D^T``."""
+def _trials(level: Layer, index: np.ndarray) -> Layer:
+    """The sub-stack of trials ``index`` of a stacked random level; ``E``
+    stays a view of ``D^T``."""
     D = level.D[index]
     return level._replace(E=np.swapaxes(D, -1, -2), D=D)
 
 
-def _decode_drift(act: Activation, skeleton: Skeleton, n_test: int) -> float:
+def _decode_inner(levels, act: Activation, Z: np.ndarray) -> np.ndarray:
+    """The outer input ``act^-1(D_2 ... act^-1(D_L Z + d_L) ... + d_2)``:
+    with ``Z = act^-1(H)`` for the encoding ``H``, the operations of
+    :func:`~symae.architecture.decode_columns` and its caller's ``act^-1``."""
+    for level in reversed(levels):
+        Z = act.apply_inverse(level.decode_affine(Z))
+    return Z
+
+
+def _skips_round_trip(best: float, e: float, C_max: float, bound_min: float) -> bool:
+    """Whether a block's surrogates take ``G~``: only while there is a best
+    score to screen against (not in a skeleton's first block) and the round
+    trip's term of the trial bound, ``e (6 ||C|| + 5 e)`` at the block's
+    largest ``||C||``, stays within the split's own for every trial (not for
+    a sharp activation or a deep skeleton)."""
+    return math.isfinite(best) and e * (6 * C_max + 5 * e) <= bound_min
+
+
+def _decode_drift(act: Activation, skeleton: Skeleton) -> float:
     """``omega`` of :data:`_SPLIT_SLACK`'s bound on ``||G - G~||``."""
     lip, lip_inv = act.lipschitz_pair()
     tau = 16.0 * np.finfo(np.float64).eps * (1.0 + math.sqrt(lip))

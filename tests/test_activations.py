@@ -226,6 +226,31 @@ class TestHypActProperties:
         again = act.apply(act.apply_inverse(x))
         assert abs(again - x) <= hypact_tolerance(act, x)
 
+    @settings(max_examples=200, deadline=None)
+    @given(ANGLES, POINTS)
+    @example(math.pi / 4 - 1e-12, -22494.56)
+    @example(math.pi / 4 - 1e-12, 1e150)
+    @example(1e-7, -1e150)
+    @example(math.pi / 8, 0.0)
+    def test_inverse_is_within_tolerance_of_a_high_precision_reference(self, theta, y):
+        # Each evaluation of the inverse, not only the round trip, is within
+        # the tolerance of its exact value x = -f(-y), scaled by max(1, |x|):
+        # init_study's bound on decoding without the latent round trip
+        # rests on it.  The reference is the class docstring's closed form
+        # at the float angle, at 80 digits, which covers the cancellation of
+        # its terms (up to Lip^2, about 1e24) on every input.
+        mpmath = pytest.importorskip("mpmath")
+        act = HypAct(theta)
+        with mpmath.workdps(80):
+            t = mpmath.mpf(theta)
+            sin, cos = mpmath.sin(t), mpmath.cos(t)
+            a, b = 1 / sin**2 - 1 / cos**2, 1 / sin**2 + 1 / cos**2
+            x = mpmath.mpf(-y)
+            root = mpmath.sqrt((2 * x / (sin * cos) - mpmath.sqrt(2) / cos) ** 2 + 2 * a)
+            exact = -(b / a * x - mpmath.sqrt(2) / (a * sin) + root / a)
+            error = float(abs(mpmath.mpf(act.apply_inverse(y)) - exact))
+        assert error <= hypact_tolerance(act, float(exact)), (error, float(exact))
+
     @settings(max_examples=300, deadline=None)
     @given(ANGLES, POINTS, POINTS)
     @example(math.pi / 4 - 1e-12, -1.0, 0.5)

@@ -378,14 +378,19 @@ class TestInitStudy:
         Returns the trial bounds, each ``(P/n, bound, best, verdict)`` with
         the study's own ``_may_win`` verdict, one entry per trial of a block;
         and the candidates, each ``(surrogate, allowance, best, exact score)``,
-        in the order the study met them.
+        in the order the study met them.  Each skeleton's block tests its
+        trials as one array and then its candidates as one array, before it
+        tests each candidate again at its turn; only the first array is a
+        trial bound.
         """
-        bounds, candidates, pending = [], [], []
+        bounds, candidates, pending, arrays = [], [], [], []
 
         def may_win(surrogate, allowance, best):
             verdict = may_win_of(surrogate, allowance, best)
             if np.ndim(surrogate):
-                bounds.extend(zip(surrogate, allowance, [best] * len(surrogate), verdict))
+                arrays.append(None)
+                if len(arrays) % 2:
+                    bounds.extend(zip(surrogate, allowance, [best] * len(surrogate), verdict))
             else:
                 pending.append((surrogate, allowance, best))
             return np.full(np.shape(surrogate), True)
@@ -477,10 +482,36 @@ class TestInitStudy:
             G_tilde = act.apply_inverse(level.decode_affine(G_tilde))
         n = T.shape[1]
         C = levels[0].encode_affine(T)
-        bound = initializers._decode_drift(act, skeleton, n) * (
+        bound = initializers._decode_drift(act, skeleton) * (
             np.sqrt(dims[1] * n) + np.linalg.norm(C)
         )
         assert np.linalg.norm(G - G_tilde) <= bound
+
+    @pytest.mark.filterwarnings("ignore:level 1. requested width 65 exceeds:UserWarning")
+    def test_the_outer_input_keeps_the_round_trip_where_its_bound_would_dominate(
+        self, monkeypatch, pga400
+    ):
+        # The CLI's depth ladder with a sharp activation: the round trip's
+        # roundoff bound grows as (2 Lip Lip^-1)^(depth - 1), so the deep
+        # skeletons' blocks keep the round trip and the shallow ones do not;
+        # the rows are the direct definition's either way.
+        verdicts = []
+        skips_round_trip = initializers._skips_round_trip
+
+        def recording(best, e, C_max, bound_min):
+            verdicts.append((np.isfinite(best), skips_round_trip(best, e, C_max, bound_min)))
+            return verdicts[-1][1]
+
+        monkeypatch.setattr(initializers, "_skips_round_trip", recording)
+        act = HypAct.from_sharpness(100)
+        skeletons = [Skeleton((514, 65) + (33, 17, 9, 5, 3)[-k:]) for k in range(1, 6)]
+        trials = 2 * initializers._TRIAL_BLOCK
+        rows = init_study(pga400, act, skeletons, trials=trials, seed=0)
+        assert rows == self.direct_rows(pga400, act, skeletons, trials=trials, seed=0)
+        # A skeleton's first block has no best score to screen against.
+        assert verdicts[: len(skeletons)] == [(False, False)] * len(skeletons)
+        later = [skips for _, skips in verdicts[len(skeletons) :]]
+        assert len(later) == len(skeletons) and any(later) and not all(later)
 
     @STUDY_CASES
     @STUDY_ACT_CASES
