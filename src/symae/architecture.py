@@ -14,20 +14,21 @@ classes are supported, plus a conventional autoencoder baseline:
   applies ``rho_inv`` after every affine map except the output layer.
 
 Constrained classes are trained through unconstrained parametrizations
-(:class:`ParamVector`) that satisfy the constraints by construction; the
-construction runs on plain arrays or on autodiff ``Var`` leaves unchanged,
-so the same execution functions serve networks and taped losses.
+(:class:`ParamVector`) that satisfy the constraints by construction.
 ``_param_shapes`` is the one layout table: each class's parameter names,
 their leaf order and their shapes, checked by ``_check_layout`` for both
-parameters and dense layers (which have the SAE layout).  A level
-is a ``Layer`` except in the training loss of an SBAE network: there each
-level stays in the factored form ``E^T = X K_E``, ``D = X K_D + (I - X X^T) W``
-and is applied to the batch as ``K_E^T (X^T (h - b))`` and
-``X (K_D g - X^T (W g)) + W g + b``, which never forms the
-``n_{j-1} x n_j`` matrices.  :func:`assemble` forms ``E`` and ``D`` from the
-same factors.  This SBAE factorization, one orthonormal ``n_{j-1} x n_j``
-frame per level plus a free block projected off its span, is the code's
-own; the paper's abstract states only the constraint ``E_j D_j = I``.
+parameters and dense layers (which have the SAE layout).  A network's
+level is a dense ``Layer``, which :func:`assemble` forms.  The training
+loss (:func:`loss_on_batch`) never forms one: each level's encoder and
+decoder map acts on the batch straight from the parameters and, on
+autodiff ``Var`` leaves, is one tape node with its adjoint written out.
+An SBAE level stays in the factored form ``E^T = X K_E``,
+``D = X K_D + (I - X X^T) W`` and is applied as ``K_E^T (X^T (h - b))``
+and ``X (K_D g - X^T (W g)) + W g + b``, which never forms the
+``n_{j-1} x n_j`` matrices.  This SBAE factorization, one orthonormal
+``n_{j-1} x n_j`` frame per level plus a free block projected off its
+span, is the code's own; the paper's abstract states only the constraint
+``E_j D_j = I``.
 """
 
 from __future__ import annotations
@@ -42,13 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .activations import Activation, parse_activation
-from .autodiff import (
-    apply_activation,
-    reciprocal,
-    square,
-    sum_sq,
-    value_of,
-)
+from .autodiff import Var, _unbroadcast, square, sum_sq, value_of
 from .data_io import DataFormatError
 from .linalg import pi_orth, require_matrix
 
@@ -113,11 +108,7 @@ class Skeleton:
 
 
 class Layer(NamedTuple):
-    """One level ``(E, D, e, d)``: encoder ``rho(E h + e)``, decoder ``D rho_inv(h) + d``.
-
-    Entries are arrays in a network, or autodiff ``Var`` nodes while a loss
-    is being taped.
-    """
+    """One dense level ``(E, D, e, d)``: encoder ``rho(E h + e)``, decoder ``D rho_inv(h) + d``."""
 
     E: np.ndarray
     D: np.ndarray
@@ -131,45 +122,6 @@ class Layer(NamedTuple):
     def decode_affine(self, G):
         """``D G + d``."""
         return self.D @ G + self.d
-
-    def as_layer(self) -> "Layer":
-        return self
-
-
-class _BiorthogonalLevel(NamedTuple):
-    """An SBAE level in factored form: ``E^T = X K_E``,
-    ``D = X K_D + (I - X X^T) W`` and ``d = b``.
-
-    With ``e = -E b`` the affine maps act on a batch without forming the
-    ``n_{j-1} x n_j`` matrices ``E`` and ``D``:
-    ``E H + e = K_E^T (X^T (H - b))`` and
-    ``D G + d = X (K_D G - X^T (W G)) + W G + b``.  ``W`` is None on a
-    square level, where ``D = X K_D``.
-    """
-
-    X: np.ndarray
-    K_E: np.ndarray
-    K_D: np.ndarray
-    W: np.ndarray | None
-    b: np.ndarray
-
-    def encode_affine(self, H):
-        return self.K_E.T @ (self.X.T @ (H - self.b))
-
-    def decode_affine(self, G):
-        if self.W is None:
-            return self.X @ (self.K_D @ G) + self.b
-        WG = self.W @ G
-        return self.X @ (self.K_D @ G - self.X.T @ WG) + WG + self.b
-
-    def as_layer(self) -> Layer:
-        """The dense :class:`Layer` ``(E, D, -E b, b)``."""
-        E = (self.X @ self.K_E).T
-        if self.W is None:
-            D = self.X @ self.K_D
-        else:
-            D = self.X @ (self.K_D - self.X.T @ self.W) + self.W
-        return Layer(E, D, -(E @ self.b), self.b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,13 +280,12 @@ def _check_layout(class_tag: str, skeleton: Skeleton, layers) -> list[dict]:
     return out
 
 
-def _level(class_tag: str, params: dict):
-    """The map of one level built from unconstrained parameters.
+def _level(class_tag: str, params: dict) -> Layer:
+    """The dense level realized by one level's unconstrained parameters (arrays).
 
-    Works on arrays or ``Var`` leaves.  SAE/PlainAE: the raw
-    :class:`Layer`.  SOAE: ``D = pi_orth(A)``, ``E = D^T``, ``d = b``,
-    ``e = -E b``.  SBAE: with ``X = pi_orth(X~)`` (q x r),
-    ``Z = pi_orth(Z~)`` (r x r) and ``S = diag(s^2)``,
+    SAE/PlainAE: the raw :class:`Layer`.  SOAE: ``D = pi_orth(A)``,
+    ``E = D^T``, ``d = b``, ``e = -E b``.  SBAE: with ``X = pi_orth(X~)``
+    (q x r), ``Z = pi_orth(Z~)`` (r x r) and ``S = diag(s^2)``,
 
         E = Z S X^T = K_E^T X^T,  K_E = S Z^T,
         D = X S^-1 Z^T + (I - X X^T) W = X K_D + (I - X X^T) W,  K_D = S^-1 Z^T,
@@ -343,8 +294,9 @@ def _level(class_tag: str, params: dict):
     biases ``d = b``, ``e = -E b``.  ``(I - X X^T) W`` ranges over every
     q x r block whose columns are orthogonal to ``span X``; when q = r it
     is zero, so a square level is built without ``W`` (``D = X K_D``) and
-    the gradient of its ``W`` is exactly 0.  The SBAE level stays factored
-    (:class:`_BiorthogonalLevel`); its ``as_layer`` forms ``E`` and ``D``.
+    the gradient of its ``W`` is exactly 0.  The training loss applies the
+    same factors to a batch without forming ``E`` or ``D``
+    (:func:`_biorthogonal_encode`, :func:`_biorthogonal_decode`).
     """
     if class_tag in ("SAE", "PlainAE"):
         return Layer(params["E"], params["D"], params["e"], params["d"])
@@ -353,21 +305,31 @@ def _level(class_tag: str, params: dict):
         E = D.T
         b = params["b"]
         return Layer(E, D, -(E @ b), b)
+    X, Z, s2, W, b = _biorthogonal_factors(params)
+    Zt = Z.T
+    K_D = (1.0 / s2) * Zt
+    E = (X @ (s2 * Zt)).T
+    D = X @ K_D if W is None else X @ (K_D - X.T @ W) + W
+    return Layer(E, D, -(E @ b), b)
+
+
+def _biorthogonal_factors(params: dict):
+    """``(pi_orth(X~), pi_orth(Z~), s^2, W, b)`` of one SBAE level, arrays or ``Var``s.
+
+    ``W`` is None on a square level.  Raises ``ValueError`` when a scale is zero.
+    """
     s = params["s"]
     if not np.all(value_of(s)):
         raise ValueError("SBAE scale vector must have no zero entries")
-    X = pi_orth(params["X"])
-    Zt = pi_orth(params["Z"]).T
-    s2 = square(s)
     q, r = value_of(params["X"]).shape
     W = params["W"] if q > r else None
-    return _BiorthogonalLevel(X, s2 * Zt, reciprocal(s2) * Zt, W, params["b"])
+    return pi_orth(params["X"]), pi_orth(params["Z"]), square(s), W, params["b"]
 
 
 def assemble(theta: ParamVector) -> SymmetricAutoencoder:
     """Build and validate the autoencoder realized by ``theta``."""
     layers = tuple(
-        Layer(*(np.asarray(w, dtype=np.float64) for w in _level(theta.class_tag, p).as_layer()))
+        Layer(*(np.asarray(w, dtype=np.float64) for w in _level(theta.class_tag, p)))
         for p in theta.layers
     )
     return SymmetricAutoencoder(theta.skeleton, theta.act, layers, theta.class_tag)
@@ -377,9 +339,9 @@ def assemble(theta: ParamVector) -> SymmetricAutoencoder:
 
 
 def encode_columns(layers, act, H, class_tag: str):
-    inverse = class_tag == "PlainAE"
+    rho = act.apply_inverse if class_tag == "PlainAE" else act.apply
     for layer in layers:
-        H = apply_activation(act, layer.encode_affine(H), inverse=inverse)
+        H = rho(layer.encode_affine(H))
     return H
 
 
@@ -387,7 +349,7 @@ def decode_columns(layers, act, H, class_tag: str):
     # PlainAE skips rho_inv at the latent end only.
     for j, layer in enumerate(reversed(layers)):
         if j or class_tag != "PlainAE":
-            H = apply_activation(act, H, inverse=True)
+            H = act.apply_inverse(H)
         H = layer.decode_affine(H)
     return H
 
@@ -396,18 +358,193 @@ def reconstruct_columns(layers, act, U, class_tag: str):
     return decode_columns(layers, act, encode_columns(layers, act, U, class_tag), class_tag)
 
 
+# -- the training loss: one tape node per level map -------------------------
+#
+# Each map below acts on a column batch ``H`` and takes plain or taped
+# operands.  On plain operands it returns the map's value.  When an operand
+# is a ``Var`` it returns one tape node with an edge to each ``Var``
+# operand, whose vjp is the map's adjoint written out: the chain rule
+# through the map's products and ufuncs, one at a time, from the output
+# back.  A constant operand (the batch, at the outer level) gets no
+# adjoint.  The forward value is the same code on either kind of operand,
+# so a taped loss equals the plain one bit for bit.
+
+
+def _taped(*operands) -> bool:
+    return any(isinstance(x, Var) for x in operands)
+
+
+def _affine_encode(act, H, E, e, inverse: bool):
+    """``rho(E H + e)``, or ``rho^-1(E H + e)`` with ``inverse`` (PlainAE)."""
+    Hv, Ev, ev = value_of(H), value_of(E), value_of(e)
+    A = Ev @ Hv + ev
+    Y = act.apply_inverse(A) if inverse else act.apply(A)
+    if not _taped(H, E, e):
+        return Y
+    slope = act.derivative(Y) if inverse else None
+
+    def vjp(g):
+        gA = g / slope if inverse else g * act.derivative(A)
+        return (
+            Ev.T @ gA if isinstance(H, Var) else None,
+            gA @ Hv.T,
+            _unbroadcast(gA, ev.shape),
+        )
+
+    return Var._node(Y, (H, E, e), vjp)
+
+
+def _orthogonal_encode(act, H, D, b):
+    """``rho(E H + e)`` with ``E = D^T`` and ``e = -E b`` (SOAE)."""
+    Hv, Dv, bv = value_of(H), value_of(D), value_of(b)
+    E = Dv.T
+    e = -(E @ bv)
+    A = E @ Hv + e
+    Y = act.apply(A)
+    if not _taped(H, D, b):
+        return Y
+
+    def vjp(g):
+        gA = g * act.derivative(A)
+        g_Eb = -_unbroadcast(gA, e.shape)
+        g_E = gA @ Hv.T + g_Eb @ bv.T
+        return (E.T @ gA if isinstance(H, Var) else None, g_E.T, E.T @ g_Eb)
+
+    return Var._node(Y, (H, D, b), vjp)
+
+
+def _affine_decode(act, H, D, d, invert: bool):
+    """``D rho^-1(H) + d``, or ``D H + d`` without ``invert`` (PlainAE's latent end)."""
+    Hv, Dv, dv = value_of(H), value_of(D), value_of(d)
+    G = act.apply_inverse(Hv) if invert else Hv
+    out = Dv @ G + dv
+    if not _taped(H, D, d):
+        return out
+    slope = act.derivative(G) if invert else None
+
+    def vjp(g):
+        g_G = Dv.T @ g
+        return (g_G / slope if invert else g_G, g @ G.T, _unbroadcast(g, dv.shape))
+
+    return Var._node(out, (H, D, d), vjp)
+
+
+def _biorthogonal_encode(act, H, X, Z, s2, b):
+    """``rho(K_E^T (X^T (H - b)))`` with ``K_E = s2 Z^T`` (SBAE)."""
+    Hv, Xv, Zv, s2v, bv = (value_of(x) for x in (H, X, Z, s2, b))
+    Zt = Zv.T
+    K_E = s2v * Zt
+    C = Hv - bv
+    XtC = Xv.T @ C
+    A = K_E.T @ XtC
+    Y = act.apply(A)
+    if not _taped(H, X, Z, s2, b):
+        return Y
+
+    def vjp(g):
+        gA = g * act.derivative(A)
+        g_KE = (gA @ XtC.T).T
+        g_XtC = K_E @ gA
+        g_C = Xv @ g_XtC
+        return (
+            g_C if isinstance(H, Var) else None,
+            (g_XtC @ C.T).T,
+            # Formed in C order and transposed, as the decoder's is, so that
+            # the sum of the two reaches pi_orth's adjoint in Fortran order,
+            # the layout of Z^T; BLAS need not round its products the same
+            # way on the other layout.
+            np.multiply(g_KE, s2v, order="C").T,
+            _unbroadcast(g_KE * Zt, s2v.shape),
+            _unbroadcast(-g_C, bv.shape),
+        )
+
+    return Var._node(Y, (H, X, Z, s2, b), vjp)
+
+
+def _biorthogonal_decode(act, H, X, Z, s2, W, b):
+    """``X (K_D G - X^T (W G)) + W G + b`` with ``G = rho^-1(H)`` and
+    ``K_D = s2^-1 Z^T`` (SBAE); ``X (K_D G) + b`` when ``W`` is None."""
+    Hv, Xv, Zv, s2v, bv = (value_of(x) for x in (H, X, Z, s2, b))
+    G = act.apply_inverse(Hv)
+    inv = 1.0 / s2v
+    Zt = Zv.T
+    K_D = inv * Zt
+    KG = K_D @ G
+    if W is None:
+        out = Xv @ KG + bv
+    else:
+        Wv = value_of(W)
+        WG = Wv @ G
+        diff = KG - Xv.T @ WG
+        out = Xv @ diff + WG + bv
+    if not _taped(H, X, Z, s2, W, b):
+        return out
+    slope = act.derivative(G)
+
+    def vjp(g):
+        g_KG = Xv.T @ g
+        if W is None:
+            g_X = g @ KG.T
+            g_G = K_D.T @ g_KG
+            g_W = None
+        else:
+            g_XtWG = -g_KG
+            g_X = g @ diff.T + (g_XtWG @ WG.T).T
+            g_WG = g + Xv @ g_XtWG
+            g_W = g_WG @ G.T
+            g_G = K_D.T @ g_KG + Wv.T @ g_WG
+        g_KD = g_KG @ G.T
+        g_inv = _unbroadcast(g_KD * Zt, s2v.shape)
+        return (
+            g_G / slope,
+            g_X,
+            (g_KD * inv).T,
+            -g_inv * inv * inv,
+            g_W,
+            _unbroadcast(g, bv.shape),
+        )
+
+    return Var._node(out, (H, X, Z, s2, W, b), vjp)
+
+
+def _level_maps(class_tag: str, act, params: dict):
+    """``(encode, decode)`` of one level: ``encode(H)``, and ``decode(H, invert)``
+    with ``invert`` false only at PlainAE's latent end."""
+    if class_tag in ("SAE", "PlainAE"):
+        inverse = class_tag == "PlainAE"
+        return (
+            lambda H: _affine_encode(act, H, params["E"], params["e"], inverse),
+            lambda H, invert: _affine_decode(act, H, params["D"], params["d"], invert),
+        )
+    if class_tag == "SOAE":
+        D, b = pi_orth(params["A"]), params["b"]
+        return (
+            lambda H: _orthogonal_encode(act, H, D, b),
+            lambda H, invert: _affine_decode(act, H, D, b, invert),
+        )
+    X, Z, s2, W, b = _biorthogonal_factors(params)
+    return (
+        lambda H: _biorthogonal_encode(act, H, X, Z, s2, b),
+        lambda H, invert: _biorthogonal_decode(act, H, X, Z, s2, W, b),
+    )
+
+
 def loss_on_batch(class_tag: str, act, layer_params: list[dict], batch):
     """Mean squared reconstruction error of a column batch.
 
     ``layer_params`` may hold arrays (plain evaluation) or ``Var`` leaves
     (the returned loss is then a taped scalar ready for ``backward``).
-    SBAE levels act on the batch in factored form, so no ``E`` or ``D`` is
-    formed.
+    Each level's encoder and decoder map is one tape node; SBAE levels act
+    on the batch in factored form, so no ``E`` or ``D`` is formed.
     """
-    layers = [_level(class_tag, p) for p in layer_params]
-    recon = reconstruct_columns(layers, act, batch, class_tag)
+    maps = [_level_maps(class_tag, act, p) for p in layer_params]
+    H = batch
+    for encode, _ in maps:
+        H = encode(H)
+    for j, (_, decode) in enumerate(reversed(maps)):
+        H = decode(H, j > 0 or class_tag != "PlainAE")
     n_cols = value_of(batch).shape[1]
-    return sum_sq(recon - batch) * (1.0 / n_cols)
+    return sum_sq(H - batch) * (1.0 / n_cols)
 
 
 def empirical_mse(psi: SymmetricAutoencoder, U: np.ndarray) -> float:

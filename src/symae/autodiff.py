@@ -1,22 +1,25 @@
 """Reverse-mode differentiation over dense numpy arrays.
 
 The tape is the implicit graph of :class:`Var` nodes: every operation
-evaluates its numpy result eagerly and records, for each ``Var`` operand,
-one edge ``(operand, vjp)`` that maps the node's adjoint to that operand's
-contribution, so control flow in client code may inspect intermediate
+evaluates its numpy result eagerly and records one edge to each ``Var``
+operand plus one vjp, which maps the node's adjoint to the adjoints of
+those operands, so control flow in client code may inspect intermediate
 values.  Plain arrays and floats are constants: they get no node and no
 edge, so their adjoints are never formed.  Calling :func:`backward` on a
 scalar root walks the graph once in reverse topological order and
 accumulates adjoints into ``Var.grad``.
 
-Every operation is one function over operands that may be plain or taped
-(:func:`sum_sq`, :func:`square`, :func:`reciprocal`, ...): on plain
-operands it is the plain evaluator, so taped forward values match the
-untaped arithmetic bit for bit.  Linear-algebra operations with a
-closed-form adjoint are primitives instead: :func:`symae.linalg.pi_orth`
-on a ``Var`` is one node built with ``Var._node(value, (A, vjp))``, whose
-forward value is the untaped result and whose vjp is the analytic thin-QR
-adjoint.
+Nodes are coarse: a map with a closed-form adjoint is one node whose vjp
+is that adjoint written out.  :func:`symae.linalg.pi_orth` is one node with
+the thin-QR adjoint.  So is each level map of an autoencoder, the encoder
+``rho(E h + e)`` and the decoder ``D rho^-1(g) + d`` over the class's own
+parameters (see :mod:`symae.architecture`), with the chain rule through the
+map's products and ufuncs written out.  Every operation is one function
+over operands that may be plain or taped: on plain operands it is the
+plain evaluator, so taped forward values match the untaped arithmetic bit
+for bit.  The generic operations here are the few the loss around the
+level maps needs: :func:`sum_sq`, ``Var - x``, ``Var * x`` and
+:func:`square` (an SBAE level's scales).
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ __all__ = [
     "gradient",
     "value_of",
     "square",
-    "reciprocal",
     "sum_sq",
-    "apply_activation",
 ]
 
 
@@ -55,21 +56,15 @@ def value_of(x) -> np.ndarray:
 # -- binary operations: either operand may be a constant ---------------------
 
 
-def _add(a, b):
-    va, vb = value_of(a), value_of(b)
-    return Var._node(
-        va + vb,
-        (a, lambda g: _unbroadcast(g, va.shape)),
-        (b, lambda g: _unbroadcast(g, vb.shape)),
-    )
-
-
 def _sub(a, b):
     va, vb = value_of(a), value_of(b)
     return Var._node(
         va - vb,
-        (a, lambda g: _unbroadcast(g, va.shape)),
-        (b, lambda g: _unbroadcast(-g, vb.shape)),
+        (a, b),
+        lambda g: (
+            _unbroadcast(g, va.shape) if isinstance(a, Var) else None,
+            _unbroadcast(-g, vb.shape) if isinstance(b, Var) else None,
+        ),
     )
 
 
@@ -77,56 +72,55 @@ def _mul(a, b):
     va, vb = value_of(a), value_of(b)
     return Var._node(
         va * vb,
-        (a, lambda g: _unbroadcast(g * vb, va.shape)),
-        (b, lambda g: _unbroadcast(g * va, vb.shape)),
+        (a, b),
+        lambda g: (
+            _unbroadcast(g * vb, va.shape) if isinstance(a, Var) else None,
+            _unbroadcast(g * va, vb.shape) if isinstance(b, Var) else None,
+        ),
     )
 
 
-def _matmul(a, b):
-    va, vb = value_of(a), value_of(b)
-    if va.ndim != 2 or vb.ndim != 2 or va.shape[1] != vb.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {va.shape} @ {vb.shape}")
-    return Var._node(va @ vb, (a, lambda g: g @ vb.T), (b, lambda g: va.T @ g))
-
-
 class Var:
-    """One tape node: a float64 array, its adjoint, and one edge per ``Var`` operand."""
+    """One tape node: a float64 array, its adjoint, an edge per ``Var`` operand and a vjp.
 
-    __slots__ = ("value", "grad", "edges")
+    ``parents`` holds the ``Var`` operands, and ``vjp(g)`` returns their
+    adjoints in the same order; a leaf has neither.
+    """
 
-    # Make numpy defer binary ops to Var (so ndarray @ Var hits __rmatmul__).
+    __slots__ = ("value", "grad", "parents", "vjp")
+
+    # Make numpy refuse binary ops with a Var rather than loop over it as an object.
     __array_ufunc__ = None
 
-    def __init__(self, value, edges=()):
+    def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.edges = edges
+        self.parents = parents
+        self.vjp = vjp
 
     def __repr__(self):
-        return f"Var(shape={self.value.shape}, edges={len(self.edges)})"
+        return f"Var(shape={self.value.shape}, edges={len(self.parents)})"
 
     @staticmethod
-    def _node(value, *edges) -> "Var":
-        """A node over ``(operand, vjp)`` edges; constant operands get none."""
-        return Var(value, tuple(edge for edge in edges if isinstance(edge[0], Var)))
+    def _node(value, operands, vjp) -> "Var":
+        """A node over the ``Var`` entries of ``operands``.
 
-    __add__ = __radd__ = _add
+        ``vjp(g)`` maps the node's adjoint to one adjoint per operand, in
+        order.  A constant operand (anything not a ``Var``) gets no edge, and
+        its entry is dropped; it may be ``None``, so that it is never formed.
+        """
+        parents = tuple(x for x in operands if isinstance(x, Var))
+        if len(parents) < len(operands):
+            taped = [isinstance(x, Var) for x in operands]
+            every = vjp
+
+            def vjp(g):
+                return [adj for adj, keep in zip(every(g), taped) if keep]
+
+        return Var(value, parents, vjp)
+
     __sub__ = _sub
-    __mul__ = __rmul__ = _mul
-    __matmul__ = _matmul
-
-    def __rsub__(self, other):
-        return _sub(other, self)
-
-    def __rmatmul__(self, other):
-        return _matmul(other, self)
-
-    def __neg__(self):
-        return Var._node(-self.value, (self, lambda g: -g))
-
-    @property
-    def T(self):
-        return Var._node(self.value.T, (self, lambda g: g.T))
+    __mul__ = _mul
 
 
 def _topo_order(root: Var) -> list[Var]:
@@ -142,7 +136,7 @@ def _topo_order(root: Var) -> list[Var]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for operand, _ in node.edges:
+        for operand in node.parents:
             stack.append((operand, False))
     return order
 
@@ -154,9 +148,9 @@ def backward(root: Var) -> None:
     order = _topo_order(root)
     root.grad = np.asarray(1.0)
     for node in reversed(order):
-        for operand, vjp in node.edges:
-            g = vjp(node.grad)
-            operand.grad = g if operand.grad is None else operand.grad + g
+        if node.parents:
+            for operand, g in zip(node.parents, node.vjp(node.grad)):
+                operand.grad = g if operand.grad is None else operand.grad + g
 
 
 def gradient(program, leaves: list[np.ndarray], *args) -> tuple[float, list[np.ndarray]]:
@@ -180,28 +174,10 @@ def gradient(program, leaves: list[np.ndarray], *args) -> tuple[float, list[np.n
 def square(x):
     if not isinstance(x, Var):
         return x * x
-    return Var._node(x.value * x.value, (x, lambda g: g * (2.0 * x.value)))
-
-
-def reciprocal(x):
-    if not isinstance(x, Var):
-        return 1.0 / x
-    inv = 1.0 / x.value
-    return Var._node(inv, (x, lambda g: -g * inv * inv))
+    return Var._node(x.value * x.value, (x,), lambda g: (g * (2.0 * x.value),))
 
 
 def sum_sq(x):
     if not isinstance(x, Var):
         return float(np.sum(x * x))
-    return Var._node(np.sum(x.value * x.value), (x, lambda g: g * (2.0 * x.value)))
-
-
-def apply_activation(act, x, inverse: bool = False):
-    """Elementwise activation (or its inverse) on an ndarray or a ``Var``."""
-    if not isinstance(x, Var):
-        return act.apply_inverse(x) if inverse else act.apply(x)
-    if inverse:
-        out = act.apply_inverse(x.value)
-        slope = act.derivative(out)
-        return Var._node(out, (x, lambda g: g / slope))
-    return Var._node(act.apply(x.value), (x, lambda g: g * act.derivative(x.value)))
+    return Var._node(np.sum(x.value * x.value), (x,), lambda g: (g * (2.0 * x.value),))

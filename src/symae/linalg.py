@@ -38,6 +38,7 @@ the SVD treats roundoff.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,6 +188,23 @@ def _cholesky_qr2(A: np.ndarray, want_inverse: bool):
     return Q1 @ R2_inv, (R1_inv @ R2_inv if want_inverse else None)
 
 
+@functools.lru_cache(maxsize=None)
+def _lower_triangle(n: int) -> np.ndarray:
+    """Read-only boolean mask of the lower triangle of an n x n matrix, diagonal included."""
+    mask = np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _copyltu(M: np.ndarray) -> np.ndarray:
+    """``tril(M) + tril(M, -1)^T``: the lower triangle of a square ``M``, mirrored.
+
+    Taken with one cached mask; adding 0.0 turns a ``-0.0`` into the
+    ``+0.0`` that sum gives, so the result is bitwise the sum's.
+    """
+    return np.where(_lower_triangle(M.shape[0]), M, M.T) + 0.0
+
+
 def pi_orth(A):
     """Orthonormalize the columns of a tall matrix.
 
@@ -242,7 +260,7 @@ def pi_orth(A):
 
     def vjp(g):
         M = -(g.T @ Q)
-        B = g + Q @ (np.tril(M) + np.tril(M, -1).T)
+        B = g + Q @ _copyltu(M)
         if m == n:
             B[:, -1] = 0.0
         if fast is not None:
@@ -255,7 +273,7 @@ def pi_orth(A):
                 "(the input is rank-deficient)"
             ) from exc
 
-    return Var._node(Q, (A, vjp))
+    return Var._node(Q, (A,), lambda g: (vjp(g),))
 
 
 def orthonormal_completion(B: np.ndarray, total: int) -> np.ndarray:

@@ -242,7 +242,8 @@ def train(
     best validation epoch together with the logged history.
 
     Raises :class:`NumericalError` when a loss turns non-finite or when the
-    parameters at an epoch end fail :func:`assemble`'s checks.
+    parameters at an epoch end fail :func:`assemble`'s checks; for SBAE the
+    message then also gives each level's scale spread ``max s^2 / min s^2``.
     """
     train_U = require_matrix(train_U, "training data")
     val_U = require_matrix(val_U, "validation data")
@@ -282,7 +283,9 @@ def train(
         try:
             psi = assemble(theta)
         except ValueError as exc:
-            raise NumericalError(f"network after epoch {epoch} fails a check: {exc}") from exc
+            raise NumericalError(
+                f"network after epoch {epoch} fails a check: {exc}{_scale_spreads(theta)}"
+            ) from exc
         val_loss = empirical_mse(psi, val_U)
         if not np.isfinite(val_loss):
             raise NumericalError(f"non-finite validation loss at epoch {epoch}")
@@ -311,6 +314,23 @@ def train(
     history.epochs_run = epoch
     theta.layers = theta.with_leaves(best_leaves)
     return theta, history
+
+
+def _scale_spreads(theta: ParamVector) -> str:
+    """``max s^2 / min s^2`` of each SBAE level, as a clause for an error message.
+
+    ``E_j D_j = I`` holds in exact arithmetic whatever the scales, but its
+    roundoff grows with their spread, so a broken constraint is read beside
+    it.  Empty for the other classes.
+    """
+    if theta.class_tag != "SBAE":
+        return ""
+    spreads = []
+    for params in theta.layers:
+        s2 = params["s"] * params["s"]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spreads.append(f"{np.max(s2) / np.min(s2):.3e}")
+    return f"; scale spread max s^2 / min s^2 by level: {', '.join(spreads)}"
 
 
 def evaluate(psi: SymmetricAutoencoder, U_test: np.ndarray) -> EvalMetrics:

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -227,6 +228,7 @@ class TestTrain:
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "epoch 1" in err
+        assert re.search(r"scale spread max s\^2 / min s\^2 by level: \S+, \S+$", err.strip())
         assert "Traceback" not in err
 
 

@@ -289,7 +289,8 @@ class TestTrain:
         theta0 = lift(eys_init(U, Skeleton((10, 4, 2)), LeakyReLU(5 / 6, 5 / 4)), "SBAE")
         # A step of 1e4 leaves E D = I off by about 4e-4 after epoch 1.
         cfg = TrainConfig(epochs=3, patience=3, learning_rate=1e4, batch_size=4, seed=1)
-        with pytest.raises(NumericalError, match=r"epoch 1\b.*violates E D = I"):
+        spread = r"scale spread max s\^2 / min s\^2 by level: \d\.\d{3}e[+-]\d+, \d\.\d{3}e[+-]\d+$"
+        with pytest.raises(NumericalError, match=r"epoch 1\b.*violates E D = I.*; " + spread):
             train(theta0, U, U, cfg)
 
     @pytest.mark.parametrize("class_tag", ["SAE", "SBAE", "SOAE", "PlainAE"])
