@@ -19,7 +19,10 @@ random orthogonal starts over a family of skeletons.  Both sides share work
 by width prefix: one :class:`EysCache` builds the iterated-SVD levels, and
 the random trials run in blocks, within which each random level of a common
 prefix is drawn once per trial and then orthonormalized and checked for
-``E D = I`` once for the whole block, as one stack.  A level that two
+``E D = I`` once for the whole block, as one stack.  The sibling levels
+that end their skeletons after a common prefix (the second levels of a
+width sweep) are cut from one stream of normals per trial, as wide as the
+widest of them, which is bitwise each one's own draw.  A level that two
 skeletons share is applied to the test split for the whole block; the
 levels past it only for the trials that can still win.  Each trial keeps
 its own draw order, each slice of a stacked call is bitwise its 2-D call,
@@ -39,10 +42,14 @@ trip, so it costs one ``n1 x n_test`` pass past the inner decode; a
 candidate whose surrogate exceeds the best score by more than its roundoff
 allowance (:data:`_SPLIT_SLACK`) scores above it and is skipped, and a
 trial whose projection residual alone settles every candidate that way is
-not encoded past the shared levels at all.  The candidates that may win are
-decoded again with the round trip, as one sub-stack, and scored.  Where the
-round trip's roundoff bound would outgrow the split's own, ``G~`` is not
-used: the surrogate takes ``G`` itself, as the score does.
+not encoded past the shared levels at all.  Nor is a trial decoded whose
+lower bound settles them: the projection residual plus the level-2 one
+discounted by ``Lip(act)^-2``, the first two terms of
+:func:`~symae.bounds.layerwise_bounds`' lower sum.  The candidates that may
+win are decoded again with the round trip, as one sub-stack, and scored in
+ascending surrogate order.  Where the round trip's roundoff bound would
+outgrow the split's own, ``G~`` is not used: the surrogate takes ``G``
+itself, as the score does.
 """
 
 from __future__ import annotations
@@ -85,10 +92,12 @@ __all__ = [
 ]
 
 # init_study runs its random trials this many at a time, as stacks.  Larger
-# blocks buy little speed and cost memory: on pga400 with widths 1-20 behind
-# a first width of 20 and 100 trials, the traced peak allocation was 6.3 MB
-# one trial at a time, 7.9 MB in blocks of 10 and 47 MB with every trial
-# stacked at once.
+# blocks buy no speed and cost memory: on pga400 (generate_pga seed 100) with
+# widths 1-20 behind a first width of 20, HypAct at sharpness 0.5 and 100
+# trials, one call on a 2-vCPU VM with one BLAS thread took a median of 332,
+# 301, 333 and 465 ms (minimum 228, 210, 266 and 362 ms; 12 interleaved
+# rounds) in blocks of 10, 20, 50 and 100, and its traced peak allocation
+# was 7.5, 11.4, 22.9 and 30.6 MB.
 _TRIAL_BLOCK = 10
 
 # Roundoff allowance of init_study's split, relative to ||T||^2 + ||G||^2.
@@ -167,6 +176,42 @@ _TRIAL_BLOCK = 10
 # term would outgrow the split's own; where it would for some trial of a
 # block, init_study decodes that skeleton's G with the round trip, as the
 # score does, and adds nothing.
+#
+# The screen, from depth 2.  With H1 = rho(C) and Y2 = E_2 H1 = D_2^T H1 as
+# computed, R = ||H1||^2 - ||Y2||^2 and lambda = Lip(rho)^-2, the trial's
+# lb = (P + lambda R) / n_test is the first two terms of layerwise_bounds'
+# lower sum, so no candidate of the trial scores below it.  A trial with
+#   lb - best > (bound + 6 slack lambda R + lambda sigma ||H1||^2
+#                + (4 e0^2 + 3 e^2) / slack + e (6 ||C|| + 2 e)) / n_test,
+#   sigma = _SPLIT_SLACK + 6 n2 (gap_2 + n1 u)
+# for level 2's checked gap, has every candidate fail the per-candidate
+# test, and is not decoded.  Here bound is the trial bound's
+# slack (2 ||T||^2 + 3 ||C||^2), e0 the bound on the decode's roundoff above
+# (taken whether or not G~ is used) and e the allowance's own term (0 with
+# the round trip).  The steps, for an outer input G' (G~ or G):
+#   * G' is rho^-1(D_2 W) for some W up to the last decode level's roundoff,
+#     one source of e0's bound, and C is rho^-1(H1) up to 2 tau
+#     (sqrt(n1 n_test) + ||C||) <= e0 (the round-trip and inverse
+#     tolerances; omega >= 8 tau).  rho is Lip(rho)-Lipschitz and the zero
+#     bias puts rho(rho^-1(D_2 W)) in span D_2, so
+#     ||C - G'|| >= Lip(rho)^-1 dist(H1, span D_2) - 2 e0;
+#   * with ||Delta_2||_2 <= n2 (gap_2 + n1 u), as for level 1, the
+#     projection onto span D_2 exceeds ||D_2^T h||^2 by at most
+#     3 ||Delta_2||_2 ||h||^2, and Y2's product moves its squared norm by at
+#     most 3 n1 n2^0.5 u ||H1||^2, so dist(H1, span D_2)^2 >= R - sigma
+#     ||H1||^2 (the roundoff of the sums is inside _SPLIT_SLACK);
+#   * squaring, with 4 e0 sqrt(lambda R) <= slack lambda R + 4 e0^2 / slack,
+#     ||C - G'||^2 >= (1 - slack) lambda R - lambda sigma ||H1||^2
+#     - 4 e0^2 / slack;
+#   * ||G'|| <= ||C|| + ||C - G'|| and 3 e ||C - G'|| <= slack ||C - G'||^2
+#     + 9 e^2 / (4 slack) put the allowance, times n_test, at most
+#     slack (||T||^2 + 2 ||C||^2) + 3 slack ||C - G'||^2 + e (6 ||C|| + 2 e)
+#     + 9 e^2 / (4 slack).  Keeping slack ||C - G'||^2 for the rounding of
+#     that sum, (1 - 4 slack) ||C - G'||^2 must outgrow what is left, and
+#     the step above gives it.
+# That leaves slack (||T||^2 + ||C||^2 + lambda R) spare for the rounding of
+# the few scalar operations, as in the trial bound.  Neither bound needs
+# ||G'||, so the screen runs before any level past the second is encoded.
 _SPLIT_SLACK = 1e-9
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -371,7 +416,13 @@ def init_study(U, act, skeletons, trials, seed):
     blocks of ``_TRIAL_BLOCK``; within a block each prefix is drawn once per
     trial, and a skeleton draws only the levels past its longest shared
     prefix, each trial from its own generator state saved after that
-    prefix.  The block's draws of a level are then orthonormalized by one
+    prefix (states are saved only after the levels some skeleton extends).
+    The levels after a prefix that end their skeletons are not drawn one by
+    one: each trial draws one stream of ``q r_max`` normals from its state
+    after the prefix, for the widest ``r_max`` of them, and a ``q x r``
+    level takes its first ``q r``, which is bitwise its own draw, since
+    ``standard_normal`` fills its output in order.  The block's draws of a
+    level are then orthonormalized by one
     stacked :func:`~symae.linalg.pi_orth` call and checked for ``E D = I``
     by one stacked product, for every trial.  A level that two skeletons
     share is applied to the test split once for the whole block, as one
@@ -399,11 +450,20 @@ def init_study(U, act, skeletons, trials, seed):
     the best so far, so skipping it leaves the minimum unchanged.  Before a
     skeleton's levels past the shared ones are encoded, a trial whose
     ``P_k`` alone puts every candidate past that allowance, whatever its
-    outer input is, is dropped (see :data:`_SPLIT_SLACK`).  The candidates
+    outer input is, is dropped (see :data:`_SPLIT_SLACK`).  From depth 2,
+    once the level-2 pre-activation ``Y_2 = E_2 H_1`` of the kept trials is
+    in hand, with ``H_1 = act(C_k)``, the first two terms of
+    :func:`~symae.bounds.layerwise_bounds`' lower sum,
+    ``lb = (P_k + Lip(act)^-2 (||H_1||^2 - ||Y_2||^2)) / n_test``, screen
+    them: a trial whose ``lb`` exceeds the best by more than an allowance
+    under which all its candidates would fail the test above is neither
+    encoded further nor decoded (see :data:`_SPLIT_SLACK`).  The candidates
     that may win are decoded with the pair from ``act(Y)``, as one
     sub-stack, by the operations of
-    :func:`~symae.architecture.decode_columns`, and scored by those of
-    :func:`~symae.architecture.empirical_mse`, in the same order; each slice
+    :func:`~symae.architecture.decode_columns`, tested again in ascending
+    surrogate order as the best falls, and scored by the operations of
+    :func:`~symae.architecture.empirical_mse`, in the same order; the
+    minimum does not depend on the order, and each slice
     of a stacked call is bitwise its 2-D call, so each baseline is bitwise
     the minimum over trials of
     ``empirical_mse(orthogonal_random_init(skeleton, act, rng_t), test)``.
@@ -427,96 +487,152 @@ def init_study(U, act, skeletons, trials, seed):
     best = [np.inf] * len(skeletons)
     # How many skeletons have each width prefix dims[:j+1], j >= 1, as a level.
     users = Counter(sk.dims[: j + 1] for sk in skeletons for j in range(1, sk.depth + 1))
+    # The levels some skeleton extends.  The others end their skeletons: each
+    # trial draws them all from one stream per prefix, as wide as the widest.
+    extended = {sk.dims[: j + 1] for sk in skeletons for j in range(1, sk.depth)}
+    widest = Counter()
+    for sk in skeletons:
+        if sk.dims not in extended:
+            widest[sk.dims[:-1]] = max(widest[sk.dims[:-1]], sk.dims[-1])
+    drifts = [_decode_drift(act, skeleton) for skeleton in skeletons]
+    lam = act.lipschitz_pair()[0] ** -2
     for first in range(0, trials, _TRIAL_BLOCK):
         rngs = [
             np.random.default_rng(derive_seed(seed, t))
             for t in range(first, min(first + _TRIAL_BLOCK, trials))
         ]
-        # dims[:j+1] -> (each trial's generator state after its draws,
-        #                its stacked levels)
-        memo = {test_norm.shape[:1]: ([rng.bit_generator.state for rng in rngs], ())}
-        # dims[:2] -> (each trial's C = D^T T, P = ||T||^2 - ||C||^2, ||C||^2,
-        #              the slack factor of its split and its trial bound
+        # dims[:j+1] -> (each trial's generator state after its draws, for a
+        #                level some skeleton extends; its stacked levels and
+        #                their checked gaps of E D = I)
+        at = test_norm.shape[:1]  # the prefix whose draws the generators stand after
+        memo = {at: ([rng.bit_generator.state for rng in rngs], (), ())}
+        # dims[:j] -> each trial's stream of normals for the levels after it
+        #             that end their skeletons
+        streams = {}
+        # dims[:2] -> (each trial's C = D^T T, P = ||T||^2 - ||C||^2, the
+        #              slack factor of its split and its trial bound
         #              before the round trip's term; the block's largest
         #              ||C|| and smallest such bound)
         splits = {}
-        # dims[:j+1] of a level two skeletons share -> the whole block's
-        # pre-activation Y of that level, and its encoding act(Y)
-        pre, encoded = {}, {}
+        # dims[:j+1] of a level two skeletons share, or of a first level ->
+        # the whole block's pre-activation Y of that level, its encoding
+        # act(Y) and, for a first level, the squared norms of act(Y)
+        pre, encoded, encoded_sq = {}, {}, {}
         for i, skeleton in enumerate(skeletons):
             dims, depth = skeleton.dims, skeleton.depth
             shared = max(j for j in range(depth + 1) if dims[: j + 1] in memo)
-            states, layers = memo[dims[: shared + 1]]
-            for rng, state in zip(rngs, states):
-                rng.bit_generator.state = state
+            _, layers, gaps = memo[dims[: shared + 1]]
             for j in range(shared + 1, depth + 1):
-                shape = skeleton.layer_shape(j)
-                level = _orthogonal_level(np.stack([rng.standard_normal(shape) for rng in rngs]))
+                prefix, (q, r) = dims[:j], skeleton.layer_shape(j)
+                stream = dims[: j + 1] not in extended
+                if at != prefix and not (stream and prefix in streams):
+                    for rng, state in zip(rngs, memo[prefix][0]):
+                        rng.bit_generator.state = state
+                    at = prefix
+                if stream:
+                    # standard_normal fills in order, so the first q r normals
+                    # of the stream are bitwise a (q, r) draw.
+                    if prefix not in streams:
+                        streams[prefix] = np.stack(
+                            [rng.standard_normal(q * widest[prefix]) for rng in rngs]
+                        )
+                        at = None
+                    draws = streams[prefix][:, : q * r].reshape(-1, q, r)
+                else:
+                    draws = np.stack([rng.standard_normal((q, r)) for rng in rngs])
+                    at = dims[: j + 1]
+                level = _orthogonal_level(draws)
                 gap = _check_drawn(level, first, j)
                 if j == 1:
                     # The level-1 pre-activation E T + e, with e zero.
                     C = level.encode_affine(test_norm)
-                    C_sq = np.sum(np.square(C), axis=(1, 2))
-                    n0, n1 = shape
-                    slack = _SPLIT_SLACK + n1 * (gap + n0 * _UNIT_ROUNDOFF)
+                    C_sq = _squared_norms(C)
+                    slack = _SPLIT_SLACK + r * (gap + q * _UNIT_ROUNDOFF)
                     bound = slack * (2 * test_sq + 3 * C_sq)
                     splits[dims[:2]] = (
-                        (C, test_sq - C_sq, C_sq, slack, bound),
+                        (C, test_sq - C_sq, slack, bound),
                         (math.sqrt(np.max(C_sq)), float(np.min(bound))),
                     )
-                layers += (level,)
-                memo[dims[: j + 1]] = ([rng.bit_generator.state for rng in rngs], layers)
-            (C, P, C_sq, slack, bound), (C_max, bound_min) = splits[dims[:2]]
-            # e bounds ||G - G~|| for every trial of the block (see
-            # _SPLIT_SLACK).  Where G~ does not pay, the outer input keeps the
-            # round trip, as the score's does, and e is 0.
-            e = _decode_drift(act, skeleton) * (math.sqrt(dims[1] * n_test) + C_max)
-            round_trip = not _skips_round_trip(best[i], e, C_max, bound_min)
-            if round_trip:
-                e = 0.0
+                layers, gaps = layers + (level,), gaps + (gap,)
+                states = None if stream else [rng.bit_generator.state for rng in rngs]
+                memo[dims[: j + 1]] = (states, layers, gaps)
+            (C, P, slack, bound), (C_max, bound_min) = splits[dims[:2]]
+            # e0 bounds the decode's roundoff, and with it ||G - G~||, for
+            # every trial of the block (see _SPLIT_SLACK).  Where G~ does not
+            # pay, the outer input keeps the round trip, as the score's does,
+            # and the allowances have no term e for it.
+            e0 = drifts[i] * (math.sqrt(dims[1] * n_test) + C_max)
+            round_trip = not _skips_round_trip(best[i], e0, C_max, bound_min)
+            e = 0.0 if round_trip else e0
             # Trials whose every candidate would fail the test below, whatever
             # its outer input, are neither encoded past the shared levels nor
             # decoded (see _SPLIT_SLACK).
             keep = np.flatnonzero(
                 _may_win(P / n_test, (bound + e * (6 * C_max + 5 * e)) / n_test, best[i])
             )
+            # The innermost pre-activation Y of the kept trials: the levels
+            # another skeleton shares are encoded for the whole block, once
+            # (index is None), and the levels past them for the kept trials
+            # only.  Level 2's pre-activation screens the kept trials first.
+            index, Y = None, C
+            for j in range(2, depth + 1):
+                if not keep.size:
+                    break
+                if index is None:
+                    H = _memoized(encoded, dims[:j], act.apply, Y)
+                    if users[dims[: j + 1]] > 1:
+                        Y = _memoized(pre, dims[: j + 1], layers[j - 1].encode_affine, H)
+                    else:
+                        index = _rows(keep, len(rngs))
+                        Y = _trials(layers[j - 1], index).encode_affine(H[index])
+                else:
+                    Y = _trials(layers[j - 1], index).encode_affine(act.apply(Y))
+                if j == 2:
+                    # The layerwise lower bound's first two terms (see
+                    # _SPLIT_SLACK): H = act(C) is the whole block's.
+                    H_sq = _memoized(encoded_sq, dims[:2], _squared_norms, H)[keep]
+                    R = H_sq - _squared_norms(Y[keep] if index is None else Y)
+                    n1, n2 = dims[1:3]
+                    sigma = _SPLIT_SLACK + 6 * n2 * (gaps[1][keep] + n1 * _UNIT_ROUNDOFF)
+                    screen = np.flatnonzero(
+                        _may_win(
+                            (P[keep] + lam * R) / n_test,
+                            (
+                                bound[keep]
+                                + 6 * slack[keep] * lam * R
+                                + lam * sigma * H_sq
+                                + (4 * e0 * e0 + 3 * e * e) / slack[keep]
+                                + e * (6 * C_max + 2 * e)
+                            )
+                            / n_test,
+                            best[i],
+                        )
+                    )
+                    if index is not None and screen.size < keep.size:
+                        Y = Y[screen]
+                        index = _rows(keep[screen], len(rngs))
+                    keep = keep[screen]
             if not keep.size:
                 continue
-            if keep.size < len(rngs):
-                index, inner = keep, tuple(_trials(level, keep) for level in layers[1:])
-            else:
-                # Every trial is kept: the block's own arrays, not copies.
-                index, inner = slice(None), layers[1:]
-            # The innermost pre-activation Y of the kept trials: the levels
-            # another skeleton shares are encoded for the whole block, once,
-            # and the levels past them for the kept trials only.
-            j, Y = 1, C
-            while j < depth and users[dims[: j + 2]] > 1:
-                H = _memoized(encoded, dims[: j + 1], act.apply, Y)
-                j += 1
-                Y = _memoized(pre, dims[: j + 1], layers[j - 1].encode_affine, H)
-            C, P, slack = C[index], P[index], slack[index]
-            if j < depth:
-                if users[dims[: j + 1]] > 1:
-                    H = _memoized(encoded, dims[: j + 1], act.apply, Y)[index]
-                else:
-                    H = act.apply(Y[index])
-                for level in inner[j - 1 : -1]:
-                    H = act.apply(level.encode_affine(H))
-                Y = inner[-1].encode_affine(H)
-            else:
+            if index is None:
+                index = _rows(keep, len(rngs))
                 Y = Y[index]
+            inner = tuple(_trials(level, index) for level in layers[1:])
+            C, P, slack = C[index], P[index], slack[index]
             G = _decode_inner(inner, act, act.apply_inverse(act.apply(Y)) if round_trip else Y)
-            G_sq = np.sum(np.square(G), axis=(1, 2))
-            surrogate = (P + np.sum(np.square(C - G), axis=(1, 2))) / n_test
+            G_sq = _squared_norms(G)
+            surrogate = (P + _squared_norms(C - G)) / n_test
             allowance = slack * (test_sq + G_sq)
             if not round_trip:
                 allowance += e * (3 * (C_max + np.sqrt(G_sq)) + 2 * e)
             allowance /= n_test
             # best only falls, so a candidate that fails the test now fails it
             # at its turn too.  The others get the score's outer input, decoded
-            # from act(Y) by decode_columns's operations, as one sub-stack.
+            # from act(Y) by decode_columns's operations, as one sub-stack, and
+            # are scored in ascending surrogate order, so the best falls early
+            # and the later tests skip more.
             win = np.flatnonzero(_may_win(surrogate, allowance, best[i]))
+            win = win[np.argsort(surrogate[win], kind="stable")]
             if not win.size:
                 continue
             if round_trip:
@@ -543,6 +659,17 @@ def _memoized(memo: dict, key, f, x):
     if key not in memo:
         memo[key] = f(x)
     return memo[key]
+
+
+def _rows(keep: np.ndarray, block: int):
+    """The index of trials ``keep`` of a block of ``block`` trials: a slice
+    when every trial is kept, so the block's own arrays are used, not copies."""
+    return keep if keep.size < block else slice(None)
+
+
+def _squared_norms(X: np.ndarray) -> np.ndarray:
+    """Each trial's ``||X_k||^2`` of a stack ``X``."""
+    return np.sum(np.square(X), axis=(1, 2))
 
 
 def _trials(level: Layer, index: np.ndarray) -> Layer:

@@ -28,6 +28,7 @@ import numpy as np
 from .architecture import (
     ParamVector,
     SymmetricAutoencoder,
+    _level_maps,
     assemble,
     empirical_mse,
     loss_on_batch,
@@ -241,9 +242,11 @@ def train(
     ``patience`` epochs without improvement.  Returns the parameters of the
     best validation epoch together with the logged history.
 
-    Raises :class:`NumericalError` when a loss turns non-finite or when the
-    parameters at an epoch end fail :func:`assemble`'s checks; for SBAE the
-    message then also gives each level's scale spread ``max s^2 / min s^2``.
+    Raises :class:`NumericalError` when a loss turns non-finite, naming for
+    a training loss the first level map whose output on that batch is not
+    finite, or when the parameters at an epoch end fail :func:`assemble`'s
+    checks; for SBAE the message then also gives each level's scale spread
+    ``max s^2 / min s^2``.
     """
     train_U = require_matrix(train_U, "training data")
     val_U = require_matrix(val_U, "validation data")
@@ -274,7 +277,7 @@ def train(
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite training loss at epoch {epoch}, "
-                    f"batch {start // B + 1}"
+                    f"batch {start // B + 1}{_first_non_finite(theta, batch)}"
                 )
             adam_step(grads, adam, config.learning_rate)
             sq_sum += loss * batch.shape[1]
@@ -314,6 +317,28 @@ def train(
     history.epochs_run = epoch
     theta.layers = theta.with_leaves(best_leaves)
     return theta, history
+
+
+def _first_non_finite(theta: ParamVector, batch: np.ndarray) -> str:
+    """Where a batch's loss went non-finite, as a clause for an error message.
+
+    Evaluates the batch with plain arrays, map by map in the loss's order
+    (:func:`~symae.architecture.loss_on_batch`), and names the first encoder
+    or decoder level whose output has a non-finite entry; if none has, the
+    sum of squared errors overflowed.  Runs only on the failure path.
+    """
+    maps = [_level_maps(theta.class_tag, theta.act, params) for params in theta.layers]
+    H = batch
+    with np.errstate(all="ignore"):
+        for j, (encode, _) in enumerate(maps, start=1):
+            H = encode(H)
+            if not np.isfinite(H).all():
+                return f"; first non-finite: encoder level {j}"
+        for j, (_, decode) in zip(range(len(maps), 0, -1), reversed(maps)):
+            H = decode(H, j < len(maps) or theta.class_tag != "PlainAE")
+            if not np.isfinite(H).all():
+                return f"; first non-finite: decoder level {j}"
+    return "; first non-finite: the sum of squared errors"
 
 
 def _scale_spreads(theta: ParamVector) -> str:

@@ -370,35 +370,44 @@ class TestInitStudy:
         rows = init_study(pga400, act, skeletons, trials=30, seed=0)
         assert rows == self.direct_rows(pga400, act, skeletons, trials=30, seed=0)
 
+    def test_first_levels_that_end_their_skeletons_share_one_stream(self):
+        # Depth-1 skeletons of widths 3 and 5 take their draws from one stream
+        # of 24 x 5 normals per trial, drawn after the generators are set back
+        # from the 24 x 8 level that (24, 8, 2) extends.
+        dims = [(24, 8), (24, 3), (24, 8, 2), (24, 5), (24, 3)]
+        U = study_data(dims)
+        skeletons = [Skeleton(d) for d in dims]
+        rows = init_study(U, LeakyReLU(5 / 6, 5 / 4), skeletons, trials=12, seed=5)
+        assert rows == self.direct_rows(U, LeakyReLU(5 / 6, 5 / 4), skeletons, trials=12, seed=5)
+
     @staticmethod
     def forced_open(monkeypatch, U, act, skeletons, trials, seed):
-        """Run the study with every trial decoded and every random candidate
-        scored exactly.
+        """Run the study with every trial kept, screened in and decoded, and
+        every random candidate scored exactly.
 
-        Returns the trial bounds, each ``(P/n, bound, best, verdict)`` with
-        the study's own ``_may_win`` verdict, one entry per trial of a block;
-        and the candidates, each ``(surrogate, allowance, best, exact score)``,
-        in the order the study met them.  Each skeleton's block tests its
-        trials as one array and then its candidates as one array, before it
-        tests each candidate again at its turn; only the first array is a
-        trial bound.
+        Returns the trial bounds, the screens and the candidates, each one
+        entry per skeleton and trial, block by block and in trial order
+        within a block.  A trial bound or screen is ``(lower bound,
+        allowance, best, verdict)`` with the study's own ``_may_win``
+        verdict; a depth-1 skeleton has no level 2, so its screens are None.
+        A candidate is ``(surrogate, allowance, best, exact score)``.  Each
+        skeleton's block tests its trials as one array, screens them as one
+        array (from depth 2), tests its candidates as one array, and then
+        tests and scores each candidate at its turn, in ascending surrogate
+        order; the candidates are paired with their trials by that order.
         """
-        bounds, candidates, pending, arrays = [], [], [], []
+        arrays, scalars = [], []
 
         def may_win(surrogate, allowance, best):
             verdict = may_win_of(surrogate, allowance, best)
-            if np.ndim(surrogate):
-                arrays.append(None)
-                if len(arrays) % 2:
-                    bounds.extend(zip(surrogate, allowance, [best] * len(surrogate), verdict))
-            else:
-                pending.append((surrogate, allowance, best))
+            (scalars if np.ndim(surrogate) == 0 else arrays).append(
+                (surrogate, allowance, best, verdict)
+            )
             return np.full(np.shape(surrogate), True)
 
         def squared_error(T, D, d, G):
             value = squared_error_of(T, D, d, G)
-            if pending:
-                candidates.append(pending.pop() + (value / T.shape[1],))
+            scalars[-1] = scalars[-1][:3] + (value / T.shape[1],)
             return value
 
         may_win_of = initializers._may_win
@@ -406,7 +415,25 @@ class TestInitStudy:
         monkeypatch.setattr(initializers, "_may_win", may_win)
         monkeypatch.setattr(initializers, "_squared_error", squared_error)
         init_study(U, act, skeletons, trials=trials, seed=seed)
-        return bounds, candidates
+
+        def per_trial(surrogate, allowance, best, verdict):
+            return [(s, a, best, v) for s, a, v in zip(surrogate, allowance, verdict)]
+
+        bounds, screens, candidates = [], [], []
+        arrays, scalars = iter(arrays), iter(scalars)
+        for first in range(0, trials, initializers._TRIAL_BLOCK):
+            size = min(initializers._TRIAL_BLOCK, trials - first)
+            for skeleton in skeletons:
+                bounds.extend(per_trial(*next(arrays)))
+                screens.extend(per_trial(*next(arrays)) if skeleton.depth > 1 else [None] * size)
+                surrogates = next(arrays)[0]
+                block = [None] * size
+                for k in np.argsort(surrogates, kind="stable"):
+                    block[k] = next(scalars)
+                    assert block[k][0] == surrogates[k] or np.isnan(surrogates[k])
+                candidates.extend(block)
+        assert next(arrays, None) is None and next(scalars, None) is None
+        return bounds, screens, candidates
 
     STUDY_CASES = pytest.mark.parametrize(
         "family, dims",
@@ -452,7 +479,7 @@ class TestInitStudy:
         U = request.getfixturevalue("pga400") if family.startswith("pga400") else study_data(dims)
         skeletons = [Skeleton(d) for d in dims]
         trials = 12
-        _, scored = self.forced_open(monkeypatch, U, act, skeletons, trials, seed=5)
+        _, _, scored = self.forced_open(monkeypatch, U, act, skeletons, trials, seed=5)
         assert len(scored) == trials * len(skeletons)
         for surrogate, allowance, _, exact in scored:
             assert abs(exact - surrogate) <= 1e-3 * allowance, (exact, surrogate, allowance)
@@ -525,7 +552,7 @@ class TestInitStudy:
         skeletons = [Skeleton(d) for d in dims]
         trials = 3 * initializers._TRIAL_BLOCK
         may_win = initializers._may_win
-        bounds, scored = self.forced_open(monkeypatch, U, act, skeletons, trials, seed=5)
+        bounds, _, scored = self.forced_open(monkeypatch, U, act, skeletons, trials, seed=5)
         assert len(bounds) == len(scored) == trials * len(skeletons)
         dropped = 0
         for (_, _, best, verdict), (surrogate, allowance, _, _) in zip(bounds, scored):
@@ -537,12 +564,37 @@ class TestInitStudy:
         if family == "pga400":
             assert dropped > 0
 
+    @STUDY_CASES
+    @STUDY_ACT_CASES
+    def test_a_screened_trial_has_no_candidate_that_can_win(
+        self, monkeypatch, request, family, dims, act
+    ):
+        # The screen, the first two terms of the layerwise lower bound, skips
+        # a trial's decode only when the per-candidate test would skip every
+        # candidate of it, at the best the screen saw, whatever its outer
+        # input.
+        U = request.getfixturevalue("pga400") if family == "pga400" else study_data(dims)
+        skeletons = [Skeleton(d) for d in dims]
+        trials = 3 * initializers._TRIAL_BLOCK
+        may_win = initializers._may_win
+        bounds, screens, scored = self.forced_open(monkeypatch, U, act, skeletons, trials, seed=5)
+        assert len(bounds) == len(screens) == len(scored) == trials * len(skeletons)
+        screened_only = 0
+        for bound, screen, (surrogate, allowance, _, _) in zip(bounds, screens, scored):
+            if screen is not None and not screen[3]:
+                screened_only += bound[3]
+                assert not may_win(surrogate, allowance, screen[2])
+        # On pga400 the screen skips trials the trial bound keeps.
+        if family == "pga400":
+            assert screened_only > 0
+
     def test_only_the_candidates_that_can_win_are_scored_exactly(self, monkeypatch, pga400):
         # Exact 514-row scores on pga400 (seed 0, 30 trials, widths 1-20
         # behind a first width of 20): one per random candidate that can
-        # still win (the iterated-SVD rows are empirical_mse's own); every
-        # other candidate is settled by its surrogate, and the projection
-        # residual comes from two sums.
+        # still win when its turn comes, in ascending surrogate order (86
+        # in trial order; the iterated-SVD rows are empirical_mse's own);
+        # every other candidate is settled by its surrogate, and the
+        # projection residual comes from two sums.
         calls = []
         squared_error = initializers._squared_error
 
@@ -558,7 +610,7 @@ class TestInitStudy:
             calls.clear()
             init_study(pga400, act, skeletons, trials=30, seed=0)
             counts.append(len(calls))
-        assert counts == [86, 86]
+        assert counts == [46, 46]
         assert counts[0] < 30 * len(skeletons) / 5
 
     @pytest.mark.parametrize(
@@ -668,3 +720,23 @@ def test_derive_seed_is_deterministic_and_spreads():
     seeds = {derive_seed(42, k) for k in range(1000)}
     assert len(seeds) == 1000
     assert derive_seed(42, 7) == derive_seed(42, 7)
+
+
+@pytest.mark.parametrize("q, r_max", [(20, 20), (65, 3), (8, 5)])
+@pytest.mark.parametrize("after", [(), (514, 20)], ids=["fresh", "after-a-first-level"])
+def test_a_stream_of_normals_starts_with_every_narrower_draw(q, r_max, after):
+    # init_study draws the levels that end their skeletons, q x r for each
+    # width r up to r_max, as the first q r normals of one stream of q r_max
+    # per trial.  That is bitwise each (q, r) draw only while
+    # standard_normal fills its output in order and buffers nothing.
+    for t in range(20):
+        stream_rng, draw_rng = (np.random.default_rng(derive_seed(100, t)) for _ in range(2))
+        if after:
+            stream_rng.standard_normal(after)
+            draw_rng.standard_normal(after)
+        stream = stream_rng.standard_normal(q * r_max)
+        state = draw_rng.bit_generator.state
+        for r in range(1, r_max + 1):
+            draw_rng.bit_generator.state = state
+            expected = draw_rng.standard_normal((q, r))
+            assert stream[: q * r].reshape(q, r).tobytes() == expected.tobytes()
