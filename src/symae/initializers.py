@@ -480,10 +480,25 @@ def init_study(U, act, skeletons, trials, seed):
     train_U, _val, test_U = split(U, seed)
     train_norm, lo, hi = minmax_normalize(train_U)
     test_norm = apply_minmax(test_U, lo, hi)
-    n_test = test_norm.shape[1]
-    test_sq = float(np.sum(test_norm * test_norm))
     cache = EysCache(train_norm, act)
     eys = [empirical_mse(cache.network(skeleton), test_norm) for skeleton in skeletons]
+    best = _best_random(test_norm, act, skeletons, trials, seed)
+    rows = [(skeleton, eys_mse, float(b)) for skeleton, eys_mse, b in zip(skeletons, eys, best)]
+    for skeleton, eys_mse, base_mse in rows:
+        if not (math.isfinite(eys_mse) and math.isfinite(base_mse)):
+            raise NumericalError(
+                f"init study of skeleton {skeleton.dims}: the test MSE is not finite "
+                f"(iterated SVD {eys_mse!r}, best random {base_mse!r})"
+            )
+    return rows
+
+
+def _best_random(test_norm, act, skeletons, trials, seed):
+    """Each skeleton's minimum over trials ``t`` of
+    ``empirical_mse(orthogonal_random_init(skeleton, act, rng_t), test_norm)``,
+    as :func:`init_study` computes it."""
+    n_test = test_norm.shape[1]
+    test_sq = float(np.sum(test_norm * test_norm))
     best = [np.inf] * len(skeletons)
     # How many skeletons have each width prefix dims[:j+1], j >= 1, as a level.
     users = Counter(sk.dims[: j + 1] for sk in skeletons for j in range(1, sk.depth + 1))
@@ -644,14 +659,7 @@ def init_study(U, act, skeletons, trials, seed):
             for k, outer in zip(win, G):
                 if _may_win(surrogate[k], allowance[k], best[i]):
                     best[i] = min(best[i], _squared_error(test_norm, D[keep[k]], d, outer) / n_test)
-    rows = [(skeleton, eys_mse, float(b)) for skeleton, eys_mse, b in zip(skeletons, eys, best)]
-    for skeleton, eys_mse, base_mse in rows:
-        if not (math.isfinite(eys_mse) and math.isfinite(base_mse)):
-            raise NumericalError(
-                f"init study of skeleton {skeleton.dims}: the test MSE is not finite "
-                f"(iterated SVD {eys_mse!r}, best random {base_mse!r})"
-            )
-    return rows
+    return best
 
 
 def _memoized(memo: dict, key, f, x):

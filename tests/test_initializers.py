@@ -454,6 +454,30 @@ class TestInitStudy:
         ids=[i for i, _ in STUDY_ACTS] + ["hypact-sharpness-100", "leakyrelu-1e-3-1e3"],
     )
 
+    @pytest.mark.parametrize("n0, trials", [(12, 100), (20, 80), (33, 60), (64, 70)])
+    @STUDY_ACT_CASES
+    def test_isotropic_test_split_keeps_the_direct_minimum(self, n0, trials, act):
+        # With T = I every orthonormal first level D has ||D^T T||^2 = n1, so
+        # the trials' projection residuals tie up to roundoff, and at depth 1,
+        # or at depth 2 with Identity, so do their scores.  Only the trial
+        # bound's, the screen's and the surrogate test's allowances keep the
+        # minimum from being skipped: with the trial bound's zeroed, (33, 32)
+        # with Identity loses it by one ulp, and with the screen's,
+        # (33, 32, 31) with Identity.
+        T = np.eye(n0)
+        dims = [(n0, n0 - 1), (n0, n0 - 1, n0 - 2), (n0, n0 // 2), (n0, n0 // 2, n0 // 4)]
+        skeletons = [Skeleton(d) for d in dims]
+        direct = [
+            min(
+                empirical_mse(
+                    orthogonal_random_init(sk, act, np.random.default_rng(derive_seed(0, t))), T
+                )
+                for t in range(trials)
+            )
+            for sk in skeletons
+        ]
+        assert initializers._best_random(T, act, skeletons, trials, seed=0) == direct
+
     @pytest.mark.parametrize(
         "family, dims",
         [
