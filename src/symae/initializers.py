@@ -36,20 +36,16 @@ way.  For an orthonormal outer frame ``D`` with zero bias, the test split
 ``||T - D G||^2 = (||T||^2 - ||C||^2) + ||C - G||^2``, a projection
 residual shared by every skeleton on that first level plus the inner map's
 error in level-1 coordinates.  The projection residual comes from two sums
-once per trial.  A candidate's surrogate takes for ``G`` the decode ``G~``
-of its innermost pre-activation without the innermost activation round
-trip, so it costs one ``n1 x n_test`` pass past the inner decode; a
-candidate whose surrogate exceeds the best score by more than its roundoff
-allowance (:data:`_SPLIT_SLACK`) scores above it and is skipped, and a
-trial whose projection residual alone settles every candidate that way is
-not encoded past the shared levels at all.  Nor is a trial decoded whose
-lower bound settles them: the projection residual plus the level-2 one
-discounted by ``Lip(act)^-2``, the first two terms of
+once per trial, so a candidate's surrogate, on the score's own outer input
+``G``, costs one ``n1 x n_test`` pass past the inner decode.  A candidate
+whose surrogate exceeds the best score by more than its roundoff allowance
+(:data:`_SPLIT_SLACK`) scores above it and is skipped, and a trial whose
+projection residual alone settles every candidate that way is not encoded
+past the shared levels at all.  Nor is a trial decoded whose lower bound
+settles them: the projection residual plus the level-2 one discounted by
+``Lip(act)^-2``, the first two terms of
 :func:`~symae.bounds.layerwise_bounds`' lower sum.  The candidates that may
-win are decoded again with the round trip, as one sub-stack, and scored in
-ascending surrogate order.  Where the round trip's roundoff bound would
-outgrow the split's own, ``G~`` is not used: the surrogate takes ``G``
-itself, as the score does.
+win are scored in ascending surrogate order.
 """
 
 from __future__ import annotations
@@ -140,14 +136,13 @@ _TRIAL_BLOCK = 10
 # also when C is about 0, so the computed per-candidate test fails too for
 # any summation order of G's sums.
 #
-# The surrogate's outer input is not the score's G but G~, decoded from the
-# innermost pre-activation Y without the innermost rho / rho^-1 pair: for
-# depth 2, G = rho^-1(D_2 rho^-1(rho(Y)) + d_2) and G~ = rho^-1(D_2 Y + d_2).
-# Their gap e = ||G - G~|| is roundoff of the two decodes.  It is bounded by
-#   e <= omega (sqrt(n1 n_test) + ||C||),
-#   omega = 2 L kappa^(L-1) (tau + n1^1.5 u),  kappa = 2 Lip(rho) Lip(rho^-1),
-# for depth L.  The bound rests on the tolerances the activation tests
-# check, not on a proof of the HypAct kernel's accuracy; its steps are:
+# The screen below needs a bound on the decode's roundoff.  For depth L,
+#   e0 = omega (sqrt(n1 n_test) + ||C||),
+#   omega = 2 L kappa^(L-1) (tau + n1^1.5 u),  kappa = 2 Lip(rho) Lip(rho^-1)
+# (_decode_drift, taken at the block's largest ||C||) bounds what the latent
+# round trip rho^-1(rho(Y)) and the L - 1 decode levels add to the outer
+# input G by rounding.  The bound rests on the tolerances the activation
+# tests check, not on a proof of the HypAct kernel's accuracy; its steps are:
 #   * the round trip rho^-1(rho(y)) returns y within tau max(1, |y|), and
 #     each evaluation of rho^-1 returns its exact value x within
 #     tau max(1, |x|), with tau = 16 eps (1 + Lip(rho)^0.5): the HypAct
@@ -155,63 +150,47 @@ _TRIAL_BLOCK = 10
 #     against a high-precision reference.  LeakyReLU rounds once, to u |x|,
 #     and Identity is exact.  Over at most n1 n_test entries, max(1, |x|)
 #     has a norm of at most sqrt(n1 n_test) + ||x||;
-#   * each of the L - 1 decode levels rho^-1(D z + d) carries the gap of its
-#     two inputs with a gain of at most Lip(rho^-1) ||D||_2, and adds its own
-#     roundoff of the two: n1^1.5 u relative for D z in any summation order
-#     (as for D G above), and tau for rho^-1;
+#   * each of the L - 1 decode levels rho^-1(D z + d) carries the error of
+#     its input with a gain of at most Lip(rho^-1) ||D||_2, and adds its own
+#     roundoff: n1^1.5 u relative for D z in any summation order (as for
+#     D G above), and tau for rho^-1;
 #   * encoding grows norms from ||C|| by at most Lip(rho) ||E||_2 a level and
 #     decoding by Lip(rho^-1) ||D||_2, and ||E||_2 ||D||_2 = ||D^T D||_2
 #     <= 1 + n1 gap <= 2, so every input and output on the way is within
 #     kappa^(L-1) (sqrt(n1 n_test) + ||C||), and the L sources together give
 #     the bound.
-# The split's gap moves by |<G~ - G, 2 C - G - G~>| <= 2 e (||C|| + ||G~||)
-# + e^2, and slack ||G||^2 <= slack (||G~|| + e)^2, so the allowance, taken
-# with ||G~||, grows by e (3 (||C|| + ||G~||) + 2 e).  For the trial bound,
-# ||G~|| <= ||C|| + ||C - G~|| and 3 e ||C - G~|| <= (1 - 2 slack)
-# ||C - G~||^2 + 3 e^2, so it grows by e (6 ||C|| + 5 e).  init_study takes
-# e and both terms at the block's largest ||C||.  On the study's outer
-# level (HypAct at sharpness 0.5, n1 = 20, depth 2) omega is about 2e-13, so
-# e is about 1e-11 against an allowance near 1e-9 ||T||^2.  omega grows as
-# kappa^(L-1), so for a sharp activation or a deep skeleton the round trip's
-# term would outgrow the split's own; where it would for some trial of a
-# block, init_study decodes that skeleton's G with the round trip, as the
-# score does, and adds nothing.
 #
 # The screen, from depth 2.  With H1 = rho(C) and Y2 = E_2 H1 = D_2^T H1 as
 # computed, R = ||H1||^2 - ||Y2||^2 and lambda = Lip(rho)^-2, the trial's
 # lb = (P + lambda R) / n_test is the first two terms of layerwise_bounds'
 # lower sum, so no candidate of the trial scores below it.  A trial with
 #   lb - best > (bound + 6 slack lambda R + lambda sigma ||H1||^2
-#                + (4 e0^2 + 3 e^2) / slack + e (6 ||C|| + 2 e)) / n_test,
+#                + 4 e0^2 / slack) / n_test,
 #   sigma = _SPLIT_SLACK + 6 n2 (gap_2 + n1 u)
 # for level 2's checked gap, has every candidate fail the per-candidate
 # test, and is not decoded.  Here bound is the trial bound's
-# slack (2 ||T||^2 + 3 ||C||^2), e0 the bound on the decode's roundoff above
-# (taken whether or not G~ is used) and e the allowance's own term (0 with
-# the round trip).  The steps, for an outer input G' (G~ or G):
-#   * G' is rho^-1(D_2 W) for some W up to the last decode level's roundoff,
+# slack (2 ||T||^2 + 3 ||C||^2).  The steps:
+#   * G is rho^-1(D_2 W) for some W up to the last decode level's roundoff,
 #     one source of e0's bound, and C is rho^-1(H1) up to 2 tau
 #     (sqrt(n1 n_test) + ||C||) <= e0 (the round-trip and inverse
 #     tolerances; omega >= 8 tau).  rho is Lip(rho)-Lipschitz and the zero
-#     bias puts rho(rho^-1(D_2 W)) in span D_2, so
-#     ||C - G'|| >= Lip(rho)^-1 dist(H1, span D_2) - 2 e0;
+#     bias puts rho(rho^-1(D_2 W)) in span D_2, so ||C - G|| >= a - 2 e0
+#     for a = Lip(rho)^-1 dist(H1, span D_2);
 #   * with ||Delta_2||_2 <= n2 (gap_2 + n1 u), as for level 1, the
 #     projection onto span D_2 exceeds ||D_2^T h||^2 by at most
 #     3 ||Delta_2||_2 ||h||^2, and Y2's product moves its squared norm by at
 #     most 3 n1 n2^0.5 u ||H1||^2, so dist(H1, span D_2)^2 >= R - sigma
 #     ||H1||^2 (the roundoff of the sums is inside _SPLIT_SLACK);
-#   * squaring, with 4 e0 sqrt(lambda R) <= slack lambda R + 4 e0^2 / slack,
-#     ||C - G'||^2 >= (1 - slack) lambda R - lambda sigma ||H1||^2
+#   * squaring, with 4 e0 a <= slack a^2 + 4 e0^2 / slack,
+#     ||C - G||^2 >= (1 - slack) lambda R - lambda sigma ||H1||^2
 #     - 4 e0^2 / slack;
-#   * ||G'|| <= ||C|| + ||C - G'|| and 3 e ||C - G'|| <= slack ||C - G'||^2
-#     + 9 e^2 / (4 slack) put the allowance, times n_test, at most
-#     slack (||T||^2 + 2 ||C||^2) + 3 slack ||C - G'||^2 + e (6 ||C|| + 2 e)
-#     + 9 e^2 / (4 slack).  Keeping slack ||C - G'||^2 for the rounding of
-#     that sum, (1 - 4 slack) ||C - G'||^2 must outgrow what is left, and
-#     the step above gives it.
-# That leaves slack (||T||^2 + ||C||^2 + lambda R) spare for the rounding of
-# the few scalar operations, as in the trial bound.  Neither bound needs
-# ||G'||, so the screen runs before any level past the second is encoded.
+#   * ||G||^2 <= 2 ||C||^2 + 2 ||C - G||^2 puts the allowance, times n_test,
+#     at most slack (||T||^2 + 2 ||C||^2) + 2 slack ||C - G||^2.  Keeping
+#     slack ||C - G||^2 for the rounding of that sum, (1 - 3 slack)
+#     ||C - G||^2 must outgrow what is left, and the step above gives it.
+# That leaves slack (||T||^2 + ||C||^2 + 2 lambda R) spare for the rounding
+# of the few scalar operations, as in the trial bound.  Neither bound needs
+# ||G||, so the screen runs before any level past the second is encoded.
 _SPLIT_SLACK = 1e-9
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -410,66 +389,14 @@ def init_study(U, act, skeletons, trials, seed):
     """Initial test MSE per skeleton: iterated-SVD vs best-of-``trials`` random.
 
     Shares the standardized split/normalization pipeline and validates the
-    test split once.  Random trial ``t`` draws from
-    ``default_rng(derive_seed(seed, t))`` for every skeleton, so skeletons
-    with a common width prefix share that prefix's levels.  Trials run in
-    blocks of ``_TRIAL_BLOCK``; within a block each prefix is drawn once per
-    trial, and a skeleton draws only the levels past its longest shared
-    prefix, each trial from its own generator state saved after that
-    prefix (states are saved only after the levels some skeleton extends).
-    The levels after a prefix that end their skeletons are not drawn one by
-    one: each trial draws one stream of ``q r_max`` normals from its state
-    after the prefix, for the widest ``r_max`` of them, and a ``q x r``
-    level takes its first ``q r``, which is bitwise its own draw, since
-    ``standard_normal`` fills its output in order.  The block's draws of a
-    level are then orthonormalized by one
-    stacked :func:`~symae.linalg.pi_orth` call and checked for ``E D = I``
-    by one stacked product, for every trial.  A level that two skeletons
-    share is applied to the test split once for the whole block, as one
-    stack; the levels past those are encoded and decoded only for the trials
-    kept by the test below, as a sub-stack.
-
-    A random candidate is scored exactly only if it can win.  Random levels
-    have zero biases, so for each first level ``dims[:2]`` and trial ``k``,
-    ``C_k = D_k^T T`` (the test split's level-1 pre-activation) and the
-    projection residual ``P_k = ||T||^2 - ||C_k||^2`` are computed once.  A
-    candidate gets the surrogate ``s = (P_k + ||C_k - G~||^2) / n_test``,
-    where its outer input ``G~`` is decoded from its innermost
-    pre-activation ``Y`` without the innermost ``act`` / ``act^-1`` pair
-    (for depth 2, ``G~ = act^-1(D_2 Y + d_2)``).  ``s`` equals its score up
-    to roundoff (the level-1 split and that pair's, :data:`_SPLIT_SLACK`),
-    and the candidate is scored exactly only when ``s - best <= allowance``,
-    where the allowance is
-    ``(_SPLIT_SLACK + n1 (gap_k + n0 u)) (||T||^2 + ||G~||^2) / n_test``, for
-    trial ``k``'s checked orthonormality gap and ``u = 2^-53``, plus the
-    bound on the pair's roundoff; a NaN surrogate is scored.  Where that
-    bound would outgrow the rest of the allowance for some trial, and in a
-    skeleton's first block, which has no best score to screen against, the
-    surrogate takes the score's ``G`` instead, decoded with the pair, and the
-    allowance has no roundoff term for it.  A skipped candidate scores above
-    the best so far, so skipping it leaves the minimum unchanged.  Before a
-    skeleton's levels past the shared ones are encoded, a trial whose
-    ``P_k`` alone puts every candidate past that allowance, whatever its
-    outer input is, is dropped (see :data:`_SPLIT_SLACK`).  From depth 2,
-    once the level-2 pre-activation ``Y_2 = E_2 H_1`` of the kept trials is
-    in hand, with ``H_1 = act(C_k)``, the first two terms of
-    :func:`~symae.bounds.layerwise_bounds`' lower sum,
-    ``lb = (P_k + Lip(act)^-2 (||H_1||^2 - ||Y_2||^2)) / n_test``, screen
-    them: a trial whose ``lb`` exceeds the best by more than an allowance
-    under which all its candidates would fail the test above is neither
-    encoded further nor decoded (see :data:`_SPLIT_SLACK`).  The candidates
-    that may win are decoded with the pair from ``act(Y)``, as one
-    sub-stack, by the operations of
-    :func:`~symae.architecture.decode_columns`, tested again in ascending
-    surrogate order as the best falls, and scored by the operations of
-    :func:`~symae.architecture.empirical_mse`, in the same order; the
-    minimum does not depend on the order, and each slice
-    of a stacked call is bitwise its 2-D call, so each baseline is bitwise
-    the minimum over trials of
-    ``empirical_mse(orthogonal_random_init(skeleton, act, rng_t), test)``.
-    The iterated-SVD rows are ``empirical_mse(eys_init(...), test)`` itself,
-    from one :class:`EysCache`, which shares the levels the same way.
-    Returns a list of ``(skeleton, eys_mse, baseline_best_mse)`` rows.
+    test split once.  The iterated-SVD rows are
+    ``empirical_mse(eys_init(...), test)`` itself, from one
+    :class:`EysCache`.  Random trial ``t`` draws from
+    ``default_rng(derive_seed(seed, t))`` for every skeleton, and each
+    baseline is bitwise the minimum over trials of
+    ``empirical_mse(orthogonal_random_init(skeleton, act, rng_t), test)``
+    (:func:`_best_random`).  Returns a list of
+    ``(skeleton, eys_mse, baseline_best_mse)`` rows.
 
     Raises :class:`~symae.linalg.NumericalError` naming the trial and the
     level of a draw that breaks ``E D = I``, or naming the skeleton whose
@@ -495,8 +422,49 @@ def init_study(U, act, skeletons, trials, seed):
 
 def _best_random(test_norm, act, skeletons, trials, seed):
     """Each skeleton's minimum over trials ``t`` of
-    ``empirical_mse(orthogonal_random_init(skeleton, act, rng_t), test_norm)``,
-    as :func:`init_study` computes it."""
+    ``empirical_mse(orthogonal_random_init(skeleton, act, rng_t), test_norm)``.
+
+    Trials run in blocks of ``_TRIAL_BLOCK``; within a block each prefix is
+    drawn once per trial, and a skeleton draws only the levels past its
+    longest shared prefix, each trial from its own generator state saved
+    after that prefix (states are saved only after the levels some skeleton
+    extends).  The levels after a prefix that end their skeletons are not
+    drawn one by one: each trial draws one stream of ``q r_max`` normals from
+    its state after the prefix, for the widest ``r_max`` of them, and a
+    ``q x r`` level takes its first ``q r``, which is bitwise its own draw,
+    since ``standard_normal`` fills its output in order.  The block's draws
+    of a level are then orthonormalized by one stacked
+    :func:`~symae.linalg.pi_orth` call and checked for ``E D = I`` by one
+    stacked product, for every trial.  A level that two skeletons share is
+    applied to the test split once for the whole block, as one stack; the
+    levels past those are encoded and decoded only for the trials kept by the
+    tests below, as a sub-stack.
+
+    A random candidate is scored exactly only if it can win.  Random levels
+    have zero biases, so for each first level ``dims[:2]`` and trial ``k``,
+    ``C_k = D_k^T T`` and the projection residual ``P_k = ||T||^2 -
+    ||C_k||^2`` are computed once.  A candidate's surrogate is
+    ``s = (P_k + ||C_k - G||^2) / n_test`` for its outer input ``G``, decoded
+    from ``act(Y)`` of its innermost pre-activation ``Y`` by the operations of
+    :func:`~symae.architecture.decode_columns`; ``s`` equals its score up to
+    the level-1 split's roundoff, and the candidate is scored exactly only
+    when ``s - best <= (_SPLIT_SLACK + n1 (gap_k + n0 u)) (||T||^2 + ||G||^2)
+    / n_test``, for trial ``k``'s checked orthonormality gap and
+    ``u = 2^-53``; a NaN surrogate is scored.  A skipped candidate scores
+    above the best so far, so skipping it leaves the minimum unchanged.
+    Before a skeleton's levels past the shared ones are encoded, a trial
+    whose ``P_k`` alone puts every candidate past that allowance, whatever
+    its ``G`` is, is dropped.  From depth 2, with ``H_1 = act(C_k)`` and the
+    level-2 pre-activation ``Y_2 = E_2 H_1``, a trial whose
+    ``lb = (P_k + Lip(act)^-2 (||H_1||^2 - ||Y_2||^2)) / n_test``, the first
+    two terms of :func:`~symae.bounds.layerwise_bounds`' lower sum, puts every
+    candidate past the allowance is neither encoded further nor decoded (see
+    :data:`_SPLIT_SLACK` for both).  The candidates that may win are tested
+    again in ascending surrogate order as the best falls, and scored by the
+    operations of :func:`~symae.architecture.empirical_mse` on the ``G`` of
+    their surrogates; the minimum does not depend on the order, and each
+    slice of a stacked call is bitwise its 2-D call.
+    """
     n_test = test_norm.shape[1]
     test_sq = float(np.sum(test_norm * test_norm))
     best = [np.inf] * len(skeletons)
@@ -525,9 +493,8 @@ def _best_random(test_norm, act, skeletons, trials, seed):
         #             that end their skeletons
         streams = {}
         # dims[:2] -> (each trial's C = D^T T, P = ||T||^2 - ||C||^2, the
-        #              slack factor of its split and its trial bound
-        #              before the round trip's term; the block's largest
-        #              ||C|| and smallest such bound)
+        #              slack factor of its split and its trial bound; the
+        #              block's largest ||C||)
         splits = {}
         # dims[:j+1] of a level two skeletons share, or of a first level ->
         # the whole block's pre-activation Y of that level, its encoding
@@ -565,26 +532,16 @@ def _best_random(test_norm, act, skeletons, trials, seed):
                     slack = _SPLIT_SLACK + r * (gap + q * _UNIT_ROUNDOFF)
                     bound = slack * (2 * test_sq + 3 * C_sq)
                     splits[dims[:2]] = (
-                        (C, test_sq - C_sq, slack, bound),
-                        (math.sqrt(np.max(C_sq)), float(np.min(bound))),
+                        C, test_sq - C_sq, slack, bound, math.sqrt(np.max(C_sq))
                     )
                 layers, gaps = layers + (level,), gaps + (gap,)
                 states = None if stream else [rng.bit_generator.state for rng in rngs]
                 memo[dims[: j + 1]] = (states, layers, gaps)
-            (C, P, slack, bound), (C_max, bound_min) = splits[dims[:2]]
-            # e0 bounds the decode's roundoff, and with it ||G - G~||, for
-            # every trial of the block (see _SPLIT_SLACK).  Where G~ does not
-            # pay, the outer input keeps the round trip, as the score's does,
-            # and the allowances have no term e for it.
-            e0 = drifts[i] * (math.sqrt(dims[1] * n_test) + C_max)
-            round_trip = not _skips_round_trip(best[i], e0, C_max, bound_min)
-            e = 0.0 if round_trip else e0
+            C, P, slack, bound, C_max = splits[dims[:2]]
             # Trials whose every candidate would fail the test below, whatever
             # its outer input, are neither encoded past the shared levels nor
             # decoded (see _SPLIT_SLACK).
-            keep = np.flatnonzero(
-                _may_win(P / n_test, (bound + e * (6 * C_max + 5 * e)) / n_test, best[i])
-            )
+            keep = np.flatnonzero(_may_win(P / n_test, bound / n_test, best[i]))
             # The innermost pre-activation Y of the kept trials: the levels
             # another skeleton shares are encoded for the whole block, once
             # (index is None), and the levels past them for the kept trials
@@ -603,12 +560,14 @@ def _best_random(test_norm, act, skeletons, trials, seed):
                 else:
                     Y = _trials(layers[j - 1], index).encode_affine(act.apply(Y))
                 if j == 2:
-                    # The layerwise lower bound's first two terms (see
-                    # _SPLIT_SLACK): H = act(C) is the whole block's.
+                    # The layerwise lower bound's first two terms, and e0, the
+                    # bound on the decode's roundoff for every trial of the
+                    # block (see _SPLIT_SLACK): H = act(C) is the whole block's.
                     H_sq = _memoized(encoded_sq, dims[:2], _squared_norms, H)[keep]
                     R = H_sq - _squared_norms(Y[keep] if index is None else Y)
                     n1, n2 = dims[1:3]
                     sigma = _SPLIT_SLACK + 6 * n2 * (gaps[1][keep] + n1 * _UNIT_ROUNDOFF)
+                    e0 = drifts[i] * (math.sqrt(n1 * n_test) + C_max)
                     screen = np.flatnonzero(
                         _may_win(
                             (P[keep] + lam * R) / n_test,
@@ -616,8 +575,7 @@ def _best_random(test_norm, act, skeletons, trials, seed):
                                 bound[keep]
                                 + 6 * slack[keep] * lam * R
                                 + lam * sigma * H_sq
-                                + (4 * e0 * e0 + 3 * e * e) / slack[keep]
-                                + e * (6 * C_max + 2 * e)
+                                + 4 * e0 * e0 / slack[keep]
                             )
                             / n_test,
                             best[i],
@@ -632,33 +590,21 @@ def _best_random(test_norm, act, skeletons, trials, seed):
             if index is None:
                 index = _rows(keep, len(rngs))
                 Y = Y[index]
+            # The score's own outer input, decoded from act(Y) by
+            # decode_columns's operations, as one sub-stack.
             inner = tuple(_trials(level, index) for level in layers[1:])
+            G = _decode_inner(inner, act, act.apply_inverse(act.apply(Y)))
             C, P, slack = C[index], P[index], slack[index]
-            G = _decode_inner(inner, act, act.apply_inverse(act.apply(Y)) if round_trip else Y)
-            G_sq = _squared_norms(G)
             surrogate = (P + _squared_norms(C - G)) / n_test
-            allowance = slack * (test_sq + G_sq)
-            if not round_trip:
-                allowance += e * (3 * (C_max + np.sqrt(G_sq)) + 2 * e)
-            allowance /= n_test
+            allowance = slack * (test_sq + _squared_norms(G)) / n_test
             # best only falls, so a candidate that fails the test now fails it
-            # at its turn too.  The others get the score's outer input, decoded
-            # from act(Y) by decode_columns's operations, as one sub-stack, and
-            # are scored in ascending surrogate order, so the best falls early
-            # and the later tests skip more.
+            # at its turn too.  The others are scored in ascending surrogate
+            # order, so the best falls early and the later tests skip more.
             win = np.flatnonzero(_may_win(surrogate, allowance, best[i]))
-            win = win[np.argsort(surrogate[win], kind="stable")]
-            if not win.size:
-                continue
-            if round_trip:
-                G = G[win]
-            else:
-                exact = act.apply_inverse(act.apply(Y[win]))
-                G = _decode_inner(tuple(_trials(level, win) for level in inner), act, exact)
             D, d = layers[0].D, layers[0].d
-            for k, outer in zip(win, G):
+            for k in win[np.argsort(surrogate[win], kind="stable")]:
                 if _may_win(surrogate[k], allowance[k], best[i]):
-                    best[i] = min(best[i], _squared_error(test_norm, D[keep[k]], d, outer) / n_test)
+                    best[i] = min(best[i], _squared_error(test_norm, D[keep[k]], d, G[k]) / n_test)
     return best
 
 
@@ -696,17 +642,8 @@ def _decode_inner(levels, act: Activation, Z: np.ndarray) -> np.ndarray:
     return Z
 
 
-def _skips_round_trip(best: float, e: float, C_max: float, bound_min: float) -> bool:
-    """Whether a block's surrogates take ``G~``: only while there is a best
-    score to screen against (not in a skeleton's first block) and the round
-    trip's term of the trial bound, ``e (6 ||C|| + 5 e)`` at the block's
-    largest ``||C||``, stays within the split's own for every trial (not for
-    a sharp activation or a deep skeleton)."""
-    return math.isfinite(best) and e * (6 * C_max + 5 * e) <= bound_min
-
-
 def _decode_drift(act: Activation, skeleton: Skeleton) -> float:
-    """``omega`` of :data:`_SPLIT_SLACK`'s bound on ``||G - G~||``."""
+    """``omega`` of :data:`_SPLIT_SLACK`'s bound ``e0`` on the decode's roundoff."""
     lip, lip_inv = act.lipschitz_pair()
     tau = 16.0 * np.finfo(np.float64).eps * (1.0 + math.sqrt(lip))
     depth, n1 = skeleton.depth, skeleton.dims[1]

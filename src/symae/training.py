@@ -242,9 +242,9 @@ def train(
     ``patience`` epochs without improvement.  Returns the parameters of the
     best validation epoch together with the logged history.
 
-    Raises :class:`NumericalError` when a loss turns non-finite, naming for
-    a training loss the first level map whose output on that batch is not
-    finite, or when the parameters at an epoch end fail :func:`assemble`'s
+    Raises :class:`NumericalError` when a loss turns non-finite, naming the
+    first level map whose output on that batch or on the validation data is
+    not finite, or when the parameters at an epoch end fail :func:`assemble`'s
     checks; for SBAE the message then also gives each level's scale spread
     ``max s^2 / min s^2``.
     """
@@ -291,7 +291,9 @@ def train(
             ) from exc
         val_loss = empirical_mse(psi, val_U)
         if not np.isfinite(val_loss):
-            raise NumericalError(f"non-finite validation loss at epoch {epoch}")
+            raise NumericalError(
+                f"non-finite validation loss at epoch {epoch}{_first_non_finite(theta, val_U)}"
+            )
 
         history.records.append(
             EpochRecord(

@@ -235,10 +235,10 @@ class TestHypActProperties:
     def test_inverse_is_within_tolerance_of_a_high_precision_reference(self, theta, y):
         # Each evaluation of the inverse, not only the round trip, is within
         # the tolerance of its exact value x = -f(-y), scaled by max(1, |x|):
-        # init_study's bound on decoding without the latent round trip
-        # rests on it.  The reference is the class docstring's closed form
-        # at the float angle, at 80 digits, which covers the cancellation of
-        # its terms (up to Lip^2, about 1e24) on every input.
+        # init_study's bound on the decode's roundoff, which its lower-bound
+        # screen uses, rests on it.  The reference is the class docstring's
+        # closed form at the float angle, at 80 digits, which covers the
+        # cancellation of its terms (up to Lip^2, about 1e24) on every input.
         mpmath = pytest.importorskip("mpmath")
         act = HypAct(theta)
         with mpmath.workdps(80):

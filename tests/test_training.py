@@ -286,6 +286,26 @@ class TestTrain:
             ):
                 train(theta0, U, U, cfg)
 
+    @pytest.mark.parametrize(
+        "value, where",
+        [(1e300, "the sum of squared errors"), (1.7e308, "encoder level 1")],
+        ids=["squares-overflow", "encoder-overflows"],
+    )
+    def test_overflowing_validation_data_names_the_first_non_finite_map(self, value, where):
+        # Finite validation columns whose reconstruction errors square past
+        # float64, or whose first encoder level's products do; the training
+        # data in [0, 1] keeps every training loss finite.
+        rng = np.random.default_rng(10)
+        U = rng.uniform(0, 1, (6, 8))
+        theta0 = lift(he_init(Skeleton((6, 3, 2)), LeakyReLU(0.5, 2.0), rng), "SAE")
+        cfg = TrainConfig(epochs=3, patience=3, learning_rate=1e-3, batch_size=4, seed=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                NumericalError,
+                match=rf"^non-finite validation loss at epoch 1; first non-finite: {where}$",
+            ):
+                train(theta0, U, np.full((6, 4), value), cfg)
+
     def test_broken_constraint_raises_numerical_error_naming_the_epoch(self):
         rng = np.random.default_rng(4)
         U = rng.uniform(0, 1, (10, 16))
