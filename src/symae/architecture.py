@@ -18,17 +18,20 @@ Constrained classes are trained through unconstrained parametrizations
 ``_param_shapes`` is the one layout table: each class's parameter names,
 their leaf order and their shapes, checked by ``_check_layout`` for both
 parameters and dense layers (which have the SAE layout).  A network's
-level is a dense ``Layer``, which :func:`assemble` forms.  The training
-loss (:func:`loss_on_batch`) never forms one: each level's encoder and
-decoder map acts on the batch straight from the parameters and, on
-autodiff ``Var`` leaves, is one tape node with its adjoint written out.
-An SBAE level stays in the factored form ``E^T = X K_E``,
-``D = X K_D + (I - X X^T) W`` and is applied as ``K_E^T (X^T (h - b))``
-and ``X (K_D g - X^T (W g)) + W g + b``, which never forms the
-``n_{j-1} x n_j`` matrices.  This SBAE factorization, one orthonormal
-``n_{j-1} x n_j`` frame per level plus a free block projected off its
-span, is the code's own; the paper's abstract states only the constraint
-``E_j D_j = I``.
+level is a dense ``Layer``, which :func:`assemble` forms.  One executor,
+:func:`map_outputs`, runs every network: it yields the output of each
+level's encoder and decoder map in turn, and it is the only place that
+states PlainAE's latent end.  The training loss (:func:`loss_on_batch`)
+runs it on the parameters themselves, so it never forms a dense level,
+and on autodiff ``Var`` leaves each map is one tape node with its adjoint
+written out.  A :class:`SymmetricAutoencoder` runs it on its dense levels,
+with the SAE layout (PlainAE's, for PlainAE).  An SBAE level stays in the
+factored form ``E^T = X K_E``, ``D = X K_D + (I - X X^T) W`` and is
+applied as ``K_E^T (X^T (h - b))`` and ``X (K_D g - X^T (W g)) + W g + b``,
+which never forms the ``n_{j-1} x n_j`` matrices.  This SBAE
+factorization, one orthonormal ``n_{j-1} x n_j`` frame per level plus a
+free block projected off its span, is the code's own; the paper's abstract
+states only the constraint ``E_j D_j = I``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,9 +59,7 @@ __all__ = [
     "ParamVector",
     "assemble",
     "check_class_invariants",
-    "encode_columns",
-    "decode_columns",
-    "reconstruct_columns",
+    "map_outputs",
     "loss_on_batch",
     "empirical_mse",
     "save_model",
@@ -119,10 +121,6 @@ class Layer(NamedTuple):
         """``E H + e``."""
         return self.E @ H + self.e
 
-    def decode_affine(self, G):
-        """``D G + d``."""
-        return self.D @ G + self.d
-
 
 @dataclass(frozen=True, eq=False)
 class SymmetricAutoencoder:
@@ -148,27 +146,31 @@ class SymmetricAutoencoder:
     # -- execution --------------------------------------------------------
 
     def encode(self, u):
-        cols, was_vec = _as_columns(u, self.skeleton.dims[0])
-        out = encode_columns(self.layers, self.act, cols, self.class_tag)
-        return out[:, 0] if was_vec else out
+        return self._last(u, self.skeleton.dims[0], self.skeleton.depth)
 
     def decode(self, c):
-        cols, was_vec = _as_columns(c, self.skeleton.latent_dim)
-        out = decode_columns(self.layers, self.act, cols, self.class_tag)
-        return out[:, 0] if was_vec else out
+        return self._last(c, self.skeleton.latent_dim, self.skeleton.depth, encode=False)
 
     def reconstruct(self, u):
-        cols, was_vec = _as_columns(u, self.skeleton.dims[0])
-        out = reconstruct_columns(self.layers, self.act, cols, self.class_tag)
-        return out[:, 0] if was_vec else out
+        return self._last(u, self.skeleton.dims[0], 2 * self.skeleton.depth)
 
     def hidden_trajectory(self, u) -> list[np.ndarray]:
         """Partial encodings ``[u, E_1(u), ..., E_l(u)]`` (columnwise)."""
         cols, _ = _as_columns(u, self.skeleton.dims[0])
-        levels = [cols]
-        for layer in self.layers:
-            levels.append(encode_columns((layer,), self.act, levels[-1], self.class_tag))
-        return levels
+        return [cols, *islice(self._maps(cols), self.skeleton.depth)]
+
+    def _maps(self, H, encode: bool = True):
+        """:func:`map_outputs` of the dense levels, which have the SAE layout
+        (PlainAE's, for a PlainAE network)."""
+        layout = "PlainAE" if self.class_tag == "PlainAE" else "SAE"
+        return map_outputs(layout, self.act, [l._asdict() for l in self.layers], H, encode)
+
+    def _last(self, u, rows: int, count: int, encode: bool = True):
+        """The output of map ``count`` of :meth:`_maps` on a column or columns."""
+        cols, was_vec = _as_columns(u, rows)
+        for out in islice(self._maps(cols, encode), count):
+            pass
+        return out[:, 0] if was_vec else out
 
     def constraint_residual(self) -> float:
         """``max_j ||E_j D_j - I||_max`` for constrained classes, else 0.
@@ -335,30 +337,7 @@ def assemble(theta: ParamVector) -> SymmetricAutoencoder:
     return SymmetricAutoencoder(theta.skeleton, theta.act, layers, theta.class_tag)
 
 
-# -- generic columnwise execution -----------------------------------------
-
-
-def encode_columns(layers, act, H, class_tag: str):
-    rho = act.apply_inverse if class_tag == "PlainAE" else act.apply
-    for layer in layers:
-        H = rho(layer.encode_affine(H))
-    return H
-
-
-def decode_columns(layers, act, H, class_tag: str):
-    # PlainAE skips rho_inv at the latent end only.
-    for j, layer in enumerate(reversed(layers)):
-        if j or class_tag != "PlainAE":
-            H = act.apply_inverse(H)
-        H = layer.decode_affine(H)
-    return H
-
-
-def reconstruct_columns(layers, act, U, class_tag: str):
-    return decode_columns(layers, act, encode_columns(layers, act, U, class_tag), class_tag)
-
-
-# -- the training loss: one tape node per level map -------------------------
+# -- execution: one tape node per level map ----------------------------------
 #
 # Each map below acts on a column batch ``H`` and takes plain or taped
 # operands.  On plain operands it returns the map's value.  When an operand
@@ -414,7 +393,7 @@ def _orthogonal_encode(act, H, D, b):
 
 
 def _affine_decode(act, H, D, d, invert: bool):
-    """``D rho^-1(H) + d``, or ``D H + d`` without ``invert`` (PlainAE's latent end)."""
+    """``D rho^-1(H) + d``, or ``D H + d`` without ``invert``."""
     Hv, Dv, dv = value_of(H), value_of(D), value_of(d)
     G = act.apply_inverse(Hv) if invert else Hv
     out = Dv @ G + dv
@@ -508,8 +487,8 @@ def _biorthogonal_decode(act, H, X, Z, s2, W, b):
 
 
 def _level_maps(class_tag: str, act, params: dict):
-    """``(encode, decode)`` of one level: ``encode(H)``, and ``decode(H, invert)``
-    with ``invert`` false only at PlainAE's latent end."""
+    """``(encode, decode)`` of one level: ``encode(H)``, and ``decode(H, invert)``,
+    which skips ``rho^-1`` without ``invert`` (see :func:`map_outputs`)."""
     if class_tag in ("SAE", "PlainAE"):
         inverse = class_tag == "PlainAE"
         return (
@@ -529,6 +508,28 @@ def _level_maps(class_tag: str, act, params: dict):
     )
 
 
+def map_outputs(class_tag: str, act, layer_params, H, encode: bool = True):
+    """Yield the output of each level map of a network on the column batch
+    ``H``, in the order the loss runs them: encoders ``1..L``, then decoders
+    ``L..1``.  Without ``encode``, ``H`` is a latent batch and only the
+    decoders run.
+
+    ``layer_params`` are ``class_tag``'s levels (arrays or ``Var`` leaves);
+    a dense :class:`Layer`, as a dict, is a level of the SAE layout, or of
+    PlainAE's.  PlainAE's decoder skips ``rho^-1`` at the latent end,
+    level ``L``, only.  Plain dense levels may be stacked ``(k, q, r)``
+    with a stacked ``H``, since matmul and the ufuncs broadcast.
+    """
+    maps = [_level_maps(class_tag, act, p) for p in layer_params]
+    if encode:
+        for enc, _ in maps:
+            H = enc(H)
+            yield H
+    for j, (_, dec) in enumerate(reversed(maps)):
+        H = dec(H, j > 0 or class_tag != "PlainAE")
+        yield H
+
+
 def loss_on_batch(class_tag: str, act, layer_params: list[dict], batch):
     """Mean squared reconstruction error of a column batch.
 
@@ -537,12 +538,9 @@ def loss_on_batch(class_tag: str, act, layer_params: list[dict], batch):
     Each level's encoder and decoder map is one tape node; SBAE levels act
     on the batch in factored form, so no ``E`` or ``D`` is formed.
     """
-    maps = [_level_maps(class_tag, act, p) for p in layer_params]
     H = batch
-    for encode, _ in maps:
-        H = encode(H)
-    for j, (_, decode) in enumerate(reversed(maps)):
-        H = decode(H, j > 0 or class_tag != "PlainAE")
+    for H in map_outputs(class_tag, act, layer_params, batch):
+        pass
     n_cols = value_of(batch).shape[1]
     return sum_sq(H - batch) * (1.0 / n_cols)
 

@@ -22,11 +22,12 @@ prefix is drawn once per trial and then orthonormalized and checked for
 ``E D = I`` once for the whole block, as one stack.  The sibling levels
 that end their skeletons after a common prefix (the second levels of a
 width sweep) are cut from one stream of normals per trial, as wide as the
-widest of them, which is bitwise each one's own draw.  A level that two
-skeletons share is applied to the test split for the whole block; the
-levels past it only for the trials that can still win.  Each trial keeps
-its own draw order, each slice of a stacked call is bitwise its 2-D call,
-and every candidate that can win is scored by the operations of
+widest of them, which is bitwise each one's own draw.  The first two
+levels are applied to the test split for the whole block, once when
+skeletons share them; the levels past them only for the trials that can
+still win.  Each trial keeps its own draw order, each slice of a stacked
+call is bitwise its 2-D call, and every candidate that can win is decoded
+by :func:`~symae.architecture.map_outputs` and scored by the operations of
 :func:`~symae.architecture.empirical_mse`, so every row is bitwise the one
 :func:`orthogonal_random_init` gives skeleton by skeleton.
 
@@ -39,13 +40,12 @@ error in level-1 coordinates.  The projection residual comes from two sums
 once per trial, so a candidate's surrogate, on the score's own outer input
 ``G``, costs one ``n1 x n_test`` pass past the inner decode.  A candidate
 whose surrogate exceeds the best score by more than its roundoff allowance
-(:data:`_SPLIT_SLACK`) scores above it and is skipped, and a trial whose
-projection residual alone settles every candidate that way is not encoded
-past the shared levels at all.  Nor is a trial decoded whose lower bound
-settles them: the projection residual plus the level-2 one discounted by
-``Lip(act)^-2``, the first two terms of
-:func:`~symae.bounds.layerwise_bounds`' lower sum.  The candidates that may
-win are scored in ascending surrogate order.
+(:data:`_SPLIT_SLACK`) scores above it and is skipped.  One test per trial
+settles all its candidates that way before any level past the second is
+encoded: its lower bound, the projection residual at depth 1 and, from
+depth 2, that plus the level-2 one discounted by ``Lip(act)^-2``, the first
+two terms of :func:`~symae.bounds.layerwise_bounds`' lower sum.  The
+candidates that may win are scored in ascending surrogate order.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .architecture import (
     Layer,
     check_class_invariants,
     empirical_mse,
+    map_outputs,
 )
 from .linalg import (
     NumericalError,
@@ -126,8 +127,8 @@ _TRIAL_BLOCK = 10
 # about 8e6.  It bounds roundoff, it does not trade speed for accuracy: a
 # candidate within the allowance is always scored exactly.
 #
-# The same allowance bounds a whole trial before its outer decode.  Every
-# G has ||G||^2 <= 2 ||C||^2 + 2 ||C - G||^2, so a trial with
+# The trial test at depth 1 bounds a whole trial by P alone.  Every G has
+# ||G||^2 <= 2 ||C||^2 + 2 ||C - G||^2, so a trial with
 #   P / n - best > slack (2 ||T||^2 + 3 ||C||^2) / n
 # has surrogate - best > allowance for each of its candidates whatever G
 # is, since 2 slack < 1: the ||C - G||^2 the surrogate adds outgrows the
@@ -136,7 +137,8 @@ _TRIAL_BLOCK = 10
 # also when C is about 0, so the computed per-candidate test fails too for
 # any summation order of G's sums.
 #
-# The screen below needs a bound on the decode's roundoff.  For depth L,
+# From depth 2 the trial test needs a bound on the decode's roundoff.  For
+# depth L,
 #   e0 = omega (sqrt(n1 n_test) + ||C||),
 #   omega = 2 L kappa^(L-1) (tau + n1^1.5 u),  kappa = 2 Lip(rho) Lip(rho^-1)
 # (_decode_drift, taken at the block's largest ||C||) bounds what the latent
@@ -160,7 +162,7 @@ _TRIAL_BLOCK = 10
 #     kappa^(L-1) (sqrt(n1 n_test) + ||C||), and the L sources together give
 #     the bound.
 #
-# The screen, from depth 2.  With H1 = rho(C) and Y2 = E_2 H1 = D_2^T H1 as
+# The trial test from depth 2.  With H1 = rho(C) and Y2 = E_2 H1 = D_2^T H1 as
 # computed, R = ||H1||^2 - ||Y2||^2 and lambda = Lip(rho)^-2, the trial's
 # lb = (P + lambda R) / n_test is the first two terms of layerwise_bounds'
 # lower sum, so no candidate of the trial scores below it.  A trial with
@@ -168,7 +170,7 @@ _TRIAL_BLOCK = 10
 #                + 4 e0^2 / slack) / n_test,
 #   sigma = _SPLIT_SLACK + 6 n2 (gap_2 + n1 u)
 # for level 2's checked gap, has every candidate fail the per-candidate
-# test, and is not decoded.  Here bound is the trial bound's
+# test, and is not decoded.  Here bound is the depth-1 allowance
 # slack (2 ||T||^2 + 3 ||C||^2).  The steps:
 #   * G is rho^-1(D_2 W) for some W up to the last decode level's roundoff,
 #     one source of e0's bound, and C is rho^-1(H1) up to 2 tau
@@ -189,8 +191,8 @@ _TRIAL_BLOCK = 10
 #     slack ||C - G||^2 for the rounding of that sum, (1 - 3 slack)
 #     ||C - G||^2 must outgrow what is left, and the step above gives it.
 # That leaves slack (||T||^2 + ||C||^2 + 2 lambda R) spare for the rounding
-# of the few scalar operations, as in the trial bound.  Neither bound needs
-# ||G||, so the screen runs before any level past the second is encoded.
+# of the few scalar operations, as at depth 1.  Neither needs ||G||, so the
+# test runs before any level past the second is encoded.
 _SPLIT_SLACK = 1e-9
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -435,41 +437,42 @@ def _best_random(test_norm, act, skeletons, trials, seed):
     since ``standard_normal`` fills its output in order.  The block's draws
     of a level are then orthonormalized by one stacked
     :func:`~symae.linalg.pi_orth` call and checked for ``E D = I`` by one
-    stacked product, for every trial.  A level that two skeletons share is
-    applied to the test split once for the whole block, as one stack; the
-    levels past those are encoded and decoded only for the trials kept by the
-    tests below, as a sub-stack.
+    stacked product, for every trial.  The first two levels are applied to
+    the test split for the whole block, as one stack, once when skeletons
+    share them; the levels past those are encoded and decoded only for the
+    trials kept by the trial test below, as a sub-stack.
 
     A random candidate is scored exactly only if it can win.  Random levels
     have zero biases, so for each first level ``dims[:2]`` and trial ``k``,
     ``C_k = D_k^T T`` and the projection residual ``P_k = ||T||^2 -
     ||C_k||^2`` are computed once.  A candidate's surrogate is
-    ``s = (P_k + ||C_k - G||^2) / n_test`` for its outer input ``G``, decoded
-    from ``act(Y)`` of its innermost pre-activation ``Y`` by the operations of
-    :func:`~symae.architecture.decode_columns`; ``s`` equals its score up to
-    the level-1 split's roundoff, and the candidate is scored exactly only
-    when ``s - best <= (_SPLIT_SLACK + n1 (gap_k + n0 u)) (||T||^2 + ||G||^2)
-    / n_test``, for trial ``k``'s checked orthonormality gap and
-    ``u = 2^-53``; a NaN surrogate is scored.  A skipped candidate scores
-    above the best so far, so skipping it leaves the minimum unchanged.
-    Before a skeleton's levels past the shared ones are encoded, a trial
-    whose ``P_k`` alone puts every candidate past that allowance, whatever
-    its ``G`` is, is dropped.  From depth 2, with ``H_1 = act(C_k)`` and the
-    level-2 pre-activation ``Y_2 = E_2 H_1``, a trial whose
-    ``lb = (P_k + Lip(act)^-2 (||H_1||^2 - ||Y_2||^2)) / n_test``, the first
-    two terms of :func:`~symae.bounds.layerwise_bounds`' lower sum, puts every
-    candidate past the allowance is neither encoded further nor decoded (see
-    :data:`_SPLIT_SLACK` for both).  The candidates that may win are tested
-    again in ascending surrogate order as the best falls, and scored by the
-    operations of :func:`~symae.architecture.empirical_mse` on the ``G`` of
-    their surrogates; the minimum does not depend on the order, and each
-    slice of a stacked call is bitwise its 2-D call.
+    ``s = (P_k + ||C_k - G||^2) / n_test`` for its outer input ``G``: the
+    inner levels' decoders of :func:`~symae.architecture.map_outputs` on
+    ``act(Y)`` of its innermost pre-activation ``Y``, then ``act^-1``, as
+    :func:`~symae.architecture.empirical_mse` decodes.  ``s`` equals its
+    score up to the level-1 split's roundoff, and the candidate is scored
+    exactly only when ``s - best <= (_SPLIT_SLACK + n1 (gap_k + n0 u))
+    (||T||^2 + ||G||^2) / n_test``, for trial ``k``'s checked orthonormality
+    gap and ``u = 2^-53``; a NaN surrogate is scored.  A skipped candidate
+    scores above the best so far, so skipping it leaves the minimum
+    unchanged.  Each trial is tested once, before any level past its second
+    is encoded: a trial whose lower bound puts every candidate past that
+    allowance, whatever its ``G`` is, is neither encoded further nor decoded
+    (see :data:`_SPLIT_SLACK`).  The bound is ``P_k / n_test`` at depth 1;
+    from depth 2, with ``H_1 = act(C_k)`` and the level-2 pre-activation
+    ``Y_2 = E_2 H_1``, it is ``(P_k + Lip(act)^-2 (||H_1||^2 - ||Y_2||^2))
+    / n_test``, the first two terms of
+    :func:`~symae.bounds.layerwise_bounds`' lower sum.  The candidates that
+    may win are tested again in ascending surrogate order as the best falls,
+    and scored by the operations of :func:`~symae.architecture.empirical_mse`
+    on the ``G`` of their surrogates; the minimum does not depend on the
+    order, and each slice of a stacked call is bitwise its 2-D call.
     """
     n_test = test_norm.shape[1]
     test_sq = float(np.sum(test_norm * test_norm))
     best = [np.inf] * len(skeletons)
-    # How many skeletons have each width prefix dims[:j+1], j >= 1, as a level.
-    users = Counter(sk.dims[: j + 1] for sk in skeletons for j in range(1, sk.depth + 1))
+    # How many skeletons have each second level dims[:3].
+    users = Counter(sk.dims[:3] for sk in skeletons if sk.depth > 1)
     # The levels some skeleton extends.  The others end their skeletons: each
     # trial draws them all from one stream per prefix, as wide as the widest.
     extended = {sk.dims[: j + 1] for sk in skeletons for j in range(1, sk.depth)}
@@ -493,13 +496,14 @@ def _best_random(test_norm, act, skeletons, trials, seed):
         #             that end their skeletons
         streams = {}
         # dims[:2] -> (each trial's C = D^T T, P = ||T||^2 - ||C||^2, the
-        #              slack factor of its split and its trial bound; the
+        #              slack factor of its split and its depth-1 allowance; the
         #              block's largest ||C||)
         splits = {}
-        # dims[:j+1] of a level two skeletons share, or of a first level ->
-        # the whole block's pre-activation Y of that level, its encoding
-        # act(Y) and, for a first level, the squared norms of act(Y)
-        pre, encoded, encoded_sq = {}, {}, {}
+        # dims[:2] -> the whole block's H = act(C) and each trial's ||H||^2
+        encoded = {}
+        # dims[:3] of a second level two skeletons share -> the whole block's
+        # pre-activation of that level
+        pre = {}
         for i, skeleton in enumerate(skeletons):
             dims, depth = skeleton.dims, skeleton.depth
             shared = max(j for j in range(depth + 1) if dims[: j + 1] in memo)
@@ -538,62 +542,42 @@ def _best_random(test_norm, act, skeletons, trials, seed):
                 states = None if stream else [rng.bit_generator.state for rng in rngs]
                 memo[dims[: j + 1]] = (states, layers, gaps)
             C, P, slack, bound, C_max = splits[dims[:2]]
-            # Trials whose every candidate would fail the test below, whatever
-            # its outer input, are neither encoded past the shared levels nor
-            # decoded (see _SPLIT_SLACK).
-            keep = np.flatnonzero(_may_win(P / n_test, bound / n_test, best[i]))
-            # The innermost pre-activation Y of the kept trials: the levels
-            # another skeleton shares are encoded for the whole block, once
-            # (index is None), and the levels past them for the kept trials
-            # only.  Level 2's pre-activation screens the kept trials first.
-            index, Y = None, C
-            for j in range(2, depth + 1):
-                if not keep.size:
-                    break
-                if index is None:
-                    H = _memoized(encoded, dims[:j], act.apply, Y)
-                    if users[dims[: j + 1]] > 1:
-                        Y = _memoized(pre, dims[: j + 1], layers[j - 1].encode_affine, H)
-                    else:
-                        index = _rows(keep, len(rngs))
-                        Y = _trials(layers[j - 1], index).encode_affine(H[index])
+            # One test per trial, on the whole block, settles whether any of
+            # its candidates can win whatever its outer input (see
+            # _SPLIT_SLACK): at depth 1 by P alone; from depth 2 by the first
+            # two terms of the layerwise lower bound, from level 2's
+            # pre-activation Y of the whole block, memoized when another
+            # skeleton shares that level.
+            Y, lower, allowance = C, P, bound
+            if depth > 1:
+                H, H_sq = _memoized(encoded, dims[:2], _encoded, act, C)
+                if users[dims[:3]] > 1:
+                    Y = _memoized(pre, dims[:3], layers[1].encode_affine, H)
                 else:
-                    Y = _trials(layers[j - 1], index).encode_affine(act.apply(Y))
-                if j == 2:
-                    # The layerwise lower bound's first two terms, and e0, the
-                    # bound on the decode's roundoff for every trial of the
-                    # block (see _SPLIT_SLACK): H = act(C) is the whole block's.
-                    H_sq = _memoized(encoded_sq, dims[:2], _squared_norms, H)[keep]
-                    R = H_sq - _squared_norms(Y[keep] if index is None else Y)
-                    n1, n2 = dims[1:3]
-                    sigma = _SPLIT_SLACK + 6 * n2 * (gaps[1][keep] + n1 * _UNIT_ROUNDOFF)
-                    e0 = drifts[i] * (math.sqrt(n1 * n_test) + C_max)
-                    screen = np.flatnonzero(
-                        _may_win(
-                            (P[keep] + lam * R) / n_test,
-                            (
-                                bound[keep]
-                                + 6 * slack[keep] * lam * R
-                                + lam * sigma * H_sq
-                                + 4 * e0 * e0 / slack[keep]
-                            )
-                            / n_test,
-                            best[i],
-                        )
-                    )
-                    if index is not None and screen.size < keep.size:
-                        Y = Y[screen]
-                        index = _rows(keep[screen], len(rngs))
-                    keep = keep[screen]
+                    Y = layers[1].encode_affine(H)
+                R = H_sq - _squared_norms(Y)
+                n1, n2 = dims[1:3]
+                sigma = _SPLIT_SLACK + 6 * n2 * (gaps[1] + n1 * _UNIT_ROUNDOFF)
+                e0 = drifts[i] * (math.sqrt(n1 * n_test) + C_max)
+                lower = P + lam * R
+                allowance = (
+                    bound + 6 * slack * lam * R + lam * sigma * H_sq + 4 * e0 * e0 / slack
+                )
+            keep = np.flatnonzero(_may_win(lower / n_test, allowance / n_test, best[i]))
             if not keep.size:
                 continue
-            if index is None:
-                index = _rows(keep, len(rngs))
-                Y = Y[index]
-            # The score's own outer input, decoded from act(Y) by
-            # decode_columns's operations, as one sub-stack.
-            inner = tuple(_trials(level, index) for level in layers[1:])
-            G = _decode_inner(inner, act, act.apply_inverse(act.apply(Y)))
+            # The kept trials, as one sub-stack: the innermost pre-activation
+            # Y, then the score's own outer input G, decoded from act(Y) by
+            # the executor that empirical_mse runs, and act^-1 of its output.
+            index = _rows(keep, len(rngs))
+            Y = Y[index]
+            for level in layers[2:]:
+                Y = _trials(level, index).encode_affine(act.apply(Y))
+            inner = [_trials(level, index)._asdict() for level in layers[1:]]
+            Z = act.apply(Y)
+            for Z in map_outputs("SAE", act, inner, Z, encode=False):
+                pass
+            G = act.apply_inverse(Z)
             C, P, slack = C[index], P[index], slack[index]
             surrogate = (P + _squared_norms(C - G)) / n_test
             allowance = slack * (test_sq + _squared_norms(G)) / n_test
@@ -608,11 +592,17 @@ def _best_random(test_norm, act, skeletons, trials, seed):
     return best
 
 
-def _memoized(memo: dict, key, f, x):
-    """``memo[key]``, set to ``f(x)`` first if it is missing."""
+def _memoized(memo: dict, key, f, *args):
+    """``memo[key]``, set to ``f(*args)`` first if it is missing."""
     if key not in memo:
-        memo[key] = f(x)
+        memo[key] = f(*args)
     return memo[key]
+
+
+def _encoded(act: Activation, C: np.ndarray):
+    """``(H, ||H_k||^2)`` for the encoding ``H = act(C)`` of a stack ``C``."""
+    H = act.apply(C)
+    return H, _squared_norms(H)
 
 
 def _rows(keep: np.ndarray, block: int):
@@ -631,15 +621,6 @@ def _trials(level: Layer, index: np.ndarray) -> Layer:
     stays a view of ``D^T``."""
     D = level.D[index]
     return level._replace(E=np.swapaxes(D, -1, -2), D=D)
-
-
-def _decode_inner(levels, act: Activation, Z: np.ndarray) -> np.ndarray:
-    """The outer input ``act^-1(D_2 ... act^-1(D_L Z + d_L) ... + d_2)``:
-    with ``Z = act^-1(H)`` for the encoding ``H``, the operations of
-    :func:`~symae.architecture.decode_columns` and its caller's ``act^-1``."""
-    for level in reversed(levels):
-        Z = act.apply_inverse(level.decode_affine(Z))
-    return Z
 
 
 def _decode_drift(act: Activation, skeleton: Skeleton) -> float:

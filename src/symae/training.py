@@ -28,10 +28,10 @@ import numpy as np
 from .architecture import (
     ParamVector,
     SymmetricAutoencoder,
-    _level_maps,
     assemble,
     empirical_mse,
     loss_on_batch,
+    map_outputs,
 )
 from .autodiff import gradient
 from .data_io import DataFormatError
@@ -325,21 +325,16 @@ def _first_non_finite(theta: ParamVector, batch: np.ndarray) -> str:
     """Where a batch's loss went non-finite, as a clause for an error message.
 
     Evaluates the batch with plain arrays, map by map in the loss's order
-    (:func:`~symae.architecture.loss_on_batch`), and names the first encoder
+    (:func:`~symae.architecture.map_outputs`), and names the first encoder
     or decoder level whose output has a non-finite entry; if none has, the
     sum of squared errors overflowed.  Runs only on the failure path.
     """
-    maps = [_level_maps(theta.class_tag, theta.act, params) for params in theta.layers]
-    H = batch
+    depth = len(theta.layers)
     with np.errstate(all="ignore"):
-        for j, (encode, _) in enumerate(maps, start=1):
-            H = encode(H)
+        for i, H in enumerate(map_outputs(theta.class_tag, theta.act, theta.layers, batch)):
             if not np.isfinite(H).all():
-                return f"; first non-finite: encoder level {j}"
-        for j, (_, decode) in zip(range(len(maps), 0, -1), reversed(maps)):
-            H = decode(H, j < len(maps) or theta.class_tag != "PlainAE")
-            if not np.isfinite(H).all():
-                return f"; first non-finite: decoder level {j}"
+                where = f"encoder level {i + 1}" if i < depth else f"decoder level {2 * depth - i}"
+                return f"; first non-finite: {where}"
     return "; first non-finite: the sum of squared errors"
 
 

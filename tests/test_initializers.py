@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from _util import low_rank_snapshots, small_skeletons
 from symae.activations import HypAct, Identity, LeakyReLU
-from symae.architecture import Layer, Skeleton, SymmetricAutoencoder, assemble, decode_columns
+from symae.architecture import Layer, Skeleton, SymmetricAutoencoder, assemble, map_outputs
 from symae.bounds import empirical_mse, greedy_upper_bound, pod
 from symae import initializers
 from symae.initializers import (
@@ -315,6 +315,13 @@ def study_data(dims):
     return np.random.default_rng(11).uniform(0.0, 1.0, (dims[0][0], max(60, 3 * dims[0][1])))
 
 
+def normalized_test_split(U, seed):
+    """The min-max normalized test split that init_study scores on."""
+    train_U, _val, test_U = split(U, seed)
+    _, lo, hi = minmax_normalize(train_U)
+    return apply_minmax(test_U, lo, hi)
+
+
 class TestInitStudy:
     @staticmethod
     def direct_rows(U, act, skeletons, trials, seed):
@@ -399,19 +406,18 @@ class TestInitStudy:
 
     @staticmethod
     def forced_open(monkeypatch, U, act, skeletons, trials, seed):
-        """Run the study with every trial kept, screened in and decoded, and
-        every random candidate scored exactly.
+        """Run the study with every trial kept and decoded, and every random
+        candidate scored exactly.
 
-        Returns the trial bounds, the screens and the candidates, each one
-        entry per skeleton and trial, block by block and in trial order
-        within a block.  A trial bound or screen is ``(lower bound,
+        Returns one ``(skeleton, trial, trial test, candidate)`` row per
+        skeleton and trial, block by block, skeleton by skeleton, and in
+        trial order within a block.  The trial test is ``(lower bound,
         allowance, best, verdict)`` with the study's own ``_may_win``
-        verdict; a depth-1 skeleton has no level 2, so its screens are None.
-        A candidate is ``(surrogate, allowance, best, exact score)``.  Each
-        skeleton's block tests its trials as one array, screens them as one
-        array (from depth 2), tests its candidates as one array, and then
-        tests and scores each candidate at its turn, in ascending surrogate
-        order; the candidates are paired with their trials by that order.
+        verdict; a candidate is ``(surrogate, allowance, best, exact
+        score)``.  Each skeleton's block tests its trials as one array and
+        its candidates as one array, and then tests and scores each candidate
+        at its turn, in ascending surrogate order; the candidates are paired
+        with their trials by that order.
         """
         arrays, scalars = [], []
 
@@ -433,30 +439,29 @@ class TestInitStudy:
         monkeypatch.setattr(initializers, "_squared_error", squared_error)
         init_study(U, act, skeletons, trials=trials, seed=seed)
 
-        def per_trial(surrogate, allowance, best, verdict):
-            return [(s, a, best, v) for s, a, v in zip(surrogate, allowance, verdict)]
-
-        bounds, screens, candidates = [], [], []
+        rows = []
         arrays, scalars = iter(arrays), iter(scalars)
         for first in range(0, trials, initializers._TRIAL_BLOCK):
             size = min(initializers._TRIAL_BLOCK, trials - first)
             for skeleton in skeletons:
-                bounds.extend(per_trial(*next(arrays)))
-                screens.extend(per_trial(*next(arrays)) if skeleton.depth > 1 else [None] * size)
+                lower, allowance, best, verdict = next(arrays)
                 surrogates = next(arrays)[0]
-                block = [None] * size
+                candidates = [None] * size
                 for k in np.argsort(surrogates, kind="stable"):
-                    block[k] = next(scalars)
-                    assert block[k][0] == surrogates[k] or np.isnan(surrogates[k])
-                candidates.extend(block)
+                    candidates[k] = next(scalars)
+                    assert candidates[k][0] == surrogates[k] or np.isnan(surrogates[k])
+                rows.extend(
+                    (skeleton, first + k, (lower[k], allowance[k], best, verdict[k]), candidates[k])
+                    for k in range(size)
+                )
         assert next(arrays, None) is None and next(scalars, None) is None
-        return bounds, screens, candidates
+        return rows
 
     STUDY_CASES = pytest.mark.parametrize(
         "family, dims",
         [
             pytest.param(family, dims, id=family)
-            for family, dims in [("pga400", [(514, 20, w) for w in range(1, 21)])]
+            for family, dims in [("pga400", [(514, 20)] + [(514, 20, w) for w in range(1, 21)])]
             + STUDY_FAMILIES
             + [CHOLQR2_FAMILY]
         ],
@@ -477,10 +482,9 @@ class TestInitStudy:
         # With T = I every orthonormal first level D has ||D^T T||^2 = n1, so
         # the trials' projection residuals tie up to roundoff, and at depth 1,
         # or at depth 2 with Identity, so do their scores.  Only the trial
-        # bound's, the screen's and the surrogate test's allowances keep the
-        # minimum from being skipped: with the trial bound's zeroed, (33, 32)
-        # with Identity loses it by one ulp, and with the screen's,
-        # (33, 32, 31) with Identity.
+        # test's and the surrogate test's allowances keep the minimum from
+        # being skipped: with the trial test's zeroed, (33, 32) and
+        # (33, 32, 31) with Identity lose it by one ulp.
         T = np.eye(n0)
         dims = [(n0, n0 - 1), (n0, n0 - 1, n0 - 2), (n0, n0 // 2), (n0, n0 // 2, n0 // 4)]
         skeletons = [Skeleton(d) for d in dims]
@@ -520,36 +524,36 @@ class TestInitStudy:
         U = request.getfixturevalue("pga400") if family.startswith("pga400") else study_data(dims)
         skeletons = [Skeleton(d) for d in dims]
         trials = 12
-        _, _, scored = self.forced_open(monkeypatch, U, act, skeletons, trials, seed=5)
-        assert len(scored) == trials * len(skeletons)
-        for surrogate, allowance, _, exact in scored:
+        rows = self.forced_open(monkeypatch, U, act, skeletons, trials, seed=5)
+        assert len(rows) == trials * len(skeletons)
+        for _, _, _, (surrogate, allowance, _, exact) in rows:
             assert abs(exact - surrogate) <= 1e-3 * allowance, (exact, surrogate, allowance)
 
     @pytest.mark.parametrize("dims", [(514, 20, 1), (514, 20, 7), (514, 65, 17, 9, 5, 3)])
     @WIDE_ACT_CASES
     def test_outer_input_without_the_round_trip_is_within_its_bound(self, pga400, dims, act):
-        # The screen's soundness argument takes _decode_drift's bound as one
-        # on the roundoff of the latent round trip and the decode levels (e0,
-        # see initializers._SPLIT_SLACK).  G decoded from act(Y) and G~
-        # decoded from Y without the round trip round the same exact map, so
-        # their gap must stay within that bound.
+        # The trial test's soundness argument from depth 2 takes
+        # _decode_drift's bound as one on the roundoff of the latent round
+        # trip and the decode levels (e0, see initializers._SPLIT_SLACK).  G
+        # decoded from act(Y) and G~ decoded from Y without the round trip
+        # round the same exact map, so their gap must stay within that bound.
         skeleton = Skeleton(dims)
         rng = np.random.default_rng(3)
         levels = [
             initializers._orthogonal_level(rng.standard_normal(skeleton.layer_shape(j)))
             for j in range(1, skeleton.depth + 1)
         ]
-        train_U, _val, test_U = split(pga400, 0)
-        _, lo, hi = minmax_normalize(train_U)
-        T = apply_minmax(test_U, lo, hi)
+        T = normalized_test_split(pga400, 0)
         H = T
         for level in levels[:-1]:
             H = act.apply(level.encode_affine(H))
         Y = levels[-1].encode_affine(H)
-        G = act.apply_inverse(decode_columns(levels[1:], act, act.apply(Y), "SOAE"))
+        # G as the study decodes it: the inner levels' network decodes act(Y).
+        inner = SymmetricAutoencoder(Skeleton(dims[1:]), act, tuple(levels[1:]), "SOAE")
+        G = act.apply_inverse(inner.decode(act.apply(Y)))
         G_tilde = Y
         for level in reversed(levels[1:]):
-            G_tilde = act.apply_inverse(level.decode_affine(G_tilde))
+            G_tilde = act.apply_inverse(level.D @ G_tilde + level.d)
         n = T.shape[1]
         C = levels[0].encode_affine(T)
         bound = initializers._decode_drift(act, skeleton) * (
@@ -562,48 +566,36 @@ class TestInitStudy:
     def test_a_dropped_trial_has_no_candidate_that_can_win(
         self, monkeypatch, request, family, dims, act
     ):
-        # The per-trial bound drops a trial before its outer decode only when
-        # the per-candidate test would skip every candidate of it, at the
-        # best the bound saw, whatever the candidate's outer input.
+        # The trial test drops a trial, before its deeper encodes and its
+        # decode, only when the per-candidate test would skip every candidate
+        # of it, at the best the trial test saw, whatever its outer input: at
+        # depth 1 by the projection residual P alone, and from depth 2 by the
+        # first two terms of the layerwise lower bound.
         U = request.getfixturevalue("pga400") if family == "pga400" else study_data(dims)
         skeletons = [Skeleton(d) for d in dims]
         trials = 3 * initializers._TRIAL_BLOCK
         may_win = initializers._may_win
-        bounds, _, scored = self.forced_open(monkeypatch, U, act, skeletons, trials, seed=5)
-        assert len(bounds) == len(scored) == trials * len(skeletons)
-        dropped = 0
-        for (_, _, best, verdict), (surrogate, allowance, _, _) in zip(bounds, scored):
+        rows = self.forced_open(monkeypatch, U, act, skeletons, trials, seed=5)
+        assert len(rows) == trials * len(skeletons)
+        dropped = []
+        for skeleton, t, (_, _, best, verdict), (surrogate, allowance, _, _) in rows:
             if not verdict:
-                dropped += 1
+                dropped.append((skeleton, t, best))
                 assert not may_win(surrogate, allowance, best)
-        # The first block meets no best score yet; later ones drop trials
-        # on pga400 (66 of 600 with the hypact activation).
-        if family == "pga400":
-            assert dropped > 0
-
-    @STUDY_CASES
-    @STUDY_ACT_CASES
-    def test_a_screened_trial_has_no_candidate_that_can_win(
-        self, monkeypatch, request, family, dims, act
-    ):
-        # The screen, the first two terms of the layerwise lower bound, skips
-        # a trial's decode only when the per-candidate test would skip every
-        # candidate of it, at the best the screen saw, whatever its outer
-        # input.
-        U = request.getfixturevalue("pga400") if family == "pga400" else study_data(dims)
-        skeletons = [Skeleton(d) for d in dims]
-        trials = 3 * initializers._TRIAL_BLOCK
-        may_win = initializers._may_win
-        bounds, screens, scored = self.forced_open(monkeypatch, U, act, skeletons, trials, seed=5)
-        assert len(bounds) == len(screens) == len(scored) == trials * len(skeletons)
-        screened_only = 0
-        for bound, screen, (surrogate, allowance, _, _) in zip(bounds, screens, scored):
-            if screen is not None and not screen[3]:
-                screened_only += bound[3]
-                assert not may_win(surrogate, allowance, screen[2])
-        # On pga400 the screen skips trials the trial bound keeps.
-        if family == "pga400":
-            assert screened_only > 0
+        if family != "pga400":
+            return
+        # The first block meets no best score yet; later ones drop trials on
+        # pga400 at both depths.  At depth 2 the level-2 term drops trials
+        # that P alone keeps: those whose P is at most the best.
+        assert {skeleton.depth for skeleton, _, _ in dropped} == {1, 2}
+        T = normalized_test_split(U, 5)
+        kept_by_P = 0
+        for skeleton, t, best in dropped:
+            rng = np.random.default_rng(derive_seed(5, t))
+            D = orthogonal_random_init(skeleton, act, rng).layers[0].D
+            P = np.sum(T * T) - np.sum(np.square(D.T @ T))
+            kept_by_P += skeleton.depth == 2 and P / T.shape[1] <= best
+        assert kept_by_P > 0
 
     def test_only_the_candidates_that_can_win_are_scored_exactly(self, monkeypatch, pga400):
         # Exact 514-row scores on pga400 (seed 0, 30 trials, widths 1-20
@@ -757,3 +749,22 @@ def test_a_stream_of_normals_starts_with_every_narrower_draw(q, r_max, after):
             draw_rng.bit_generator.state = state
             expected = draw_rng.standard_normal((q, r))
             assert stream[: q * r].reshape(q, r).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("act", [act for _, act in STUDY_ACTS], ids=[i for i, _ in STUDY_ACTS])
+def test_a_stack_of_levels_decodes_each_slice_as_its_own_network(act):
+    # init_study decodes the kept trials' inner levels as one stack of
+    # random orthogonal levels; each slice must be bitwise the decode of its
+    # own network.
+    skeleton, k, n = Skeleton((24, 12, 5, 3)), 7, 30
+    rng = np.random.default_rng(21)
+    levels = [
+        initializers._orthogonal_level(rng.standard_normal((k, *skeleton.layer_shape(j))))
+        for j in range(1, skeleton.depth + 1)
+    ]
+    H = rng.standard_normal((k, skeleton.latent_dim, n))
+    *_, out = map_outputs("SAE", act, [level._asdict() for level in levels], H, encode=False)
+    for i in range(k):
+        own = tuple(Layer(level.E[i], level.D[i], level.e, level.d) for level in levels)
+        psi = SymmetricAutoencoder(skeleton, act, own, "SOAE")
+        assert out[i].tobytes() == psi.decode(H[i]).tobytes()

@@ -6,7 +6,7 @@ import pytest
 from _util import random_theta
 from symae import linalg
 from symae.activations import HypAct, Identity, LeakyReLU
-from symae.architecture import Skeleton, assemble
+from symae.architecture import ParamVector, Skeleton, assemble
 from symae.bounds import empirical_mse, linear_lower_bound, pod
 from symae.data_io import DataFormatError
 from symae.initializers import eys_init, he_init, lift
@@ -283,6 +283,32 @@ class TestTrain:
             with pytest.raises(
                 NumericalError,
                 match=r"batch \d+; first non-finite: (encoder|decoder) level \d$",
+            ):
+                train(theta0, U, U, cfg)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("class_tag", ["SAE", "PlainAE"])
+    def test_an_overflowing_decoder_level_is_named(self, class_tag, level):
+        # A linear network on positive data whose encoders stay finite and
+        # whose decoder level `level` has entries of 1e308: its products on
+        # the positive codes overflow first.  Level 2 is the latent end,
+        # where PlainAE's decoder skips act^-1.
+        U = np.random.default_rng(10).uniform(0.5, 1.0, (6, 8))
+        skeleton = Skeleton((6, 3, 2))
+        layers = []
+        for j in (1, 2):
+            q, r = skeleton.layer_shape(j)
+            D = np.full((q, r), 1e308 if j == level else 1.0)
+            layers.append(
+                {"E": np.full((r, q), 0.5), "D": D, "e": np.zeros((r, 1)), "d": np.zeros((q, 1))}
+            )
+        theta0 = ParamVector(class_tag, skeleton, Identity(), layers)
+        cfg = TrainConfig(epochs=1, patience=1, learning_rate=1e-3, batch_size=4, seed=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                NumericalError,
+                match=rf"^non-finite training loss at epoch 1, batch 1; "
+                rf"first non-finite: decoder level {level}$",
             ):
                 train(theta0, U, U, cfg)
 
