@@ -751,20 +751,29 @@ def test_a_stream_of_normals_starts_with_every_narrower_draw(q, r_max, after):
             assert stream[: q * r].reshape(q, r).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("dims", [(24, 12, 5, 3), (24, 5)], ids=["depth-3", "depth-1"])
+@pytest.mark.parametrize("layout", ["SAE", "PlainAE"])
 @pytest.mark.parametrize("act", [act for _, act in STUDY_ACTS], ids=[i for i, _ in STUDY_ACTS])
-def test_a_stack_of_levels_decodes_each_slice_as_its_own_network(act):
+def test_a_stack_of_levels_decodes_each_slice_as_its_own_network(act, layout, dims):
     # init_study decodes the kept trials' inner levels as one stack of
     # random orthogonal levels; each slice must be bitwise the decode of its
-    # own network.
-    skeleton, k, n = Skeleton((24, 12, 5, 3)), 7, 30
+    # own network.  The executor takes a stack in either dense layout, so
+    # with PlainAE's latent-end rule too, and at depth 1, where the latent
+    # end is the output level; the full run must match each slice's
+    # reconstruction as well.
+    skeleton, k, n = Skeleton(dims), 7, 30
     rng = np.random.default_rng(21)
     levels = [
         initializers._orthogonal_level(rng.standard_normal((k, *skeleton.layer_shape(j))))
         for j in range(1, skeleton.depth + 1)
     ]
+    params = [level._asdict() for level in levels]
     H = rng.standard_normal((k, skeleton.latent_dim, n))
-    *_, out = map_outputs("SAE", act, [level._asdict() for level in levels], H, encode=False)
+    U = rng.uniform(0.0, 1.0, (k, skeleton.dims[0], n))
+    *_, decoded = map_outputs(layout, act, params, H, encode=False)
+    *_, reconstructed = map_outputs(layout, act, params, U)
     for i in range(k):
         own = tuple(Layer(level.E[i], level.D[i], level.e, level.d) for level in levels)
-        psi = SymmetricAutoencoder(skeleton, act, own, "SOAE")
-        assert out[i].tobytes() == psi.decode(H[i]).tobytes()
+        psi = SymmetricAutoencoder(skeleton, act, own, "SOAE" if layout == "SAE" else layout)
+        assert decoded[i].tobytes() == psi.decode(H[i]).tobytes()
+        assert reconstructed[i].tobytes() == psi.reconstruct(U[i]).tobytes()

@@ -286,17 +286,18 @@ class TestTrain:
             ):
                 train(theta0, U, U, cfg)
 
-    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("level", [1, 2, 3])
     @pytest.mark.parametrize("class_tag", ["SAE", "PlainAE"])
     def test_an_overflowing_decoder_level_is_named(self, class_tag, level):
         # A linear network on positive data whose encoders stay finite and
         # whose decoder level `level` has entries of 1e308: its products on
-        # the positive codes overflow first.  Level 2 is the latent end,
-        # where PlainAE's decoder skips act^-1.
+        # the positive codes overflow first.  Level 3 is the latent end,
+        # where PlainAE's decoder skips act^-1; level 2 is a middle level,
+        # neither end.
         U = np.random.default_rng(10).uniform(0.5, 1.0, (6, 8))
-        skeleton = Skeleton((6, 3, 2))
+        skeleton = Skeleton((6, 4, 3, 2))
         layers = []
-        for j in (1, 2):
+        for j in (1, 2, 3):
             q, r = skeleton.layer_shape(j)
             D = np.full((q, r), 1e308 if j == level else 1.0)
             layers.append(
