@@ -103,13 +103,6 @@ class LeakyReLU(Activation):
         self.alpha = alpha
         self.beta = beta
 
-    @classmethod
-    def from_sharpness(cls, sharpness: float, beta: float = 1.25) -> "LeakyReLU":
-        """LeakyReLU with the given ``beta`` and ``alpha = beta / (1 + sharpness)``."""
-        if sharpness <= 0.0:
-            raise ValueError("sharpness must be positive")
-        return cls(beta / (1.0 + sharpness), beta)
-
     def apply(self, x):
         x = np.asarray(x, dtype=np.float64)
         return _float_if_scalar(np.where(x < 0.0, self.alpha * x, self.beta * x))

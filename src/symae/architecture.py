@@ -556,16 +556,14 @@ def empirical_mse(psi: SymmetricAutoencoder, U: np.ndarray) -> float:
 
 
 def save_model(
-    psi: SymmetricAutoencoder,
-    path,
-    theta: ParamVector | None = None,
-    normalization: tuple[float, float] = (0.0, 1.0),
+    psi: SymmetricAutoencoder, path, normalization: tuple[float, float] = (0.0, 1.0)
 ):
-    """Write a JSON checkpoint; floats round-trip bit-identically via repr.
+    """Write a JSON checkpoint of the network's levels ``(E, D, e, d)``.
 
-    ``normalization`` is the min-max range ``(lo, hi)`` the network was
-    fitted on (see :func:`symae.training.minmax_normalize`); the default
-    identity range is that of a network fitted on raw data.
+    Floats round-trip bit-identically via repr.  ``normalization`` is the
+    min-max range ``(lo, hi)`` the network was fitted on (see
+    :func:`symae.training.minmax_normalize`); the default identity range is
+    that of a network fitted on raw data.
     """
     lo, hi = _checked_normalization(*normalization)
     doc = {
@@ -576,30 +574,21 @@ def save_model(
         "normalization": {"lo": lo, "hi": hi},
         "layers": [{k: v.tolist() for k, v in l._asdict().items()} for l in psi.layers],
     }
-    if theta is not None:
-        doc["theta"] = {
-            "class_tag": theta.class_tag,
-            "layers": [
-                {k: v.tolist() for k, v in params.items()} for params in theta.layers
-            ],
-        }
     Path(path).write_text(json.dumps(doc))
 
 
-def load_model(
-    path,
-) -> tuple[SymmetricAutoencoder, ParamVector | None, tuple[float, float]]:
+def load_model(path) -> tuple[SymmetricAutoencoder, tuple[float, float]]:
     """Read a checkpoint written by :func:`save_model`.
 
-    Returns ``(psi, theta, (lo, hi))``, where ``theta`` is ``None`` when the
-    file stores none and ``(lo, hi)`` is the min-max range the network was
-    fitted on.  Only format version 3 loads.
+    Returns ``(psi, (lo, hi))``, where ``(lo, hi)`` is the min-max range the
+    network was fitted on.  Only format version 3 loads.  Keys the reader
+    does not use are ignored, among them the ``theta`` block (training
+    coordinates) that older writers of format 3 stored beside the levels.
 
     Raises :class:`DataFormatError` when the file is not JSON, carries
     another format version, lacks a key or holds a value that does not
-    build a valid model (a wrong shape or type, a broken invariant, a
-    ``theta`` that does not assemble to the stored layers, or a range that
-    is not finite with ``lo < hi``).
+    build a valid model (a wrong shape or type, a broken invariant, or a
+    range that is not finite with ``lo < hi``).
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -609,9 +598,9 @@ def load_model(
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"unsupported checkpoint version {version!r} in {path}")
     try:
-        psi, theta = _model_from_doc(doc)
+        psi = _model_from_doc(doc)
         block = doc["normalization"]
-        return psi, theta, _checked_normalization(block["lo"], block["hi"])
+        return psi, _checked_normalization(block["lo"], block["hi"])
     except KeyError as exc:
         raise DataFormatError(f"checkpoint {path} lacks the key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
@@ -630,39 +619,11 @@ def _checked_normalization(lo, hi) -> tuple[float, float]:
     return lo, hi
 
 
-def _model_from_doc(doc: dict) -> tuple[SymmetricAutoencoder, ParamVector | None]:
+def _model_from_doc(doc: dict) -> SymmetricAutoencoder:
     skeleton = Skeleton(tuple(doc["skeleton"]))
     act = parse_activation(doc["activation_spec"])
     layers = tuple(
         Layer(*(np.asarray(layer[k], dtype=np.float64) for k in Layer._fields))
         for layer in doc["layers"]
     )
-    psi = SymmetricAutoencoder(skeleton, act, layers, doc["class_tag"])
-    theta = None
-    if "theta" in doc:
-        block = doc["theta"]
-        theta_layers = [
-            {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-            for params in block["layers"]
-        ]
-        theta = ParamVector(block["class_tag"], skeleton, act, theta_layers)
-        _check_theta_realizes(theta, psi)
-    return psi, theta
-
-
-def _check_theta_realizes(theta: ParamVector, psi: SymmetricAutoencoder):
-    """Raise ``ValueError`` unless ``assemble(theta)`` gives the layers of ``psi``.
-
-    Entries may differ by ``BIORTH_TOL`` relative to ``max(1, |entry|)``,
-    so a checkpoint still loads under another BLAS build.
-    """
-    if theta.class_tag != psi.class_tag:
-        raise ValueError(f"theta class {theta.class_tag} != network class {psi.class_tag}")
-    for j, (got, want) in enumerate(zip(assemble(theta).layers, psi.layers), start=1):
-        for name, g, w in zip(Layer._fields, got, want):
-            gap = float(np.max(np.abs(g - w) / np.maximum(1.0, np.abs(w))))
-            if gap > BIORTH_TOL:
-                raise ValueError(
-                    f"theta does not assemble to layer {j} weight {name} "
-                    f"(max relative gap {gap:.3e})"
-                )
+    return SymmetricAutoencoder(skeleton, act, layers, doc["class_tag"])

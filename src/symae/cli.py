@@ -222,7 +222,7 @@ def _cmd_train(args) -> int:
     metrics = evaluate(psi, test_norm)
 
     if args.out_model:
-        save_model(psi, args.out_model, theta=theta, normalization=(lo, hi))
+        save_model(psi, args.out_model, normalization=(lo, hi))
     if args.out_history:
         history.to_csv(args.out_history)
 
@@ -299,7 +299,7 @@ def _cmd_init_study(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    psi, _theta, (lo, hi) = load_model(args.model)
+    psi, (lo, hi) = load_model(args.model)
     data = load_snapshots(args.data)
     if data.U.shape[0] != psi.skeleton.dims[0]:
         raise DataFormatError(

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -62,6 +65,22 @@ def random_theta(class_tag, skeleton, act, rng, well_conditioned=False):
                 }
             )
     return ParamVector(class_tag, skeleton, act, layers)
+
+
+def add_theta_block(path, theta):
+    """Append to the checkpoint at ``path`` the ``theta`` block that older
+    writers of format 3 stored after the levels: the training coordinates
+    ``{"class_tag": ..., "layers": [{name: nested lists}, ...]}``.
+
+    The file is re-serialized by ``json.dumps``, so it is byte for byte what
+    such a writer wrote for the same network and coordinates.
+    """
+    doc = json.loads(Path(path).read_text())
+    doc["theta"] = {
+        "class_tag": theta.class_tag,
+        "layers": [{k: v.tolist() for k, v in params.items()} for params in theta.layers],
+    }
+    Path(path).write_text(json.dumps(doc))
 
 
 def grad_check(program, leaves: list[np.ndarray], *args, step: float = 1e-5) -> float:

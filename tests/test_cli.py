@@ -6,17 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _util import random_theta
+from _util import add_theta_block, random_theta
 from symae.activations import Identity
 from symae.architecture import Skeleton, assemble, empirical_mse, load_model, save_model
 from symae.cli import main
 from symae.data_io import SnapshotSet, generate_pga, save_snapshots
-from symae.training import apply_minmax, minmax_normalize, split
+from symae.training import apply_minmax, minmax_normalize, split, train
 
 
-def _sae_checkpoint(
-    E_rows=3, theta_layers=None, normalization=(0.0, 1.0), skeleton=(20, 3), version=3, fill=0.0
-):
+def _sae_checkpoint(E_rows=3, normalization=(0.0, 1.0), skeleton=(20, 3), version=3, fill=0.0):
     """An SAE checkpoint text for skeleton 20,3 with zero biases.
 
     Every entry of ``E`` and ``D`` is ``fill``.  ``normalization`` is the
@@ -35,25 +33,23 @@ def _sae_checkpoint(
             "d": np.zeros((20, 1)).tolist(),
         }],
     }
-    if theta_layers is not None:
-        doc["theta"] = {"class_tag": "SAE", "layers": theta_layers}
     if normalization is not None:
         doc["normalization"] = dict(zip(("lo", "hi"), normalization))
     return json.dumps(doc)
 
 
-def _sbae_checkpoint(theta_shift=0.0):
-    """An SBAE checkpoint text for skeleton 20,6,3 with its theta.
+def _sbae_checkpoint(D_shift):
+    """An SBAE checkpoint text for skeleton 20,6,3.
 
-    ``theta_shift`` is added to one entry of the stored theta, so a nonzero
-    shift leaves layers that the theta no longer assembles to.
+    ``D_shift`` is added to the first stored entry of level 1's ``D``, which
+    leaves ``E D - I`` with a finite gap of about ``|E[:, 0]| * D_shift``.
     """
     theta = random_theta("SBAE", Skeleton((20, 6, 3)), Identity(), np.random.default_rng(0))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
-        save_model(assemble(theta), path, theta=theta)
+        save_model(assemble(theta), path)
         doc = json.loads(path.read_text())
-    doc["theta"]["layers"][0]["X"][0][0] += theta_shift
+    doc["layers"][0]["D"][0][0] += D_shift
     return json.dumps(doc)
 
 
@@ -151,8 +147,8 @@ class TestTrain:
         assert result["init"] == "eys"
         assert result["epochs_run"] == 5
         assert result["mse"] >= 0 and result["mre"] >= 0 and result["mse_denorm"] >= 0
-        psi, theta, _normalization = load_model(tmp_path / "model.json")
-        assert psi.class_tag == "SBAE" and theta is not None
+        psi, _normalization = load_model(tmp_path / "model.json")
+        assert psi.class_tag == "SBAE"
         history = (tmp_path / "history.csv").read_text().splitlines()
         assert history[0].startswith("epoch,")
         assert len(history) == 6
@@ -346,6 +342,32 @@ class TestBounds:
         assert rc == 0
         return model
 
+    @pytest.mark.parametrize("model_class", ["sae", "ae", "sbae", "soae"])
+    def test_a_stored_theta_block_changes_no_row(self, small_data, tmp_path, monkeypatch, model_class):
+        # Older format-3 checkpoints also carry the trained coordinates theta
+        # after the levels.  The reader ignores that block, so bounds writes
+        # the same bytes for such a file as for the file without it.
+        import symae.cli as cli
+
+        trained = []
+
+        def keep_theta(*args, **kwargs):
+            theta, history = train(*args, **kwargs)
+            trained.append(theta)
+            return theta, history
+
+        monkeypatch.setattr(cli, "train", keep_theta)
+        model = self._train_model(small_data, tmp_path, model_class, act="hypact:0.1")
+        with_theta = tmp_path / "with-theta.json"
+        with_theta.write_bytes(model.read_bytes())
+        add_theta_block(with_theta, *trained)
+        outputs = []
+        for path in (model, with_theta):
+            out = tmp_path / f"bounds-{path.stem}.csv"
+            assert main(["bounds", "--model", str(path), "--data", str(small_data), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_orthogonal_report_sandwich(self, capsys, small_data, tmp_path):
         model = self._train_model(small_data, tmp_path, "soae", act="hypact:0.1")
         capsys.readouterr()
@@ -411,7 +433,7 @@ class TestBounds:
         assert main(["bounds", "--model", str(model), "--data", str(data), "--out", str(out)]) == 0
         rows = dict(line.split(",", 1) for line in out.read_text().strip().splitlines())
 
-        psi, _theta, (lo, hi) = load_model(model)
+        psi, (lo, hi) = load_model(model)
         assert (lo, hi) == minmax_normalize(split(U, 0)[0])[1:]
         mse = empirical_mse(psi, apply_minmax(U, lo, hi))
         assert rows["mse"] == f"{mse:.10g}"
@@ -692,8 +714,7 @@ class TestExitCodes:
             "not json {",
             '{"format_version": 3}',
             _sae_checkpoint(E_rows=2),
-            _sae_checkpoint(theta_layers=[[]]),
-            _sbae_checkpoint(theta_shift=1e-3),
+            _sbae_checkpoint(D_shift=1e-6),
             _sae_checkpoint(normalization=None),
             _sae_checkpoint(normalization=(1.0, 1.0)),
             _sae_checkpoint(normalization=(0.0, float("inf"))),
@@ -701,8 +722,8 @@ class TestExitCodes:
             _overflowing_sbae_checkpoint(),
         ],
         ids=[
-            "wrong-version", "version-2", "invalid-json", "missing-key", "bad-shape", "bad-theta-layer",
-            "tampered-sbae-theta", "missing-normalization", "empty-normalization",
+            "wrong-version", "version-2", "invalid-json", "missing-key", "bad-shape",
+            "sbae-invariant-gap", "missing-normalization", "empty-normalization",
             "infinite-normalization", "non-integer-skeleton", "nan-invariant-gap",
         ],
     )
